@@ -209,9 +209,8 @@ def _cmd_coeff(args) -> int:
     if args.n_max < 1 or args.family not in _COEFF_FAMILIES:
         print("error: --n-max must be >= 1", file=sys.stderr)
         return 2
-    builder = _COEFF_FAMILIES[args.family]
-    m = args.m if args.family in ("mc1", "mc5") else abs(args.m)
-    s = builder(m, args.n_max)
+    # mc1/mc5 are symmetric in m and take |m|; x/y/z reject m < 0 (exit 2).
+    s = _COEFF_FAMILIES[args.family](args.m, args.n_max)
     rows = [
         (args.family, args.m, n, str(s[n]), "") for n in range(1, args.n_max + 1)
     ]
@@ -374,3 +373,7 @@ def run_cli(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    console_main()

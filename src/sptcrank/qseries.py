@@ -8,11 +8,24 @@ settle the n <= 20m window.
 Every outer summation includes a term exactly when its minimal exponent is
 at most the truncation order; all later exponents of that term are larger,
 so the truncation is exact with no heuristic slack.
+
+M_C1 and M_C5 share one kernel, P2 = 1/(q^2; q^2)_oo = sum_k p(k) q^(2k):
+
+    sum_n M_C1(m, n) q^n = P2 * (inner difference of X^(m)),
+    sum_n M_C5(m, n) q^n = P2 * Y^(m),
+
+and each of those sums is a signed sum of terms q^a / (1 - q^b).  P2 comes
+from Euler's pentagonal-number recurrence in O(N^1.5) and is cached per
+order N; each series is then a signed sum of O(sqrt N) shifted copies of
+P2 / (1 - q^b), each built in O(N), so a series costs O(N^1.5) additions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 
 from .series import (
     TruncatedSeries,
@@ -77,24 +90,43 @@ def euler_product(offset: int, step: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(out))
 
 
-def _alternating_sum(order: int, exponent, modulus) -> TruncatedSeries:
-    """sum_{n>=1} (-1)^n q^exponent(n) / (1 - q^modulus(n)), truncated.
+def _lambert_terms(order: int, exponent, modulus, sign: int):
+    """Terms (a, b, s) of sign * sum_{n>=1} (-1)^n q^exponent(n) / (1 - q^modulus(n)).
 
-    Terms enter while exponent(n) <= order.
+    Each term is s * q^a / (1 - q^b); terms enter while a <= order.
     """
-    acc = [0] * (order + 1)
     n = 1
-    while True:
-        a = exponent(n)
-        if a > order:
-            break
-        b = modulus(n)
-        sign = -1 if n % 2 else 1
-        e = a
-        while e <= order:
-            acc[e] += sign
-            e += b
+    while (a := exponent(n)) <= order:
+        yield a, modulus(n), -sign if n % 2 else sign
         n += 1
+
+
+def _z_terms(m: int, order: int):
+    """Z^(m) = -sum_{n>=1} (-1)^n q^(n(n+1)/2+mn) / (1-q^n); also the second
+    sum of both X^(m) and Y^(m)."""
+    return _lambert_terms(order, lambda n: n * (n + 1) // 2 + m * n, lambda n: n, -1)
+
+
+def _c1_terms(m: int, order: int):
+    """The inner difference of X^(m): exponents n(3n+1)+2mn over 1-q^(2n), plus Z^(m)."""
+    yield from _lambert_terms(
+        order, lambda n: n * (3 * n + 1) + 2 * m * n, lambda n: 2 * n, 1
+    )
+    yield from _z_terms(m, order)
+
+
+def _c5_terms(m: int, order: int):
+    """Y^(m): exponents n(n+1)+2mn over 1-q^(2n), plus Z^(m)."""
+    yield from _lambert_terms(order, lambda n: n * (n + 1) + 2 * m * n, lambda n: 2 * n, 1)
+    yield from _z_terms(m, order)
+
+
+def _lambert_series(terms, order: int) -> TruncatedSeries:
+    """sum of s * q^a / (1 - q^b) over the terms, truncated at `order`."""
+    acc = [0] * (order + 1)
+    for a, b, s in terms:
+        for e in range(a, order + 1, b):
+            acc[e] += s
     return TruncatedSeries(order, tuple(acc))
 
 
@@ -104,31 +136,21 @@ def y_series(m: int, order: int) -> TruncatedSeries:
     n(n+1)/2+mn over 1-q^n."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    first = _alternating_sum(order, lambda n: n * (n + 1) + 2 * m * n, lambda n: 2 * n)
-    second = _alternating_sum(
-        order, lambda n: n * (n + 1) // 2 + m * n, lambda n: n
-    )
-    return first - second
+    return _lambert_series(_c5_terms(m, order), order)
 
 
 def z_series(m: int, order: int) -> TruncatedSeries:
     """Generating series of Z^(m) = -sum_{n>=1} (-1)^n q^(n(n+1)/2+mn)/(1-q^n)."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    return -_alternating_sum(order, lambda n: n * (n + 1) // 2 + m * n, lambda n: n)
+    return _lambert_series(_z_terms(m, order), order)
 
 
 def x_inner_series(m: int, order: int) -> TruncatedSeries:
     """The parenthesized difference inside the X^(m) definition (before 1/(1-q^2))."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    first = _alternating_sum(
-        order, lambda n: n * (3 * n + 1) + 2 * m * n, lambda n: 2 * n
-    )
-    second = _alternating_sum(
-        order, lambda n: n * (n + 1) // 2 + m * n, lambda n: n
-    )
-    return first - second
+    return _lambert_series(_c1_terms(m, order), order)
 
 
 def x_series(m: int, order: int) -> TruncatedSeries:
@@ -136,28 +158,55 @@ def x_series(m: int, order: int) -> TruncatedSeries:
     return divide_by_one_minus_qk(x_inner_series(m, order), 2)
 
 
-def _even_pochhammer_inverse_times(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiply by 1/(q^2; q^2)_oo by successive geometric divisions.
+@lru_cache(maxsize=4)
+def _p2_kernel(order: int) -> tuple:
+    """Coefficients of P2 = 1/(q^2; q^2)_oo up to q^order.
 
-    Dividing by each factor (1 - q^(2j)) with 2j <= order is bit-identical
-    to one Cauchy multiplication by invert_unit(euler_product(2, 2, order)).
+    P2 holds the partition number p(k) at q^(2k) and 0 at odd powers; p(k)
+    comes from Euler's pentagonal-number recurrence
+    p(k) = sum_{j>=1} (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)).
     """
-    out = s
-    j = 2
-    while j <= s.order:
-        out = divide_by_one_minus_qk(out, j)
-        j += 2
-    return out
+    half = order // 2
+    p = [1] + [0] * half
+    for k in range(1, half + 1):
+        total = 0
+        j = 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            pair = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += pair if j % 2 else -pair
+            j += 1
+        p[k] = total
+    out = [0] * (order + 1)
+    out[::2] = p
+    return tuple(out)
+
+
+def _times_p2(terms, order: int) -> TruncatedSeries:
+    """P2 times the sum of s * q^a / (1 - q^b) over the terms, truncated at `order`.
+
+    Each term adds s * q^a * P2/(1 - q^b): the kernel prefix of length
+    order+1-a, summed cumulatively along each residue class mod b, shifted
+    up by a.  P2 vanishes at odd powers, so for even b the odd residue
+    classes stay zero and are skipped.
+    """
+    p2 = _p2_kernel(order)
+    acc = [0] * (order + 1)
+    for a, b, s in terms:
+        g = list(p2[: order + 1 - a])
+        for r in range(0, b, 2 - b % 2):
+            g[r::b] = accumulate(g[r::b])
+        acc[a:] = map(add if s > 0 else sub, acc[a:], g)
+    return TruncatedSeries(order, tuple(acc))
 
 
 def mc1_series(m: int, order: int) -> TruncatedSeries:
     """Generating function of M_C1(m, .); symmetric in m, so |m| is used."""
-    return _even_pochhammer_inverse_times(x_inner_series(abs(m), order))
+    return _times_p2(_c1_terms(abs(m), order), order)
 
 
 def mc5_series(m: int, order: int) -> TruncatedSeries:
     """Generating function of M_C5(m, .); symmetric in m, so |m| is used."""
-    return _even_pochhammer_inverse_times(y_series(abs(m), order))
+    return _times_p2(_c5_terms(abs(m), order), order)
 
 
 # -- finite T-series decomposition for the n <= 20m window -------------------

@@ -94,6 +94,15 @@ def _map_over_m(worker, args, parallelism: int):
 # -- per-m workers (top-level so they pickle for process pools) --------------
 
 
+def _capped(out: list) -> list:
+    """One worker's violation tuples in report order, at most VIOLATION_CAP.
+
+    Each worker covers one m, so the report's first VIOLATION_CAP
+    violations over all workers are among the ones kept here.
+    """
+    return sorted(out, key=lambda v: (v[0], v[1], v[3]))[:VIOLATION_CAP]
+
+
 def _y_worker(args):
     m, n_max = args
     out = []
@@ -106,7 +115,7 @@ def _y_worker(args):
         y = c.a1 + c.b1 - c.a2 - c.b2
         if y < 0:
             out.append((m, n, str(y), "Y^(m)(n) >= 0"))
-    return out
+    return _capped(out)
 
 
 def _x_small_worker(args):
@@ -137,7 +146,7 @@ def _x_small_worker(args):
             out.append((m, n, str(rem[n]), "R2 coefficient >= 0"))
         if t[n] < 0:
             out.append((m, n, str(t[n]), "X^(m)(n) >= 0 for n <= 20m"))
-    return out
+    return _capped(out)
 
 
 def _finite_window_worker(args):
@@ -155,7 +164,7 @@ def _finite_window_worker(args):
             checked += 1
             if x[n] < 0:
                 out.append((m, n, str(x[n]), "X^(m)(n) >= 0 on 20m < n < f(m)"))
-    return out, checked
+    return _capped(out), checked
 
 
 def _conjecture_worker(args):
@@ -172,7 +181,7 @@ def _conjecture_worker(args):
             out.append((m, n, str(c1[n]), "M_C1(m,n) >= 0"))
         if c5[n] < 0:
             out.append((m, n, str(c5[n]), "M_C5(m,n) >= 0"))
-    return out
+    return _capped(out)
 
 
 def _cross_worker(args):
@@ -228,7 +237,7 @@ def _cross_worker(args):
                 out.append((m, n, str(xs[n]), "X > (ln2/4)(n+1)-6sqrt(n+1)-m-2"))
             if not bounds.m2_minus_m1_bound_check(m, n):
                 out.append((m, n, "bound-combination", "M2bound-M1bound >= theorem bound"))
-    return out, jarnik_skips
+    return _capped(out), jarnik_skips
 
 
 # -- check drivers -----------------------------------------------------------
@@ -315,13 +324,25 @@ def cross_check(cfg: SweepConfig) -> VerificationReport:
         c1 = bivariate.spt_crank_bivariate(bivariate.FamilyId.C1, order)
         c5 = bivariate.spt_crank_bivariate(bivariate.FamilyId.C5, order)
         for m in range(min(cfg.m_max, order) + 1):
-            if bivariate.extract_m(c1, m).coeffs != qseries.mc1_series(m, order).coeffs:
+            s1 = bivariate.extract_m(c1, m).coeffs
+            s5 = bivariate.extract_m(c5, m).coeffs
+            if s1 != qseries.mc1_series(m, order).coeffs:
                 rep.violations.append(
                     Violation(m, 0, "bivariate C1 slice", "equals mc1 series")
                 )
-            if bivariate.extract_m(c5, m).coeffs != qseries.mc5_series(m, order).coeffs:
+            if s5 != qseries.mc5_series(m, order).coeffs:
                 rep.violations.append(
                     Violation(m, 0, "bivariate C5 slice", "equals mc5 series")
+                )
+            # z <-> 1/z symmetry of the expansion itself: the univariate
+            # builders take |m|, so they cannot tell -m from m.
+            if m and bivariate.extract_m(c1, -m).coeffs != s1:
+                rep.violations.append(
+                    Violation(m, 0, "bivariate C1 slice at -m", "equals slice at +m")
+                )
+            if m and bivariate.extract_m(c5, -m).coeffs != s5:
+                rep.violations.append(
+                    Violation(m, 0, "bivariate C5 slice at -m", "equals slice at +m")
                 )
     if jarnik_skips:
         rep.skips.append(

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sptcrank
 from sptcrank.cli import run_cli
 
 
@@ -55,6 +60,33 @@ def test_coeff_negative_m_symmetric(run):
     assert [l.split()[-1] for l in out_pos.splitlines()] == [
         l.split()[-1] for l in out_neg.splitlines()
     ]
+
+
+@pytest.mark.parametrize("family", ["x", "y", "z"])
+def test_coeff_negative_m_rejected_for_asymmetric_families(run, family):
+    code, out, err = run("coeff", "--family", family, "--m", "-3", "--n-max", "10")
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+
+
+def run_module(*args):
+    """`python -m sptcrank.cli ARGS` in a child interpreter."""
+    src = str(Path(sptcrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sptcrank.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_python_dash_m_entry_point():
+    ok = run_module("verify", "--check", "y-nonneg", "--m-max", "1", "--n-max", "5")
+    assert ok.returncode == 0
+    assert "y-nonneg: pass" in ok.stdout
+    bad = run_module("verify", "--check", "bogus")
+    assert bad.returncode == 2
+    assert "unknown check" in bad.stderr
 
 
 def test_verify_pass_exit_zero(run):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sptcrank import qseries
+from sptcrank.series import divide_by_one_minus_qk
 from sptcrank.qseries import (
     SeriesId,
     build_series,
@@ -113,6 +114,43 @@ def test_mc_matches_explicit_pochhammer_inverse():
     for m in (0, 2, 5):
         assert mc1_series(m, 40).coeffs == (x_inner_series(m, 40) * inv).coeffs
         assert mc5_series(m, 40).coeffs == (y_series(m, 40) * inv).coeffs
+
+
+def even_pochhammer_inverse_times(s):
+    """Slow reference for the P2 kernel: multiply by 1/(q^2; q^2)_oo by
+    dividing by each factor (1 - q^(2j)) with 2j <= order in turn."""
+    out = s
+    j = 2
+    while j <= s.order:
+        out = divide_by_one_minus_qk(out, j)
+        j += 2
+    return out
+
+
+def assert_mc_match_successive_division(m, order):
+    assert mc1_series(m, order).coeffs == even_pochhammer_inverse_times(
+        x_inner_series(abs(m), order)
+    ).coeffs
+    assert mc5_series(m, order).coeffs == even_pochhammer_inverse_times(
+        y_series(abs(m), order)
+    ).coeffs
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 3, 5, 8, 40, 61, 301))
+def test_mc_kernel_matches_successive_division(order):
+    for m in range(-3, 31):
+        assert_mc_match_successive_division(m, order)
+
+
+@pytest.mark.parametrize("m", (0, 1, 7, 20))
+def test_mc_kernel_matches_successive_division_high_order(m):
+    assert_mc_match_successive_division(m, 1004)
+
+
+def test_p2_kernel_is_even_pochhammer_inverse():
+    for order in range(60):
+        inv = euler_product(2, 2, order).invert_unit()
+        assert qseries._p2_kernel(order) == inv.coeffs
 
 
 def test_mc_slices_vanish_below_their_shift():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sptcrank import divisors, qseries, verify
+from sptcrank import bivariate, divisors, qseries, verify
 from sptcrank.series import TruncatedSeries
 from sptcrank.verify import (
     CHECK_IDS,
@@ -98,6 +98,54 @@ def test_t_component_corruption_is_caught(monkeypatch):
     rep = run_checks(small_cfg(checks=("x-small-n",)))[0]
     assert rep.status == "fail"
     assert any("T1+T3+T5" in v.expected for v in rep.violations)
+
+
+def test_bivariate_z_asymmetry_is_caught(monkeypatch):
+    """An expansion whose z^-1 column differs from its z^1 column must fail
+    cross, though every +m slice still matches the univariate series."""
+    real = bivariate.spt_crank_bivariate
+
+    def skewed(family, order):
+        s = real(family, order)
+        rows = list(s.qcoeffs)
+        for n, (lo, cs) in enumerate(rows):
+            i = -1 - lo
+            if 0 <= i < len(cs) and cs[i]:
+                rows[n] = (lo, cs[:i] + (2 * cs[i],) + cs[i + 1:])
+                break
+        return bivariate.LaurentSeries(s.order, tuple(rows))
+
+    monkeypatch.setattr(bivariate, "spt_crank_bivariate", skewed)
+    rep = run_checks(small_cfg(checks=("cross",)))[0]
+    assert rep.status == "fail"
+    assert rep.violations == [
+        Violation(1, 0, "bivariate C1 slice at -m", "equals slice at +m"),
+        Violation(1, 0, "bivariate C5 slice at -m", "equals slice at +m"),
+    ]
+
+
+def test_worker_violations_capped_report_unchanged(monkeypatch):
+    """Workers keep at most VIOLATION_CAP violations each, and the report
+    is still the first VIOLATION_CAP of all violations in (m, n) order."""
+
+    def failing(m, order):
+        return TruncatedSeries(order, (-1,) * (order + 1))
+
+    monkeypatch.setattr(qseries, "mc1_series", failing)
+    monkeypatch.setattr(qseries, "mc5_series", failing)
+    n_max = verify.VIOLATION_CAP + 200
+    chunk = verify._conjecture_worker((1, n_max))
+    assert len(chunk) == verify.VIOLATION_CAP
+    assert chunk[:2] == [(1, 1, "-1", "M_C1(m,n) >= 0"), (1, 1, "-1", "M_C5(m,n) >= 0")]
+    rep = run_checks(SweepConfig(m_max=2, n_max=n_max, checks=("conjecture",)))[0]
+    everything = [
+        Violation(m, n, "-1", f"M_C{c}(m,n) >= 0")
+        for m in range(3)
+        for n in range(1, n_max + 1)
+        for c in (1, 5)
+    ]
+    assert rep.status == "fail"
+    assert rep.violations == everything[: verify.VIOLATION_CAP]
 
 
 def test_violations_sorted_and_capped():
