@@ -6,7 +6,8 @@ CSV, and JSON.  Timing is therefore excluded from reports by default
 There is no randomness anywhere in the tool.
 
 Exit codes: 0 all checks pass; 1 at least one verification failure;
-2 usage/configuration error; 3 resource guard triggered.
+2 usage/configuration error; 3 resource guard triggered; 4 internal error
+(an unexpected exception, reported as one "error: internal: ..." line).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import io
 import json
 import os
 import sys
+import traceback
 
 from . import bounds, lattice, qseries, verify
 
@@ -24,44 +26,45 @@ ENV_PREFIX = "SPTCRANK_"
 
 CSV_COLUMNS = ("check", "m", "n", "value", "expected")
 
-_COEFF_FAMILIES = {
-    "mc1": qseries.mc1_series,
-    "mc5": qseries.mc5_series,
-    "x": qseries.x_series,
-    "y": qseries.y_series,
-    "z": qseries.z_series,
-}
+# Each family f is built by qseries.<f>_series, looked up when called.
+_COEFF_FAMILIES = ("mc1", "mc5", "x", "y", "z")
 
 
 def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
-def _write_out(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(args, payload, rows, text) -> None:
+    """Write the one output format that args ask for: JSON, CSV or text.
+
+    payload (the JSON body after the schema header), rows (CSV rows under
+    CSV_COLUMNS) and text are zero-argument callables, so only the
+    requested output is built.
+    """
+    if args.json:
+        doc = {
+            "schemaVersion": 1,
+            "tool": {"name": verify.TOOL_NAME, "version": verify.TOOL_VERSION},
+            **payload(),
+        }
+        out = json.dumps(doc, indent=2) + "\n"
+    elif args.csv:
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(CSV_COLUMNS)
+        w.writerows(rows())
+        out = buf.getvalue()
     else:
-        sys.stdout.write(text)
-
-
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    for r in rows:
-        w.writerow(r)
-    return buf.getvalue()
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+        out = text()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(out)
+    else:
+        sys.stdout.write(out)
 
 
 def _report_payload(cfg: verify.SweepConfig, reports, timing: bool):
     return {
-        "schemaVersion": 1,
-        "tool": {"name": verify.TOOL_NAME, "version": verify.TOOL_VERSION},
         "config": {
             "mMax": cfg.m_max,
             "nMax": cfg.n_max,
@@ -86,12 +89,10 @@ def _report_payload(cfg: verify.SweepConfig, reports, timing: bool):
 
 
 def _report_rows(reports):
-    rows = []
     for r in reports:
         for v in r.violations:
-            rows.append((r.check_id, v.m, v.n, v.value, v.expected))
-        rows.append((r.check_id, "", "", r.status, r.range_desc))
-    return rows
+            yield (r.check_id, v.m, v.n, v.value, v.expected)
+        yield (r.check_id, "", "", r.status, r.range_desc)
 
 
 def _report_text(reports, timing: bool) -> str:
@@ -111,16 +112,6 @@ def _report_text(reports, timing: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_reports(args, cfg, reports) -> None:
-    if args.json:
-        text = _json_text(_report_payload(cfg, reports, args.timing))
-    elif args.csv:
-        text = _csv_text(_report_rows(reports))
-    else:
-        text = _report_text(reports, args.timing)
-    _write_out(text, args.out)
-
-
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", action="store_true", help="emit CSV")
     p.add_argument("--json", action="store_true", help="emit JSON")
@@ -133,13 +124,17 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--bivariate-order", type=int, default=None)
+    p.add_argument("--m-max", type=int, default=verify.SweepConfig.m_max)
+    p.add_argument("--n-max", type=int, default=verify.SweepConfig.n_max)
+    p.add_argument(
+        "--bivariate-order", type=int, default=verify.SweepConfig.bivariate_order
+    )
     p.add_argument(
         "--parallel",
         type=int,
-        default=int(_env("PARALLEL") or 1),
+        # argparse converts a string default with `type`, so a malformed
+        # environment value is a usage error like a malformed flag.
+        default=_env("PARALLEL") or 1,
         help="number of worker processes for per-m sweeps",
     )
     p.add_argument(
@@ -158,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeff", help="print coefficients of a series family")
-    p.add_argument("--family", choices=sorted(_COEFF_FAMILIES), required=True)
+    p.add_argument("--family", choices=_COEFF_FAMILIES, required=True)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--n-max", type=int, required=True)
     _add_format_flags(p)
@@ -193,133 +188,90 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_config(args, checks: tuple) -> verify.SweepConfig:
-    kwargs = {"checks": checks, "parallelism": args.parallel,
-              "override_resource_guard": args.override_resource_guard}
-    if getattr(args, "m_max", None) is not None:
-        kwargs["m_max"] = args.m_max
-    if getattr(args, "n_max", None) is not None:
-        kwargs["n_max"] = args.n_max
-    if getattr(args, "bivariate_order", None) is not None:
-        kwargs["bivariate_order"] = args.bivariate_order
-    return verify.SweepConfig(**kwargs)
-
-
 def _cmd_coeff(args) -> int:
-    if args.n_max < 1 or args.family not in _COEFF_FAMILIES:
-        print("error: --n-max must be >= 1", file=sys.stderr)
-        return 2
+    if args.n_max < 1:
+        raise ValueError("--n-max must be >= 1")
     # mc1/mc5 are symmetric in m and take |m|; x/y/z reject m < 0 (exit 2).
-    s = _COEFF_FAMILIES[args.family](args.m, args.n_max)
+    s = getattr(qseries, f"{args.family}_series")(args.m, args.n_max)
     rows = [
         (args.family, args.m, n, str(s[n]), "") for n in range(1, args.n_max + 1)
     ]
-    if args.json:
-        payload = {
-            "schemaVersion": 1,
-            "tool": {"name": verify.TOOL_NAME, "version": verify.TOOL_VERSION},
+    _emit(
+        args,
+        lambda: {
             "records": [
                 {"kind": "coefficient", "check": c, "m": mm, "n": n, "value": v}
                 for c, mm, n, v, _ in rows
-            ],
-        }
-        text = _json_text(payload)
-    elif args.csv:
-        text = _csv_text(rows)
-    else:
-        text = "".join(f"{c} m={mm} n={n} {v}\n" for c, mm, n, v, _ in rows)
-    _write_out(text, args.out)
+            ]
+        },
+        lambda: rows,
+        lambda: "".join(f"{c} m={mm} n={n} {v}\n" for c, mm, n, v, _ in rows),
+    )
     return 0
 
 
 def _run_and_emit(args, checks) -> int:
-    try:
-        cfg = _make_config(args, checks)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        reports = verify.run_checks(cfg)
-    except verify.ResourceGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    _emit_reports(args, cfg, reports)
+    cfg = verify.SweepConfig(
+        m_max=args.m_max,
+        n_max=args.n_max,
+        checks=checks,
+        parallelism=args.parallel,
+        bivariate_order=args.bivariate_order,
+        override_resource_guard=args.override_resource_guard,
+    )
+    reports = verify.run_checks(cfg)
+    _emit(
+        args,
+        lambda: _report_payload(cfg, reports, args.timing),
+        lambda: _report_rows(reports),
+        lambda: _report_text(reports, args.timing),
+    )
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
-def _cmd_verify(args) -> int:
-    if args.check == "all":
-        checks = verify.CHECK_IDS
-    elif args.check in verify.CHECK_IDS:
-        checks = (args.check,)
-    else:
-        print(
-            f"error: unknown check {args.check!r}; choose from "
-            f"{', '.join(verify.CHECK_IDS)} or 'all'",
-            file=sys.stderr,
-        )
-        return 2
-    return _run_and_emit(args, checks)
-
-
-def _cmd_finite_window(args) -> int:
-    return _run_and_emit(args, ("finite-window",))
-
-
 def _cmd_lattice(args) -> int:
-    if args.n < 0 or args.m < 0:
-        print("error: m and n must be non-negative", file=sys.stderr)
-        return 2
-    kind = lattice.RegionKind(args.region)
-    spec = lattice.RegionSpec(kind, args.m, args.n)
+    spec = lattice.RegionSpec(lattice.RegionKind(args.region), args.m, args.n)
     cnt = lattice.count_region(spec)
     fig = lattice.geometry_figures(spec)
-    if args.json:
-        payload = {
-            "schemaVersion": 1,
-            "tool": {"name": verify.TOOL_NAME, "version": verify.TOOL_VERSION},
+    # Counts are exact integers, emitted as strings; the figures are floats.
+    values = {
+        "total": str(cnt.total),
+        "oddY": str(cnt.odd_y),
+        "area": fig.area,
+        "lengthBound": fig.length_bound,
+        "xExtentBound": fig.x_extent_bound,
+    }
+    _emit(
+        args,
+        lambda: {
             "region": args.region,
             "m": args.m,
             "n": args.n,
-            "total": str(cnt.total),
-            "oddY": str(cnt.odd_y),
-            "area": fig.area,
-            "lengthBound": fig.length_bound,
-            "xExtentBound": fig.x_extent_bound,
+            **values,
             "vertices": [list(v) for v in fig.vertices],
-        }
-        text = _json_text(payload)
-    elif args.csv:
-        base = f"lattice-{args.region}"
-        rows = [
-            (base, args.m, args.n, str(cnt.total), "total"),
-            (base, args.m, args.n, str(cnt.odd_y), "oddY"),
-            (base, args.m, args.n, repr(fig.area), "area"),
-            (base, args.m, args.n, repr(fig.length_bound), "lengthBound"),
-            (base, args.m, args.n, repr(fig.x_extent_bound), "xExtentBound"),
-        ]
-        text = _csv_text(rows)
-    else:
-        text = (
+        },
+        lambda: [
+            (f"lattice-{args.region}", args.m, args.n, str(v), name)
+            for name, v in values.items()
+        ],
+        lambda: (
             f"region {args.region} m={args.m} n={args.n}\n"
             f"  total={cnt.total} oddY={cnt.odd_y}\n"
             f"  area={fig.area!r} lengthBound={fig.length_bound!r} "
             f"xExtentBound={fig.x_extent_bound!r}\n"
             f"  vertices={fig.vertices!r}\n"
-        )
-    _write_out(text, args.out)
+        ),
+    )
     return 0
 
 
 def _cmd_bounds(args) -> int:
     if args.m_max < 0:
-        print("error: --m-max must be non-negative", file=sys.stderr)
-        return 2
+        raise ValueError("--m-max must be non-negative")
     profiles = [bounds.threshold_profile(m) for m in range(args.m_max + 1)]
-    if args.json:
-        payload = {
-            "schemaVersion": 1,
-            "tool": {"name": verify.TOOL_NAME, "version": verify.TOOL_VERSION},
+    _emit(
+        args,
+        lambda: {
             "records": [
                 {
                     "kind": "summary",
@@ -329,24 +281,18 @@ def _cmd_bounds(args) -> int:
                     "fExceeds20m": p.f_exceeds_20m,
                 }
                 for p in profiles
-            ],
-        }
-        text = _json_text(payload)
-    elif args.csv:
-        rows = [
+            ]
+        },
+        lambda: [
             ("threshold", p.m, "", repr(p.f_value),
              "f(m)>20m" if p.f_exceeds_20m else "f(m)<20m")
             for p in profiles
-        ]
-        text = _csv_text(rows)
-    else:
-        lines = ["m f(m) 20m f(m)>20m"]
-        lines += [
-            f"{p.m} {p.f_value!r} {p.twenty_m} {'yes' if p.f_exceeds_20m else 'no'}"
+        ],
+        lambda: "m f(m) 20m f(m)>20m\n" + "".join(
+            f"{p.m} {p.f_value!r} {p.twenty_m} {'yes' if p.f_exceeds_20m else 'no'}\n"
             for p in profiles
-        ]
-        text = "\n".join(lines) + "\n"
-    _write_out(text, args.out)
+        ),
+    )
     return 0
 
 
@@ -358,8 +304,10 @@ def run_cli(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     handlers = {
         "coeff": _cmd_coeff,
-        "verify": _cmd_verify,
-        "finite-window": _cmd_finite_window,
+        "verify": lambda a: _run_and_emit(
+            a, verify.CHECK_IDS if a.check == "all" else (a.check,)
+        ),
+        "finite-window": lambda a: _run_and_emit(a, ("finite-window",)),
         "cross-check": lambda a: _run_and_emit(a, ("cross",)),
         "lattice": _cmd_lattice,
         "bounds": _cmd_bounds,
@@ -369,6 +317,14 @@ def run_cli(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except verify.ResourceGuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug, not a failed check: exit 4, never 1
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"error: internal: {exc!r} at {where.filename}:{where.lineno}",
+              file=sys.stderr)
+        return 4
 
 
 def console_main() -> None:

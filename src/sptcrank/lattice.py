@@ -99,26 +99,6 @@ def count_region(spec: RegionSpec) -> LatticeCount:
     return LatticeCount(total, odd)
 
 
-def count_region_bruteforce(spec: RegionSpec) -> LatticeCount:
-    """Independent O(n^2) double-loop reference count; test oracle only."""
-    m, n = spec.m, spec.n
-    total = 0
-    odd = 0
-    for x in range(1, n + 2):
-        for y in range(1, n + 2):
-            if 2 * x * y > n:
-                continue
-            if spec.kind is RegionKind.OMEGA:
-                ok = y - 6 * x < 2 * m < y - 4 * x
-            else:
-                ok = 2 * x - 3 * y < 2 * m < 4 * x - y
-            if ok:
-                total += 1
-                if y % 2 == 1:
-                    odd += 1
-    return LatticeCount(total, odd)
-
-
 def _vertices_omega(m: int, n: int):
     s8 = math.sqrt(4 * m * m + 8 * (n + 1))
     s12 = math.sqrt(4 * m * m + 12 * (n + 1))

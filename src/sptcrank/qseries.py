@@ -34,36 +34,15 @@ from .series import (
     sum_series,
 )
 
-_SERIES_TAGS = frozenset(
-    {
-        "X",
-        "Y",
-        "Z",
-        "InnerC1",
-        "MC1",
-        "MC5",
-        "T",
-        "T1",
-        "T3",
-        "T5",
-        "T7",
-        "T9",
-        "Tprime",
-        "R1",
-        "R2",
-    }
-)
-
-
 @dataclass(frozen=True)
 class SeriesId:
-    """Closed name set for the series families, plus the shift parameter m >= 0."""
+    """A series family named by its key in _BUILDERS, plus the shift m >= 0."""
 
     tag: str
     shift: int = 0
 
     def __post_init__(self) -> None:
-        if self.tag not in _SERIES_TAGS:
+        if self.tag not in _BUILDERS:
             raise ValueError(f"unknown series tag {self.tag!r}")
         if self.shift < 0:
             raise ValueError("shift must be non-negative (callers pass |m|)")

@@ -150,18 +150,6 @@ class TruncatedSeries:
         return TruncatedSeries(n, tuple(b))
 
 
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def invert_unit(a: TruncatedSeries) -> TruncatedSeries:
-    return a.invert_unit()
-
-
 def geometric_term(a: int, b: int, order: int) -> TruncatedSeries:
     """q^a / (1 - q^b) = q^a + q^(a+b) + q^(a+2b) + ... truncated at `order`."""
     if a < 0:

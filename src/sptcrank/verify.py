@@ -13,6 +13,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import bivariate, bounds, divisors, lattice, qseries
 
@@ -23,6 +24,8 @@ VIOLATION_CAP = 1000
 RESOURCE_GUARD_SLOTS = 10**8
 
 CHECK_IDS = ("y-nonneg", "x-small-n", "finite-window", "conjecture", "cross")
+
+WINDOW_M = range(121)  # the finite window's fixed m range, 0 <= m <= 120
 
 
 class ResourceGuardError(RuntimeError):
@@ -35,18 +38,21 @@ class SweepConfig:
     n_max: int = 200
     checks: tuple = CHECK_IDS
     parallelism: int = 1
-    output_path: str | None = None
     bivariate_order: int = 30
     override_resource_guard: bool = False
 
     def __post_init__(self) -> None:
         if self.m_max < 0 or self.n_max < 0:
             raise ValueError("m_max and n_max must be non-negative")
+        if self.bivariate_order < 0:
+            raise ValueError("bivariate_order must be non-negative")
         if self.parallelism < 1:
             raise ValueError("parallelism must be positive")
         for c in self.checks:
             if c not in CHECK_IDS:
-                raise ValueError(f"unknown check id {c!r}")
+                raise ValueError(
+                    f"unknown check id {c!r}; choose from {', '.join(CHECK_IDS)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -61,18 +67,16 @@ class Violation:
 class VerificationReport:
     check_id: str
     range_desc: str
-    status: str  # pass | fail | skipped
+    status: str  # pending, then pass | fail
     violations: list = field(default_factory=list)
     skips: list = field(default_factory=list)  # [{"reason": str, "count": int}]
     elapsed_ms: int = 0
-    tool_version: str = TOOL_VERSION
 
     def finalize(self) -> "VerificationReport":
         self.violations = sorted(
             self.violations, key=lambda v: (v.m, v.n, v.expected)
         )[:VIOLATION_CAP]
-        if self.status != "skipped":
-            self.status = "fail" if self.violations else "pass"
+        self.status = "fail" if self.violations else "pass"
         return self
 
 
@@ -115,7 +119,7 @@ def _y_worker(args):
         y = c.a1 + c.b1 - c.a2 - c.b2
         if y < 0:
             out.append((m, n, str(y), "Y^(m)(n) >= 0"))
-    return _capped(out)
+    return _capped(out), 0
 
 
 def _x_small_worker(args):
@@ -123,7 +127,7 @@ def _x_small_worker(args):
     out = []
     order = 20 * m
     if order < 1:
-        return out
+        return out, 0
     t = qseries.t_series(m, order)
     x = qseries.x_series(m, order)
     comp = (
@@ -146,25 +150,21 @@ def _x_small_worker(args):
             out.append((m, n, str(rem[n]), "R2 coefficient >= 0"))
         if t[n] < 0:
             out.append((m, n, str(t[n]), "X^(m)(n) >= 0 for n <= 20m"))
-    return _capped(out)
+    return _capped(out), 0
 
 
 def _finite_window_worker(args):
     (m,) = args
     out = []
-    f = bounds.f_of_m(m)
     lo = 20 * m + 1
-    hi = math.ceil(f) - 1
+    hi = math.ceil(bounds.f_of_m(m)) - 1  # the largest n < f(m)
     if hi < lo:
         return out, 0
     x = qseries.x_series(m, hi)
-    checked = 0
     for n in range(lo, hi + 1):
-        if n < f:
-            checked += 1
-            if x[n] < 0:
-                out.append((m, n, str(x[n]), "X^(m)(n) >= 0 on 20m < n < f(m)"))
-    return _capped(out), checked
+        if x[n] < 0:
+            out.append((m, n, str(x[n]), "X^(m)(n) >= 0 on 20m < n < f(m)"))
+    return _capped(out), hi - lo + 1
 
 
 def _conjecture_worker(args):
@@ -181,7 +181,7 @@ def _conjecture_worker(args):
             out.append((m, n, str(c1[n]), "M_C1(m,n) >= 0"))
         if c5[n] < 0:
             out.append((m, n, str(c5[n]), "M_C5(m,n) >= 0"))
-    return _capped(out)
+    return _capped(out), 0
 
 
 def _cross_worker(args):
@@ -240,130 +240,113 @@ def _cross_worker(args):
     return _capped(out), jarnik_skips
 
 
-# -- check drivers -----------------------------------------------------------
-
-
-def verify_y_nonneg(cfg: SweepConfig) -> VerificationReport:
-    t0 = time.monotonic()
-    _guard(cfg, (cfg.m_max + 1) * (cfg.n_max + 1))
-    rep = VerificationReport(
-        "y-nonneg", f"0<=m<={cfg.m_max}, 1<=n<={cfg.n_max}", "pending"
-    )
+def _note_empty_n_range(cfg: SweepConfig, rep: VerificationReport) -> None:
     if cfg.n_max == 0:
         rep.skips.append({"reason": "empty n range", "count": 1})
-    args = [(m, cfg.n_max) for m in range(cfg.m_max + 1)]
-    for chunk in _map_over_m(_y_worker, args, cfg.parallelism):
-        rep.violations.extend(Violation(*v) for v in chunk)
-    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return rep.finalize()
 
 
-def verify_x_small_n(cfg: SweepConfig) -> VerificationReport:
-    t0 = time.monotonic()
-    _guard(cfg, (cfg.m_max + 1) * (20 * cfg.m_max + 1))
-    rep = VerificationReport("x-small-n", f"0<=m<={cfg.m_max}, n<=20m", "pending")
-    args = [(m,) for m in range(cfg.m_max + 1)]
-    for chunk in _map_over_m(_x_small_worker, args, cfg.parallelism):
-        rep.violations.extend(Violation(*v) for v in chunk)
-    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return rep.finalize()
-
-
-def verify_x_finite_window(cfg: SweepConfig | None = None) -> VerificationReport:
-    """The fixed sweep 0 <= m <= 120, 20m < n < f(m); range is not configurable."""
-    cfg = cfg or SweepConfig()
-    t0 = time.monotonic()
-    rep = VerificationReport(
-        "finite-window", "0<=m<=120, 20m<n<f(m)", "pending"
-    )
-    checked = 0
-    args = [(m,) for m in range(121)]
-    for (chunk, cnt) in _map_over_m(_finite_window_worker, args, cfg.parallelism):
-        rep.violations.extend(Violation(*v) for v in chunk)
-        checked += cnt
-    # coverage: the three windows n<=20m, 20m<n<f(m), n>=f(m) leave no gap
-    for m in range(121):
+def _window_coverage(cfg: SweepConfig, rep: VerificationReport) -> None:
+    """The three windows n<=20m, 20m<n<f(m), n>=f(m) leave no gap."""
+    for m in WINDOW_M:
         if not bounds.threshold_profile(m).f_exceeds_20m:
             rep.violations.append(
                 Violation(m, 0, "coverage gap", "f(m) > 20m for m <= 120")
             )
-    rep.skips.append({"reason": "values checked", "count": checked})
-    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return rep.finalize()
 
 
-def verify_conjecture(cfg: SweepConfig) -> VerificationReport:
-    t0 = time.monotonic()
-    _guard(cfg, 2 * (cfg.m_max + 1) * (cfg.n_max + 1))
-    rep = VerificationReport(
-        "conjecture", f"|m|<={cfg.m_max}, 1<=n<={cfg.n_max}", "pending"
-    )
-    args = [(m, cfg.n_max) for m in range(cfg.m_max + 1)]
-    for chunk in _map_over_m(_conjecture_worker, args, cfg.parallelism):
-        rep.violations.extend(Violation(*v) for v in chunk)
-    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return rep.finalize()
+def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:
+    """The bivariate cross-oracle: each z^m slice of the C1/C5 expansions
+    equals the univariate M_C1/M_C5 series, and equals the z^-m slice.
 
-
-def cross_check(cfg: SweepConfig) -> VerificationReport:
-    t0 = time.monotonic()
-    _guard(cfg, 3 * (cfg.m_max + 1) * (cfg.n_max + 1))
-    rep = VerificationReport(
-        "cross",
-        f"0<=m<={cfg.m_max}, 1<=n<={cfg.n_max}; bivariate order {cfg.bivariate_order}",
-        "pending",
-    )
-    args = [(m, cfg.n_max) for m in range(cfg.m_max + 1)]
-    jarnik_skips = 0
-    for (chunk, skips) in _map_over_m(_cross_worker, args, cfg.parallelism):
-        rep.violations.extend(Violation(*v) for v in chunk)
-        jarnik_skips += skips
-    # bivariate cross-oracle for the C1/C5 slices
+    The z <-> 1/z symmetry is checked on the expansion itself because the
+    univariate builders take |m|, so they cannot tell -m from m.
+    """
     order = cfg.bivariate_order
-    if order >= 1:
-        c1 = bivariate.spt_crank_bivariate(bivariate.FamilyId.C1, order)
-        c5 = bivariate.spt_crank_bivariate(bivariate.FamilyId.C5, order)
+    if order < 1:
+        return
+    for family, univariate in (
+        (bivariate.FamilyId.C1, qseries.mc1_series),
+        (bivariate.FamilyId.C5, qseries.mc5_series),
+    ):
+        expansion = bivariate.spt_crank_bivariate(family, order)
+        name = family.value
         for m in range(min(cfg.m_max, order) + 1):
-            s1 = bivariate.extract_m(c1, m).coeffs
-            s5 = bivariate.extract_m(c5, m).coeffs
-            if s1 != qseries.mc1_series(m, order).coeffs:
+            s = bivariate.extract_m(expansion, m).coeffs
+            if s != univariate(m, order).coeffs:
                 rep.violations.append(
-                    Violation(m, 0, "bivariate C1 slice", "equals mc1 series")
+                    Violation(m, 0, f"bivariate {name} slice", f"equals m{name.lower()} series")
                 )
-            if s5 != qseries.mc5_series(m, order).coeffs:
+            if m and bivariate.extract_m(expansion, -m).coeffs != s:
                 rep.violations.append(
-                    Violation(m, 0, "bivariate C5 slice", "equals mc5 series")
+                    Violation(m, 0, f"bivariate {name} slice at -m", "equals slice at +m")
                 )
-            # z <-> 1/z symmetry of the expansion itself: the univariate
-            # builders take |m|, so they cannot tell -m from m.
-            if m and bivariate.extract_m(c1, -m).coeffs != s1:
-                rep.violations.append(
-                    Violation(m, 0, "bivariate C1 slice at -m", "equals slice at +m")
-                )
-            if m and bivariate.extract_m(c5, -m).coeffs != s5:
-                rep.violations.append(
-                    Violation(m, 0, "bivariate C5 slice at -m", "equals slice at +m")
-                )
-    if jarnik_skips:
-        rep.skips.append(
-            {
-                "reason": "Jarnik hypothesis not met (empty region or length bound < 1)",
-                "count": jarnik_skips,
-            }
-        )
+
+
+# -- the check table and its one driver --------------------------------------
+
+
+class _Check(NamedTuple):
+    """One check: a per-m sweep, then an optional post step."""
+
+    worker: Callable  # per-m argument tuple -> (violation tuples, count)
+    args: Callable  # cfg -> the per-m argument tuples
+    range_desc: str  # report range text, formatted with the config's fields
+    slots: Callable  # cfg -> coefficient slots the resource guard weighs
+    count_reason: str | None = None  # skip reason for the workers' summed count
+    post: Callable | None = None  # (cfg, report) -> None, run after the sweep
+
+
+def _m_and_n_max(cfg: SweepConfig) -> list:
+    return [(m, cfg.n_max) for m in range(cfg.m_max + 1)]
+
+
+_CHECKS = {
+    "y-nonneg": _Check(
+        _y_worker, _m_and_n_max, "0<=m<={m_max}, 1<=n<={n_max}",
+        lambda cfg: (cfg.m_max + 1) * (cfg.n_max + 1),
+        post=_note_empty_n_range,
+    ),
+    "x-small-n": _Check(
+        _x_small_worker, lambda cfg: [(m,) for m in range(cfg.m_max + 1)],
+        "0<=m<={m_max}, n<=20m", lambda cfg: (cfg.m_max + 1) * (20 * cfg.m_max + 1),
+    ),
+    # The finite window's range is fixed, so no configuration can trip the guard.
+    "finite-window": _Check(
+        _finite_window_worker, lambda cfg: [(m,) for m in WINDOW_M],
+        "0<=m<=120, 20m<n<f(m)", lambda cfg: 0,
+        count_reason="values checked", post=_window_coverage,
+    ),
+    "conjecture": _Check(
+        _conjecture_worker, _m_and_n_max, "|m|<={m_max}, 1<=n<={n_max}",
+        lambda cfg: 2 * (cfg.m_max + 1) * (cfg.n_max + 1),
+    ),
+    "cross": _Check(
+        _cross_worker, _m_and_n_max,
+        "0<=m<={m_max}, 1<=n<={n_max}; bivariate order {bivariate_order}",
+        lambda cfg: 3 * (cfg.m_max + 1) * (cfg.n_max + 1),
+        count_reason="Jarnik hypothesis not met (empty region or length bound < 1)",
+        post=_bivariate_slices,
+    ),
+}
+
+
+def _run_check(check_id: str, cfg: SweepConfig) -> VerificationReport:
+    check = _CHECKS[check_id]
+    t0 = time.monotonic()
+    _guard(cfg, check.slots(cfg))
+    rep = VerificationReport(check_id, check.range_desc.format_map(vars(cfg)), "pending")
+    counted = 0
+    for chunk, count in _map_over_m(check.worker, check.args(cfg), cfg.parallelism):
+        rep.violations.extend(Violation(*v) for v in chunk)
+        counted += count
+    if check.post is not None:
+        check.post(cfg, rep)
+    if counted:
+        rep.skips.append({"reason": check.count_reason, "count": counted})
     rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rep.finalize()
-
-
-_DRIVERS = {
-    "y-nonneg": verify_y_nonneg,
-    "x-small-n": verify_x_small_n,
-    "finite-window": verify_x_finite_window,
-    "conjecture": verify_conjecture,
-    "cross": cross_check,
-}
 
 
 def run_checks(cfg: SweepConfig) -> list:
     """Run the configured checks in canonical order."""
-    return [_DRIVERS[c](cfg) for c in CHECK_IDS if c in cfg.checks]
+    return [_run_check(c, cfg) for c in CHECK_IDS if c in cfg.checks]

@@ -9,7 +9,7 @@ import math
 
 from sptcrank import bivariate, bounds, divisors, lattice, qseries
 from sptcrank.cli import run_cli
-from sptcrank.verify import SweepConfig, run_checks, verify_x_finite_window
+from sptcrank.verify import SweepConfig, run_checks
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -45,7 +45,7 @@ def test_criterion_1_oracle_triangle():
 
 def test_criterion_2_finite_window():
     """X^(m)(n) >= 0 for all 0 <= m <= 120 and 20m < n < f(m)."""
-    rep = verify_x_finite_window(SweepConfig(parallelism=1))
+    rep = run_checks(SweepConfig(checks=("finite-window",), parallelism=1))[0]
     checked = next(s["count"] for s in rep.skips if s["reason"] == "values checked")
     ok = rep.status == "pass" and checked > 0
     assert report("criterion 2 (finite window, m<=120, 20m<n<f(m))", ok,

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import sptcrank
+from sptcrank import bounds, qseries, verify
 from sptcrank.cli import run_cli
+from sptcrank.series import TruncatedSeries
 
 
 @pytest.fixture
@@ -99,6 +101,7 @@ def test_verify_unknown_check_is_usage_error(run):
     code, _, err = run("verify", "--check", "bogus")
     assert code == 2
     assert "unknown check" in err
+    assert ", ".join(verify.CHECK_IDS) in err
 
 
 def test_bad_flag_is_usage_error(run):
@@ -110,6 +113,13 @@ def test_negative_config_is_usage_error(run):
     code, _, err = run("verify", "--check", "y-nonneg", "--m-max", "-5")
     assert code == 2
     assert "error" in err
+
+
+def test_negative_bivariate_order_is_usage_error(run):
+    code, out, err = run("verify", "--check", "cross", "--bivariate-order", "-3")
+    assert code == 2
+    assert out == ""
+    assert "bivariate_order must be non-negative" in err
 
 
 def test_resource_guard_exit_three(run):
@@ -162,6 +172,47 @@ def test_env_parallel_default(run, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["reports"][0]["status"] == "pass"
+
+
+def test_malformed_env_parallel_is_usage_error(run, monkeypatch):
+    monkeypatch.setenv("SPTCRANK_PARALLEL", "abc")
+    code, out, err = run("verify", "--check", "y-nonneg", "--m-max", "1", "--n-max", "5")
+    assert code == 2
+    assert out == ""
+    assert "--parallel" in err and "'abc'" in err
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "module, name, exc, argv",
+    [
+        (verify, "run_checks", RuntimeError("boom"), ("verify", "--check", "y-nonneg")),
+        (bounds, "threshold_profile", ArithmeticError("near-tie"), ("bounds", "--m-max", "3")),
+    ],
+)
+def test_unexpected_error_exits_four(run, monkeypatch, module, name, exc, argv):
+    monkeypatch.setattr(module, name, _raise(exc))
+    code, out, err = run(*argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"error: internal: {exc!r} at ")
+    assert err.count("\n") == 1
+
+
+def test_corrupted_series_is_verification_failure(run, monkeypatch):
+    def negative(m, order):
+        return TruncatedSeries(order, (-1,) * (order + 1))
+
+    monkeypatch.setattr(qseries, "mc1_series", negative)
+    code, out, _ = run("verify", "--check", "conjecture", "--m-max", "1", "--n-max", "5")
+    assert code == 1
+    assert "conjecture: fail" in out
 
 
 def test_cross_check_alias(run):

@@ -14,7 +14,6 @@ from sptcrank.lattice import (
     area_omega,
     area_omega_prime,
     count_region,
-    count_region_bruteforce,
     geometry_figures,
     lambda_length_term,
     m1_upper_bound,
@@ -23,6 +22,26 @@ from sptcrank.lattice import (
 )
 
 REGIONS = (RegionKind.OMEGA, RegionKind.OMEGA_PRIME)
+
+
+def count_region_bruteforce(spec: RegionSpec) -> LatticeCount:
+    """Independent O(n^2) double-loop reference count."""
+    m, n = spec.m, spec.n
+    total = 0
+    odd = 0
+    for x in range(1, n + 2):
+        for y in range(1, n + 2):
+            if 2 * x * y > n:
+                continue
+            if spec.kind is RegionKind.OMEGA:
+                ok = y - 6 * x < 2 * m < y - 4 * x
+            else:
+                ok = 2 * x - 3 * y < 2 * m < 4 * x - y
+            if ok:
+                total += 1
+                if y % 2 == 1:
+                    odd += 1
+    return LatticeCount(total, odd)
 
 
 def quadrature_area(kind: RegionKind, m: int, n: int) -> float:

@@ -29,8 +29,11 @@ def test_config_validation():
         SweepConfig(m_max=-1)
     with pytest.raises(ValueError):
         SweepConfig(parallelism=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown check id 'nope'; choose from y-nonneg"):
         SweepConfig(checks=("nope",))
+    with pytest.raises(ValueError):
+        SweepConfig(bivariate_order=-1)
+    SweepConfig(bivariate_order=0)
 
 
 def test_all_checks_pass_on_small_grid():
@@ -134,7 +137,7 @@ def test_worker_violations_capped_report_unchanged(monkeypatch):
     monkeypatch.setattr(qseries, "mc1_series", failing)
     monkeypatch.setattr(qseries, "mc5_series", failing)
     n_max = verify.VIOLATION_CAP + 200
-    chunk = verify._conjecture_worker((1, n_max))
+    chunk, _ = verify._conjecture_worker((1, n_max))
     assert len(chunk) == verify.VIOLATION_CAP
     assert chunk[:2] == [(1, 1, "-1", "M_C1(m,n) >= 0"), (1, 1, "-1", "M_C5(m,n) >= 0")]
     rep = run_checks(SweepConfig(m_max=2, n_max=n_max, checks=("conjecture",)))[0]
@@ -166,7 +169,7 @@ def test_violations_sorted_and_capped():
 def test_resource_guard_trips_and_overrides():
     huge = SweepConfig(m_max=10**4, n_max=10**5, checks=("y-nonneg",))
     with pytest.raises(ResourceGuardError):
-        verify.verify_y_nonneg(huge)
+        run_checks(huge)
     # the override flag disables the guard (not actually run to completion
     # here; the guard check itself is what's under test)
     ok = SweepConfig(
