@@ -34,6 +34,7 @@ from .series import (
     sum_series,
 )
 
+
 @dataclass(frozen=True)
 class SeriesId:
     """A series family named by its key in _BUILDERS, plus the shift m >= 0."""
