@@ -22,6 +22,8 @@ INVOCATIONS = {
                              "--bivariate-order", "0"],
     "finite-window": ["finite-window"],
     "cross-check": ["cross-check"],
+    "cross-check-n300": ["cross-check", "--m-max", "6", "--n-max", "300",
+                         "--bivariate-order", "0"],
     "coeff-mc1": ["coeff", "--family", "mc1", "--m", "-2", "--n-max", "12"],
     "coeff-x": ["coeff", "--family", "x", "--m", "1", "--n-max", "12"],
     "lattice-omega": ["lattice", "--region", "omega", "--m", "1", "--n", "100"],
