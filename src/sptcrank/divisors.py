@@ -3,14 +3,19 @@
 This is the combinatorial computation path: each coefficient is obtained
 by enumerating factorizations (d1, d2) of the odd part of n and testing
 parity/size conditions on linear combinations of the factors.  It is
-independent of the q-series path and is cross-checked against it.
+independent of the q-series path and is cross-checked against it.  The
+divisors come from a sieved table shared by every m in the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import lattice
+
+# census reads at least the table of the odd numbers below 2^12, about 0.25 MB.
+_MIN_TABLE_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -50,17 +55,35 @@ class DivisorPairCensus:
     b1: int
     b2: int
 
+    @property
+    def y(self) -> int:
+        """Y^(m)(n) = #A1 + #B1 - #A2 - #B2."""
+        return self.a1 + self.b1 - self.a2 - self.b2
 
-def divisor_pairs(odd_n: int):
-    """All ordered pairs (d1, d2) with d1*d2 = odd_n, by trial division to sqrt."""
-    d = 1
-    while d * d <= odd_n:
-        if odd_n % d == 0:
-            yield (d, odd_n // d)
-            if d * d != odd_n:
-                yield (odd_n // d, d)
-        d += 2  # odd_n is odd, so only odd divisors exist
-    return
+    @property
+    def z(self) -> int:
+        """Z^(m)(n) = #B1 - #A2."""
+        return self.b1 - self.a2
+
+
+@lru_cache(maxsize=None)
+def _odd_divisor_table(bits: int) -> tuple:
+    """The divisors of every odd N < 2^bits, ascending, at index N // 2.
+
+    The table for 2^bits extends the one for 2^(bits-1) by sieving the
+    odd N in [2^(bits-1), 2^bits): each odd d is entered at its odd
+    multiples there.  So every N is sieved once per process, and the
+    cached tables share their divisor tuples.
+    """
+    if bits == 0:
+        return ()
+    lo, hi = 1 << (bits - 1), 1 << bits
+    block = [[] for _ in range(hi // 2 - lo // 2)]
+    for d in range(1, hi, 2):
+        k = -(-lo // d) * d  # the first multiple of d at or above lo
+        for k in range(k + d if k % 2 == 0 else k, hi, 2 * d):
+            block[(k >> 1) - (lo >> 1)].append(d)
+    return _odd_divisor_table(bits - 1) + tuple(map(tuple, block))
 
 
 def census(m: int, n: int) -> DivisorPairCensus:
@@ -76,10 +99,13 @@ def census(m: int, n: int) -> DivisorPairCensus:
     if n < 1:
         raise ValueError("n must be a positive integer")
     dec = OddPartDecomposition.of(n)
+    odd = dec.odd_part
+    divs = _odd_divisor_table(max(_MIN_TABLE_BITS, odd.bit_length()))[odd >> 1]
     p = 1 << dec.e
     lo = 2 * m + 1
     a1 = a2 = b1 = b2 = 0
-    for d1, d2 in divisor_pairs(dec.odd_part):
+    # The divisors ascend, so read backwards they are the cofactors d2 = N / d1.
+    for d1, d2 in zip(divs, reversed(divs)):
         v = d2 - p * d1
         if v >= lo and v % 2 == 1:
             a1 += 1
@@ -119,14 +145,12 @@ def containment_violation(c: DivisorPairCensus, e: int) -> str | None:
 
 def y_direct(m: int, n: int) -> int:
     """Y^(m)(n) = #A1 + #B1 - #A2 - #B2; nonnegative by the containments."""
-    c = census(m, n)
-    return c.a1 + c.b1 - c.a2 - c.b2
+    return census(m, n).y
 
 
 def z_direct(m: int, n: int) -> int:
     """Z^(m)(n) = #B1 - #A2; always nonnegative."""
-    c = census(m, n)
-    return c.b1 - c.a2
+    return census(m, n).z
 
 
 def x_direct(m: int, n: int) -> int:

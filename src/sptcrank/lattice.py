@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 
 
 class RegionKind(enum.Enum):
@@ -63,40 +63,58 @@ def _odd_count(lo: int, hi: int) -> int:
     return (hi + 1) // 2 - lo // 2
 
 
-def count_region(spec: RegionSpec) -> LatticeCount:
-    """Exact count of lattice points in the region, and of those with odd y.
+def _columns(kind: RegionKind, m: int, n: int):
+    """(x, y_lo, y_hi) for each nonempty column of the region at bound n.
 
-    For each admissible integer x the y-interval is derived from the three
-    strict inequalities; the hyperbola bound x*y < (n+1)/2 is equivalent to
-    2*x*y <= n for integers.
+    The y-interval at integer x comes from the region's two lines and
+    the hyperbola x*y < (n+1)/2, which is 2*x*y <= n for integers.
+    y_lo never decreases as x grows, so no column after the first with
+    2*x*y_lo > n holds a point.
     """
-    m, n = spec.m, spec.n
+    omega = kind is RegionKind.OMEGA
+    x = 1
+    while True:
+        if omega:
+            # y - 4x > 2m and y - 6x < 2m
+            lo, hi = 4 * x + 2 * m + 1, 6 * x + 2 * m - 1
+        else:
+            # 2x - 3y < 2m and 4x - y > 2m, with y >= 1
+            lo, hi = max(1, (2 * x - 2 * m + 3) // 3), 4 * x - 2 * m - 1
+        if 2 * x * lo > n:
+            return
+        hi = min(hi, n // (2 * x))
+        if hi >= lo:
+            yield x, lo, hi
+        x += 1
+
+
+def count_region(spec: RegionSpec) -> LatticeCount:
+    """Exact count of lattice points in the region, and of those with odd y."""
     total = 0
     odd = 0
-    if spec.kind is RegionKind.OMEGA:
-        # y >= 4x + 2m + 1,  y <= 6x + 2m - 1,  2xy <= n
-        x = 1
-        while 2 * x * (4 * x + 2 * m + 1) <= n:
-            y_lo = 4 * x + 2 * m + 1
-            y_hi = min(6 * x + 2 * m - 1, n // (2 * x))
-            if y_hi >= y_lo:
-                total += y_hi - y_lo + 1
-                odd += _odd_count(y_lo, y_hi)
-            x += 1
-    else:
-        # y >= ceil((2x - 2m + 1)/3),  y <= 4x - 2m - 1,  y >= 1,  2xy <= n
-        # real x-extent is bounded by x7 = (sqrt(4m^2 + 12(n+1)) + 2m)/4
-        x_max = (math.isqrt(4 * m * m + 12 * (n + 1)) + 2 * m) // 4 + 1
-        for x in range(1, x_max + 1):
-            y_hi = min(4 * x - 2 * m - 1, n // (2 * x))
-            if y_hi < 1:
-                continue
-            p = 2 * x - 2 * m + 1
-            y_lo = max(1, -((-p) // 3))
-            if y_hi >= y_lo:
-                total += y_hi - y_lo + 1
-                odd += _odd_count(y_lo, y_hi)
+    for _, lo, hi in _columns(spec.kind, spec.m, spec.n):
+        total += hi - lo + 1
+        odd += _odd_count(lo, hi)
     return LatticeCount(total, odd)
+
+
+def count_sweep(kind: RegionKind, m: int, n_max: int) -> list:
+    """count_region(RegionSpec(kind, m, n)) for every 0 <= n <= n_max, at index n.
+
+    A point of the region at bound n_max lies in the region at bound n
+    exactly when 2*x*y <= n.  So the points are enumerated once, each is
+    tallied at key 2*x*y, and prefix sums give every n: O(n_max) work in
+    all, where count_region takes O(sqrt(n)) per n.
+    """
+    total = [0] * (n_max + 1)
+    odd = [0] * (n_max + 1)
+    for x, lo, hi in _columns(kind, m, n_max):
+        step = 2 * x
+        for key in range(step * lo, step * hi + 1, step):
+            total[key] += 1
+        for key in range(step * (lo | 1), step * hi + 1, 2 * step):  # odd y
+            odd[key] += 1
+    return list(map(LatticeCount, accumulate(total), accumulate(odd)))
 
 
 def _vertices_omega(m: int, n: int):
@@ -205,9 +223,10 @@ def m2_lower_bound(m: int, n: int) -> float:
     return area_omega_prime(m, n) / 2 - 3.7 * math.sqrt(n + 1) - m - 1
 
 
-def parity_lemma_check(spec: RegionSpec) -> bool:
-    """|total/2 - odd_y| <= x_extent_bound + 1, with total/2 exact rational."""
-    count = count_region(spec)
-    fig = geometry_figures(spec)
-    gap = abs(Fraction(count.total, 2) - count.odd_y)
-    return float(gap) <= fig.x_extent_bound + 1
+def parity_lemma_check(count: LatticeCount, fig: GeometryFigures) -> bool:
+    """|total/2 - odd_y| <= x_extent_bound + 1 for a region's count and figures.
+
+    The gap is |total - 2*odd_y| / 2, an exact integer divided once, so it
+    is the correctly rounded float of the exact rational gap.
+    """
+    return abs(count.total - 2 * count.odd_y) / 2 <= fig.x_extent_bound + 1

@@ -116,9 +116,8 @@ def _y_worker(args):
         bad = divisors.containment_violation(c, dec.e)
         if bad is not None:
             out.append((m, n, f"{c}", bad))
-        y = c.a1 + c.b1 - c.a2 - c.b2
-        if y < 0:
-            out.append((m, n, str(y), "Y^(m)(n) >= 0"))
+        if c.y < 0:
+            out.append((m, n, str(c.y), "Y^(m)(n) >= 0"))
     return _capped(out), 0
 
 
@@ -185,16 +184,25 @@ def _conjecture_worker(args):
 
 
 def _cross_worker(args):
+    """Series, divisor and lattice paths against each other for one m.
+
+    Each (m, n) takes one divisor census, and each region one lattice
+    sweep up to n_max; the lattice path enumerates points and never
+    reads the census.
+    """
     m, n_max = args
     out = []
     jarnik_skips = 0
     xs = qseries.x_series(m, n_max)
     ys = qseries.y_series(m, n_max)
     zs = qseries.z_series(m, n_max)
+    omega, omega_p = lattice.RegionKind.OMEGA, lattice.RegionKind.OMEGA_PRIME
+    o_counts = lattice.count_sweep(omega, m, n_max)
+    p_counts = lattice.count_sweep(omega_p, m, n_max)
     z_acc_odd = 0
     for n in range(1, n_max + 1):
-        yd = divisors.y_direct(m, n)
-        zd = divisors.z_direct(m, n)
+        c = divisors.census(m, n)
+        yd, zd = c.y, c.z
         if yd != ys[n]:
             out.append((m, n, str(yd), f"divisor Y == series Y {ys[n]}"))
         if zd != zs[n]:
@@ -208,16 +216,13 @@ def _cross_worker(args):
                     (m, n, str(z_acc_odd), f"odd-k Z partial sum == series X {xs[n]}")
                 )
         else:
-            o_spec = lattice.RegionSpec(lattice.RegionKind.OMEGA, m, n)
-            p_spec = lattice.RegionSpec(lattice.RegionKind.OMEGA_PRIME, m, n)
-            mo = lattice.count_region(o_spec)
-            mp = lattice.count_region(p_spec)
+            mo, mp = o_counts[n], p_counts[n]
             if mp.odd_y - mo.odd_y != xs[n]:
                 out.append(
                     (m, n, str(mp.odd_y - mo.odd_y), f"lattice M2-M1 == series X {xs[n]}")
                 )
-            for spec, cnt in ((o_spec, mo), (p_spec, mp)):
-                fig = lattice.geometry_figures(spec)
+            for kind, cnt in ((omega, mo), (omega_p, mp)):
+                fig = lattice.geometry_figures(lattice.RegionSpec(kind, m, n))
                 if cnt.total == 0 or fig.length_bound < 1:
                     jarnik_skips += 1
                 else:
@@ -227,8 +232,8 @@ def _cross_worker(args):
                             (m, n, f"|N-A|={abs(cnt.total - fig.area)!r}",
                              f"Jarnik |N-A| < {fig.length_bound!r} [{o.value}]")
                         )
-                if not lattice.parity_lemma_check(spec):
-                    out.append((m, n, spec.kind.value, "parity bound |N/2-M| <= sup+1"))
+                if not lattice.parity_lemma_check(cnt, fig):
+                    out.append((m, n, kind.value, "parity bound |N/2-M| <= sup+1"))
             if bounds.classify_strict(mo.odd_y, lattice.m1_upper_bound(m, n)) is not bounds.StrictOutcome.PASS:
                 out.append((m, n, str(mo.odd_y), "M1 < upper bound"))
             if bounds.classify_strict(lattice.m2_lower_bound(m, n), mp.odd_y) is not bounds.StrictOutcome.PASS:

@@ -114,9 +114,10 @@ def test_criterion_6_geometric_inequalities():
     xs = {m: qseries.x_series(m, 3000) for m in range(31)}
     for m in range(31):
         for n in range(2, 3001, 2):
+            counts = {}
             for kind in (lattice.RegionKind.OMEGA, lattice.RegionKind.OMEGA_PRIME):
                 spec = lattice.RegionSpec(kind, m, n)
-                cnt = lattice.count_region(spec)
+                cnt = counts[kind] = lattice.count_region(spec)
                 fig = lattice.geometry_figures(spec)
                 if cnt.total > 0 and fig.length_bound >= 1:
                     o = bounds.classify_strict(abs(cnt.total - fig.area), fig.length_bound)
@@ -124,12 +125,10 @@ def test_criterion_6_geometric_inequalities():
                         fails += 1
                     elif o is bounds.StrictOutcome.NEAR_TIE:
                         near_ties += 1
-                if not lattice.parity_lemma_check(spec):
+                if not lattice.parity_lemma_check(cnt, fig):
                     fails += 1
-            mo = lattice.count_region(lattice.RegionSpec(lattice.RegionKind.OMEGA, m, n))
-            mp = lattice.count_region(
-                lattice.RegionSpec(lattice.RegionKind.OMEGA_PRIME, m, n)
-            )
+            mo = counts[lattice.RegionKind.OMEGA]
+            mp = counts[lattice.RegionKind.OMEGA_PRIME]
             for smaller, larger in (
                 (float(mo.odd_y), lattice.m1_upper_bound(m, n)),
                 (lattice.m2_lower_bound(m, n), float(mp.odd_y)),

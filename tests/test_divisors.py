@@ -9,11 +9,37 @@ from sptcrank.divisors import (
     OddPartDecomposition,
     census,
     containment_violation,
-    divisor_pairs,
     x_direct,
     y_direct,
     z_direct,
 )
+
+
+def divisor_pairs(odd_n: int):
+    """All ordered pairs (d1, d2) with d1*d2 = odd_n, by trial division to sqrt."""
+    d = 1
+    while d * d <= odd_n:
+        if odd_n % d == 0:
+            yield (d, odd_n // d)
+            if d * d != odd_n:
+                yield (odd_n // d, d)
+        d += 2  # odd_n is odd, so only odd divisors exist
+
+
+def census_by_trial_division(m: int, n: int) -> DivisorPairCensus:
+    """Reference census: the four set definitions over trial-division pairs."""
+    e = 0
+    while n % 2 == 0:
+        n //= 2
+        e += 1
+    p = 1 << e
+    lo = 2 * m + 1
+    counts = [0, 0, 0, 0]
+    for d1, d2 in divisor_pairs(n):
+        for i, v in enumerate((d2 - p * d1, d2 - 2 * p * d1, 2 * p * d2 - d1, p * d2 - d1)):
+            if v >= lo and v % 2 == 1:
+                counts[i] += 1
+    return DivisorPairCensus(*counts)
 
 
 def test_odd_part_decomposition():
@@ -34,6 +60,27 @@ def test_divisor_pairs_complete(odd_n):
     # count equals the divisor function, computed by brute force on small n
     if odd_n <= 2000:
         assert len(pairs) == sum(1 for d in range(1, odd_n + 1) if odd_n % d == 0)
+
+
+def test_census_matches_trial_division():
+    for m in range(31):
+        for n in range(1, 2001):
+            assert census(m, n) == census_by_trial_division(m, n), (m, n)
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 3 * 5 * 7 * 11 * 13, 2**13 - 1, 9999, 65535, 3**10])
+def test_census_beyond_the_smallest_table(n):
+    for m in (0, 1, 7, 40):
+        assert census(m, n) == census_by_trial_division(m, n)
+        assert census(m, 2 * n) == census_by_trial_division(m, 2 * n)
+
+
+def test_census_y_and_z():
+    c = DivisorPairCensus(a1=5, a2=2, b1=7, b2=3)
+    assert (c.y, c.z) == (5 + 7 - 2 - 3, 7 - 2)
+    for m in range(4):
+        for n in range(1, 200):
+            assert (y_direct(m, n), z_direct(m, n)) == (census(m, n).y, census(m, n).z)
 
 
 def test_census_worked_examples():

@@ -1,6 +1,8 @@
 """Lattice-point counts, closed-form areas, and geometric bound figures."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from sptcrank.lattice import (
     area_omega,
     area_omega_prime,
     count_region,
+    count_sweep,
     geometry_figures,
     lambda_length_term,
     m1_upper_bound,
@@ -42,6 +45,11 @@ def count_region_bruteforce(spec: RegionSpec) -> LatticeCount:
                 if y % 2 == 1:
                     odd += 1
     return LatticeCount(total, odd)
+
+
+def parity_gap_rational(count: LatticeCount) -> float:
+    """The parity gap |total/2 - odd_y| through exact rationals."""
+    return float(abs(Fraction(count.total, 2) - count.odd_y))
 
 
 def quadrature_area(kind: RegionKind, m: int, n: int) -> float:
@@ -157,11 +165,47 @@ def test_jarnik_on_grid():
                 assert abs(cnt.total - fig.area) < fig.length_bound
 
 
+@pytest.mark.parametrize("kind", REGIONS)
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 30])
+def test_sweep_matches_count_region(kind, m):
+    sweep = count_sweep(kind, m, 600)
+    assert len(sweep) == 601
+    for n, cnt in enumerate(sweep):
+        assert cnt == count_region(RegionSpec(kind, m, n)), n
+
+
+def test_sweep_of_empty_bound():
+    for kind in REGIONS:
+        assert count_sweep(kind, 0, 0) == [LatticeCount(0, 0)]
+
+
 def test_parity_lemma_on_grid():
     for m in (0, 2, 6):
         for n in range(2, 1200, 53):
             for kind in REGIONS:
-                assert parity_lemma_check(RegionSpec(kind, m, n))
+                spec = RegionSpec(kind, m, n)
+                assert parity_lemma_check(count_region(spec), geometry_figures(spec))
+
+
+@given(st.integers(0, 2**64), st.data())
+@settings(max_examples=300, deadline=None)
+def test_parity_gap_matches_rational_gap(total, data):
+    """The integer gap decides exactly as the rational one, for any count."""
+    count = LatticeCount(total, data.draw(st.integers(0, total)))
+    gap = parity_gap_rational(count)
+    base = geometry_figures(RegionSpec(RegionKind.OMEGA, 0, 99))
+    for x_extent in (0.0, 0.4, 1.5, gap - 1, base.x_extent_bound):
+        fig = replace(base, x_extent_bound=x_extent)
+        assert parity_lemma_check(count, fig) is (gap <= x_extent + 1)
+
+
+def test_parity_lemma_rejects_lopsided_count():
+    fig = geometry_figures(RegionSpec(RegionKind.OMEGA_PRIME, 0, 99))
+    gap_limit = fig.x_extent_bound + 1
+    total = 2 * math.ceil(gap_limit) + 2
+    assert parity_lemma_check(LatticeCount(total, total // 2), fig)
+    assert not parity_lemma_check(LatticeCount(total, 0), fig)
+    assert not parity_lemma_check(LatticeCount(total, total), fig)
 
 
 def test_m1_m2_bounds_on_grid():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sptcrank import bivariate, divisors, qseries, verify
+from sptcrank import bivariate, divisors, lattice, qseries, verify
 from sptcrank.series import TruncatedSeries
 from sptcrank.verify import (
     CHECK_IDS,
@@ -84,6 +84,26 @@ def test_census_corruption_is_caught(monkeypatch):
     rep = run_checks(small_cfg(checks=("cross",)))[0]
     assert rep.status == "fail"
     assert any(v.n == 15 and "divisor Y" in v.expected for v in rep.violations)
+
+
+def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
+    """The cross worker reads each (m, n) census once and takes its lattice
+    counts from the sweep, never from count_region."""
+    calls = {"census": 0, "count_region": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(divisors, "census", counting("census", divisors.census))
+    monkeypatch.setattr(lattice, "count_region", counting("count_region", lattice.count_region))
+    n_max = 120
+    violations, skips = verify._cross_worker((3, n_max))
+    assert violations == [] and skips > 0
+    assert calls == {"census": n_max, "count_region": 0}
 
 
 def test_t_component_corruption_is_caught(monkeypatch):
