@@ -34,6 +34,32 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
+def _env_switch(name: str) -> bool:
+    """An on/off environment variable: unset, "" or "0" is off, "1" is on."""
+    value = _env(name)
+    if value not in (None, "", "0", "1"):
+        raise ValueError(
+            f"{ENV_PREFIX}{name} must be unset, empty, 0 or 1, got {value!r}"
+        )
+    return value == "1"
+
+
+def _check_out(path: str) -> None:
+    """Raise ValueError unless PATH can be opened for writing.
+
+    Opening for append neither truncates an existing file nor writes to
+    it; a file that this check creates is removed again.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _emit(args, payload, rows, text) -> None:
     """Write the one output format that args ask for: JSON, CSV or text.
 
@@ -137,11 +163,8 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
         default=_env("PARALLEL") or 1,
         help="number of worker processes for per-m sweeps",
     )
-    p.add_argument(
-        "--override-resource-guard",
-        action="store_true",
-        default=_env("OVERRIDE_RESOURCE_GUARD") == "1",
-    )
+    # SPTCRANK_OVERRIDE_RESOURCE_GUARD=1 also sets it (see _run_and_emit).
+    p.add_argument("--override-resource-guard", action="store_true")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -217,7 +240,9 @@ def _run_and_emit(args, checks) -> int:
         checks=checks,
         parallelism=args.parallel,
         bivariate_order=args.bivariate_order,
-        override_resource_guard=args.override_resource_guard,
+        override_resource_guard=(
+            _env_switch("OVERRIDE_RESOURCE_GUARD") or args.override_resource_guard
+        ),
     )
     reports = verify.run_checks(cfg)
     _emit(
@@ -313,6 +338,8 @@ def run_cli(argv=None) -> int:
         "bounds": _cmd_bounds,
     }
     try:
+        if args.out:
+            _check_out(args.out)
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

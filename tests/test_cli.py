@@ -165,6 +165,52 @@ def test_out_flag_writes_file(run, tmp_path):
     assert json.loads(target.read_text())["schemaVersion"] == 1
 
 
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_unwritable_out_is_usage_error_before_the_sweep(run, monkeypatch, tmp_path, where):
+    """--out into a missing directory, or onto a directory, exits 2 and runs no sweep."""
+    swept = []
+    monkeypatch.setattr(verify, "run_checks", lambda cfg: swept.append(cfg) or [])
+    target = tmp_path / where
+    code, out, err = run("verify", "--check", "y-nonneg", "--m-max", "1", "--n-max", "5",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --out {target}: ")
+    assert err.count("\n") == 1
+    assert swept == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_out_check_leaves_an_existing_file_alone(run, tmp_path):
+    target = tmp_path / "report.txt"
+    target.write_text("old contents", encoding="utf-8")
+    code, _, _ = run("verify", "--check", "bogus", "--out", str(target))
+    assert code == 2
+    assert target.read_text(encoding="utf-8") == "old contents"
+    code, _, _ = run("verify", "--check", "bogus", "--out", str(tmp_path / "new.txt"))
+    assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]
+
+
+@pytest.mark.parametrize("value, code", [("", 3), ("0", 3), ("1", 0)])
+def test_env_override_resource_guard_values(run, monkeypatch, value, code):
+    monkeypatch.setenv("SPTCRANK_OVERRIDE_RESOURCE_GUARD", value)
+    monkeypatch.setattr(verify, "RESOURCE_GUARD_SLOTS", 10)
+    assert run("verify", "--check", "y-nonneg", "--m-max", "1", "--n-max", "20")[0] == code
+
+
+@pytest.mark.parametrize("value", ["yes", "true", "2", " 1"])
+def test_malformed_env_override_resource_guard_is_usage_error(run, monkeypatch, value):
+    monkeypatch.setenv("SPTCRANK_OVERRIDE_RESOURCE_GUARD", value)
+    for flags in ((), ("--override-resource-guard",)):
+        code, out, err = run("verify", "--check", "y-nonneg", "--m-max", "100000",
+                             "--n-max", "100000", *flags)
+        assert code == 2
+        assert out == ""
+        assert "SPTCRANK_OVERRIDE_RESOURCE_GUARD" in err
+        assert "unset, empty, 0 or 1" in err and repr(value) in err
+
+
 def test_env_parallel_default(run, monkeypatch):
     monkeypatch.setenv("SPTCRANK_PARALLEL", "2")
     code, out, _ = run(
