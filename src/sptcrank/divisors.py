@@ -14,9 +14,6 @@ from functools import lru_cache
 
 from . import lattice
 
-# census reads at least the table of the odd numbers below 2^12, about 0.25 MB.
-_MIN_TABLE_BITS = 12
-
 
 @dataclass(frozen=True)
 class OddPartDecomposition:
@@ -80,8 +77,8 @@ def _odd_divisor_table(bits: int) -> tuple:
     lo, hi = 1 << (bits - 1), 1 << bits
     block = [[] for _ in range(hi // 2 - lo // 2)]
     for d in range(1, hi, 2):
-        k = -(-lo // d) * d  # the first multiple of d at or above lo
-        for k in range(k + d if k % 2 == 0 else k, hi, 2 * d):
+        first = -(-lo // d) * d  # the first multiple of d at or above lo
+        for k in range(first if first % 2 else first + d, hi, 2 * d):
             block[(k >> 1) - (lo >> 1)].append(d)
     return _odd_divisor_table(bits - 1) + tuple(map(tuple, block))
 
@@ -100,7 +97,7 @@ def census(m: int, n: int) -> DivisorPairCensus:
         raise ValueError("n must be a positive integer")
     dec = OddPartDecomposition.of(n)
     odd = dec.odd_part
-    divs = _odd_divisor_table(max(_MIN_TABLE_BITS, odd.bit_length()))[odd >> 1]
+    divs = _odd_divisor_table(odd.bit_length())[odd >> 1]
     p = 1 << dec.e
     lo = 2 * m + 1
     a1 = a2 = b1 = b2 = 0
