@@ -74,6 +74,115 @@ def naive_family(fam: str, order: int) -> dict:
     return {k: v for k, v in total.items() if v}
 
 
+def pair_cache_bivariate(fam: str, order: int) -> tuple:
+    """Slow reference for the Horner build: the earlier expansion, kept
+    for bit-identity.  Each denominator factor is expanded with Euler's
+    identity 1/(x; q)_oo = sum_i x^i / (q; q)_i, every product
+    1/((q;q)_i (q;q)_j) is cached, and the pairs of each outer term are
+    grouped by z-degree i - j before one convolution per degree.
+    Returns the q-major qcoeffs."""
+    N = order
+
+    def mul(a, b):
+        out = [0] * (N + 1)
+        for i, ai in enumerate(a):
+            if ai and i <= N:
+                for j, bj in enumerate(b[: N - i + 1]):
+                    if bj:
+                        out[i + j] += ai * bj
+        return out
+
+    def divide_by_one_minus_qk(a, k):
+        out = list(a)
+        for i in range(k, len(out)):
+            out[i] += out[i - k]
+        return out
+
+    def ep(offset, step):
+        return list(qseries.euler_product(offset, step, N).coeffs)
+
+    def terms():
+        n = 1
+        while True:
+            pref = {
+                "A1": n, "C1": n, "E2": n,
+                "A3": 2 * n, "E4": 2 * n,
+                "A5": n * n + n, "A7": n * n,
+                "C5": n * (n + 1) // 2,
+            }[fam]
+            if pref > N:
+                return
+            sign = (-1) ** n if fam == "E2" else 1
+            if fam in ("A1", "A3", "A5", "A7"):
+                num = ep(2 * n + 1, 1)
+            elif fam in ("C1", "C5"):
+                num = mul(ep(2 * n + 1, 2), ep(n + 1, 1))
+            else:
+                num = ep(2 * n + 2, 2)
+            yield n, sign, pref, [0] * pref + num[: N + 1 - pref]
+            n += 1
+
+    inv_poch = [[1] + [0] * N]
+    for i in range(1, N + 1):
+        inv_poch.append(divide_by_one_minus_qk(inv_poch[i - 1], i))
+    pair_cache = {}
+
+    def pair_product(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in pair_cache:
+            pair_cache[key] = mul(inv_poch[key[0]], inv_poch[key[1]])
+        return pair_cache[key]
+
+    acc = {}  # z-degree -> coefficient list over q
+    for n, sign, pref, num in terms():
+        budget = N - pref
+        by_degree = {}
+        i = 0
+        while i * n <= budget:
+            j = 0
+            while (i + j) * n <= budget:
+                by_degree.setdefault(i - j, []).append((i, j))
+                j += 1
+            i += 1
+        for d, pairs in by_degree.items():
+            w = [0] * (budget + 1)
+            for i, j in pairs:
+                shift = (i + j) * n
+                src = pair_product(i, j)
+                for e in range(budget + 1 - shift):
+                    w[e + shift] += src[e]
+            conv = mul(w, num)
+            tgt = acc.setdefault(d, [0] * (N + 1))
+            for e in range(N + 1):
+                tgt[e] += sign * conv[e]
+
+    qcoeffs = []
+    for qn in range(N + 1):
+        present = [(d, acc[d][qn]) for d in sorted(acc) if acc[d][qn]]
+        if not present:
+            qcoeffs.append((0, ()))
+            continue
+        lo = present[0][0]
+        row = [0] * (present[-1][0] - lo + 1)
+        for d, c in present:
+            row[d - lo] = c
+        qcoeffs.append((lo, tuple(row)))
+    return tuple(qcoeffs)
+
+
+@pytest.mark.parametrize("fam", [f.value for f in FamilyId])
+def test_matches_pair_cache_reference(fam):
+    for order in [*range(1, 16), 30]:
+        got = spt_crank_bivariate(FamilyId(fam), order).qcoeffs
+        assert got == pair_cache_bivariate(fam, order), (fam, order)
+
+
+@pytest.mark.parametrize("fam", ["C1", "C5"])
+def test_matches_pair_cache_reference_order_60(fam):
+    got = spt_crank_bivariate(FamilyId(fam), 60).qcoeffs
+    assert got == pair_cache_bivariate(fam, 60)
+
+
 def test_golden_slices():
     order = GOLDEN["order"]
     for fam, slices in GOLDEN["slices"].items():
