@@ -3,22 +3,29 @@
 Each of the eight families (A1, A3, A5, A7, C1, C5, E2, E4) is expanded
 from its single-sum product form
 
-    sum_n  sign_n * q^(e(n)) * Num_n(q) / ((z q^n; q)_oo (z^-1 q^n; q)_oo),
+    sum_n  c_n / ((z q^n; q)_oo (z^-1 q^n; q)_oo),   c_n = sign_n * q^(e(n)) * Num_n(q),
 
-where Num_n is a pure q-product.  The two denominator factors are expanded
-with Euler's identity 1/(x; q)_oo = sum_i x^i / (q; q)_i, so the z^i
-(resp. z^-j) component carries q^(i*n)/(q;q)_i; the q-exponent grows at
-least linearly in each z-degree, making the truncation exact.
+where Num_n is a pure q-product.  With D_k = 1/((1 - z q^k)(1 - z^-1 q^k))
+the denominator of term n is D_n D_(n+1) ..., so the sum is the Horner
+scheme (((c_1 D_1 + c_2) D_2 + c_3) D_3 ...).  D_k is 1 modulo q^(N+1)
+for k > N, so N steps give the truncation at order N exactly.  Each step
+adds c_k to the z^0 row, then multiplies by 1/(1 - z q^k) in one ascending
+pass over the z-rows and by 1/(1 - z^-1 q^k) in one descending pass:
+O(N^3) additions in all, on one dense table of z-rows.  Every power z^d
+comes with at least q^|d|, so |d| <= N.
 
 The result is stored q-major: for each n <= order, a Laurent polynomial
 in z.  Fixed-m slices are the cross-oracle for the univariate M_C1/M_C5
-generating functions.
+generating functions; the build reads only the product form, never the
+Lambert sums that M_C1/M_C5 are built from.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 from .series import TruncatedSeries
 from .qseries import euler_product
@@ -71,60 +78,19 @@ def extract_m(s: LaurentSeries, m: int) -> TruncatedSeries:
     )
 
 
-# -- internal list arithmetic (coefficients of q^0..q^order) -----------------
-
-
-def _mul_lists(a: list, b: list, order: int) -> list:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai and i <= order:
-            top = order - i
-            for j, bj in enumerate(b[: top + 1]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _divide_by_one_minus_qk(a: list, k: int) -> list:
-    out = list(a)
-    for i in range(k, len(out)):
-        out[i] += out[i - k]
-    return out
-
-
-def _ep_list(offset: int, step: int, order: int) -> list:
-    return list(euler_product(offset, step, order).coeffs)
-
-
-def _family_terms(family: FamilyId, order: int):
-    """Yield (n, sign, prefactor_exponent, numerator_list) for each outer term
-    whose minimal exponent fits under the truncation order."""
-    n = 1
-    while True:
-        if family in (FamilyId.A1, FamilyId.C1, FamilyId.E2):
-            pref = n
-        elif family in (FamilyId.A3, FamilyId.E4):
-            pref = 2 * n
-        elif family is FamilyId.A5:
-            pref = n * n + n
-        elif family is FamilyId.A7:
-            pref = n * n
-        else:  # C5
-            pref = n * (n + 1) // 2
-        if pref > order:
-            break
-        sign = (-1) ** n if family is FamilyId.E2 else 1
-        if family in (FamilyId.A1, FamilyId.A3, FamilyId.A5, FamilyId.A7):
-            num = _ep_list(2 * n + 1, 1, order)
-        elif family in (FamilyId.C1, FamilyId.C5):
-            num = _mul_lists(
-                _ep_list(2 * n + 1, 2, order), _ep_list(n + 1, 1, order), order
-            )
-        else:  # E2, E4
-            num = _ep_list(2 * n + 2, 2, order)
-        shifted = [0] * pref + num[: order + 1 - pref]
-        yield n, sign, pref, shifted
-        n += 1
+# One row per family: (s, (a, b, c), runs) gives sign_n = s^n, the prefactor
+# exponent e(n) = (a*n^2 + b*n) / c, and Num_n as the product over the runs
+# (p, r, step) of euler_product(p*n + r, step) = prod_j (1 - q^(p*n + r + j*step)).
+_TERMS = {
+    FamilyId.A1: (1, (0, 1, 1), ((2, 1, 1),)),
+    FamilyId.A3: (1, (0, 2, 1), ((2, 1, 1),)),
+    FamilyId.A5: (1, (1, 1, 1), ((2, 1, 1),)),
+    FamilyId.A7: (1, (1, 0, 1), ((2, 1, 1),)),
+    FamilyId.C1: (1, (0, 1, 1), ((2, 1, 2), (1, 1, 1))),
+    FamilyId.C5: (1, (1, 1, 2), ((2, 1, 2), (1, 1, 1))),
+    FamilyId.E2: (-1, (0, 1, 1), ((2, 2, 2),)),
+    FamilyId.E4: (1, (0, 2, 1), ((2, 2, 2),)),
+}
 
 
 def spt_crank_bivariate(family: FamilyId, order: int) -> LaurentSeries:
@@ -132,68 +98,31 @@ def spt_crank_bivariate(family: FamilyId, order: int) -> LaurentSeries:
     if order < 1:
         raise ValueError("order must be >= 1")
     N = order
+    base, (a, b, c), runs = _TERMS[family]
+    rows = [[0] * (N + 1) for _ in range(2 * N + 1)]  # rows[N + d]: z^d over q
+    for k in range(1, N + 1):
+        pref = (a * k * k + b * k) // c
+        if pref <= N:
+            sign = base**k
+            num = reduce(
+                mul, (euler_product(p * k + r, step, N - pref) for p, r, step in runs)
+            )
+            rows[N][pref:] = [x + sign * y for x, y in zip(rows[N][pref:], num.coeffs)]
+        # z^d comes with at least q^|d|, so only the rows |d| <= N - k reach
+        # q^N after the shift by q^k
+        span = range(k, 2 * N + 1 - k)
+        for i in span:  # times 1/(1 - z q^k): ascending, row d+1 gains row d
+            rows[i + 1][k:] = map(add, rows[i + 1][k:], rows[i])
+        for i in reversed(span):  # times 1/(1 - z^-1 q^k): descending
+            rows[i - 1][k:] = map(add, rows[i - 1][k:], rows[i])
 
-    # inv_poch[i] = 1/(q;q)_i as a coefficient list
-    inv_poch = [[1] + [0] * N]
-    for i in range(1, N + 1):
-        inv_poch.append(_divide_by_one_minus_qk(inv_poch[i - 1], i))
-
-    pair_cache: dict = {}
-
-    def pair_product(i: int, j: int) -> list:
-        key = (i, j) if i <= j else (j, i)
-        got = pair_cache.get(key)
-        if got is None:
-            got = _mul_lists(inv_poch[key[0]], inv_poch[key[1]], N)
-            pair_cache[key] = got
-        return got
-
-    acc: dict = {}  # z-degree -> coefficient list over q
-
-    for n, sign, pref, num in _family_terms(family, N):
-        budget = N - pref
-        # group denominator pairs (i, j) by z-degree d = i - j
-        by_degree: dict = {}
-        i = 0
-        while i * n <= budget:
-            j = 0
-            while (i + j) * n <= budget:
-                by_degree.setdefault(i - j, []).append((i, j))
-                j += 1
-            i += 1
-        for d, pairs in by_degree.items():
-            w = [0] * (budget + 1)
-            for i, j in pairs:
-                shift = (i + j) * n
-                src = pair_product(i, j)
-                for e in range(budget + 1 - shift):
-                    c = src[e]
-                    if c:
-                        w[e + shift] += c
-            conv = _mul_lists(w, num, N)
-            tgt = acc.get(d)
-            if tgt is None:
-                acc[d] = [sign * c for c in conv] if sign != 1 else conv
-            else:
-                if sign == 1:
-                    for e in range(N + 1):
-                        tgt[e] += conv[e]
-                else:
-                    for e in range(N + 1):
-                        tgt[e] += sign * conv[e]
-
-    # transpose to q-major Laurent polynomials
     qcoeffs = []
-    degrees = sorted(acc)
-    for qn in range(N + 1):
-        present = [(d, acc[d][qn]) for d in degrees if acc[d][qn]]
-        if not present:
+    for n in range(N + 1):
+        column = [row[n] for row in rows[N - n : N + n + 1]]
+        nonzero = [i for i, x in enumerate(column) if x]
+        if nonzero:
+            lo, hi = nonzero[0], nonzero[-1]
+            qcoeffs.append((lo - n, tuple(column[lo : hi + 1])))
+        else:
             qcoeffs.append((0, ()))
-            continue
-        lo = present[0][0]
-        hi = present[-1][0]
-        row = [0] * (hi - lo + 1)
-        for d, c in present:
-            row[d - lo] = c
-        qcoeffs.append((lo, tuple(row)))
     return LaurentSeries(N, tuple(qcoeffs))
