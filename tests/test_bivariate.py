@@ -240,5 +240,9 @@ def test_laurent_series_validation():
 
 def test_z_coefficient_out_of_stored_range_is_zero():
     s = spt_crank_bivariate(FamilyId.C1, 5)
-    assert s.z_coefficient(3, 3) == 0 or isinstance(s.z_coefficient(3, 3), int)
+    # at q^3 the stored degrees are -2..2: z^d comes with at least q^(1+|d|)
+    assert s.qcoeffs[3] == (-2, (1, 1, 1, 1, 1))
+    assert s.z_coefficient(3, 2) == s.z_coefficient(3, -2) == 1
+    for d in (3, -3, 4, -4):
+        assert s.z_coefficient(3, d) == 0
     assert s.z_coefficient(2, -2) == extract_m(s, -2)[2]
