@@ -328,7 +328,8 @@ _CHECKS = {
     "cross": _Check(
         _cross_worker, _m_and_n_max,
         "0<=m<={m_max}, 1<=n<={n_max}; bivariate order {bivariate_order}",
-        lambda cfg: 3 * (cfg.m_max + 1) * (cfg.n_max + 1),
+        lambda cfg: 3 * (cfg.m_max + 1) * (cfg.n_max + 1)
+        + (2 * cfg.bivariate_order + 1) * (cfg.bivariate_order + 1),
         count_reason="Jarnik hypothesis not met (empty region or length bound < 1)",
         post=_bivariate_slices,
     ),

@@ -130,6 +130,20 @@ def test_resource_guard_exit_three(run):
     assert "resource" in err or "slots" in err
 
 
+def test_resource_guard_weighs_bivariate_order(run, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("the guard should stop the check before the expansion")
+
+    monkeypatch.setattr(verify.bivariate, "spt_crank_bivariate", must_not_run)
+    code, out, err = run(
+        "verify", "--check", "cross", "--m-max", "0", "--n-max", "1",
+        "--bivariate-order", "10000",
+    )
+    assert code == 3
+    assert out == ""
+    assert "slots" in err
+
+
 def test_verify_json_byte_identical_across_parallelism(run):
     argv = ["verify", "--check", "all", "--m-max", "2", "--n-max", "30",
             "--bivariate-order", "15", "--json"]
