@@ -207,20 +207,30 @@ def lambda_length_term(m: int, n: int) -> float:
     )
 
 
-def m1_upper_bound(m: int, n: int) -> float:
+def m1_upper_bound(m: int, n: int, area: float | None = None) -> float:
     """Strict upper bound on the odd-y count in Omega:
-    area/2 + 2.2*sqrt(n+1) + 1, with the area in (m,n)-form."""
+    area/2 + 2.2*sqrt(n+1) + 1, with the area in (m,n)-form.
+
+    A caller that holds area_omega(m, n) already passes it as `area`.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return area_omega(m, n) / 2 + 2.2 * math.sqrt(n + 1) + 1
+    if area is None:
+        area = area_omega(m, n)
+    return area / 2 + 2.2 * math.sqrt(n + 1) + 1
 
 
-def m2_lower_bound(m: int, n: int) -> float:
+def m2_lower_bound(m: int, n: int, area: float | None = None) -> float:
     """Strict lower bound on the odd-y count in Omega':
-    area/2 - 3.7*sqrt(n+1) - m - 1, with the area in (m,n)-form."""
+    area/2 - 3.7*sqrt(n+1) - m - 1, with the area in (m,n)-form.
+
+    A caller that holds area_omega_prime(m, n) already passes it as `area`.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return area_omega_prime(m, n) / 2 - 3.7 * math.sqrt(n + 1) - m - 1
+    if area is None:
+        area = area_omega_prime(m, n)
+    return area / 2 - 3.7 * math.sqrt(n + 1) - m - 1
 
 
 def parity_lemma_check(count: LatticeCount, fig: GeometryFigures) -> bool:

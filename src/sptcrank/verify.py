@@ -221,8 +221,10 @@ def _cross_worker(args):
                 out.append(
                     (m, n, str(mp.odd_y - mo.odd_y), f"lattice M2-M1 == series X {xs[n]}")
                 )
-            for kind, cnt in ((omega, mo), (omega_p, mp)):
-                fig = lattice.geometry_figures(lattice.RegionSpec(kind, m, n))
+            # each region's area is computed once, in its figures
+            fig_o = lattice.geometry_figures(lattice.RegionSpec(omega, m, n))
+            fig_p = lattice.geometry_figures(lattice.RegionSpec(omega_p, m, n))
+            for kind, cnt, fig in ((omega, mo, fig_o), (omega_p, mp, fig_p)):
                 if cnt.total == 0 or fig.length_bound < 1:
                     jarnik_skips += 1
                 else:
@@ -234,13 +236,15 @@ def _cross_worker(args):
                         )
                 if not lattice.parity_lemma_check(cnt, fig):
                     out.append((m, n, kind.value, "parity bound |N/2-M| <= sup+1"))
-            if bounds.classify_strict(mo.odd_y, lattice.m1_upper_bound(m, n)) is not bounds.StrictOutcome.PASS:
+            m1_bound = lattice.m1_upper_bound(m, n, area=fig_o.area)
+            m2_bound = lattice.m2_lower_bound(m, n, area=fig_p.area)
+            if bounds.classify_strict(mo.odd_y, m1_bound) is not bounds.StrictOutcome.PASS:
                 out.append((m, n, str(mo.odd_y), "M1 < upper bound"))
-            if bounds.classify_strict(lattice.m2_lower_bound(m, n), mp.odd_y) is not bounds.StrictOutcome.PASS:
+            if bounds.classify_strict(m2_bound, mp.odd_y) is not bounds.StrictOutcome.PASS:
                 out.append((m, n, str(mp.odd_y), "M2 > lower bound"))
             if bounds.classify_strict(bounds.theorem2_lower_bound(m, n), xs[n]) is not bounds.StrictOutcome.PASS:
                 out.append((m, n, str(xs[n]), "X > (ln2/4)(n+1)-6sqrt(n+1)-m-2"))
-            if not bounds.m2_minus_m1_bound_check(m, n):
+            if not bounds.m2_minus_m1_bound_check(m, n, m1_bound=m1_bound, m2_bound=m2_bound):
                 out.append((m, n, "bound-combination", "M2bound-M1bound >= theorem bound"))
     return _capped(out), jarnik_skips
 

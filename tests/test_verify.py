@@ -106,6 +106,27 @@ def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
     assert calls == {"census": n_max, "count_region": 0}
 
 
+def test_cross_worker_computes_each_area_once_per_even_n(monkeypatch):
+    """Figures, M1/M2 bounds and the bound combination share one area per
+    region and even n."""
+    calls = {"area_omega": 0, "area_omega_prime": 0}
+
+    def counting(name):
+        real = getattr(lattice, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(lattice, name, wrapper)
+
+    counting("area_omega")
+    counting("area_omega_prime")
+    violations, skips = verify._cross_worker((3, 120))
+    assert violations == [] and skips > 0
+    assert calls == {"area_omega": 60, "area_omega_prime": 60}
+
+
 def test_t_component_corruption_is_caught(monkeypatch):
     """Perturbing one T-component must break the regrouping identity."""
     real = qseries.t5
