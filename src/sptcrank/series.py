@@ -126,29 +126,6 @@ class TruncatedSeries:
                         out[i + j] += ai * bj
         return TruncatedSeries(n, tuple(out))
 
-    def invert_unit(self) -> "TruncatedSeries":
-        """Multiplicative inverse of a series with constant term +1 or -1.
-
-        Standard recursive convolution: with a_0 = s, b_0 = s and
-        b_n = -s * sum_{k=1..n} a_k b_{n-k}.
-        """
-        a = self.coeffs
-        if a[0] not in (1, -1):
-            raise ValueError(
-                f"constant term must be +1 or -1 to invert over the integers, got {a[0]}"
-            )
-        s = a[0]
-        n = self.order
-        b = [0] * (n + 1)
-        b[0] = s
-        for k in range(1, n + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                if a[i]:
-                    acc += a[i] * b[k - i]
-            b[k] = -s * acc
-        return TruncatedSeries(n, tuple(b))
-
 
 def geometric_term(a: int, b: int, order: int) -> TruncatedSeries:
     """q^a / (1 - q^b) = q^a + q^(a+b) + q^(a+2b) + ... truncated at `order`."""
