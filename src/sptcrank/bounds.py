@@ -74,21 +74,11 @@ def theorem2_lower_bound(m: int, n: int) -> float:
 
 
 def m2_minus_m1_bound_check(
-    m: int, n: int, slack: float = NEAR_TIE_SLACK, *,
-    m1_bound: float | None = None, m2_bound: float | None = None,
+    m: int, n: int, m1_bound: float, m2_bound: float, slack: float = NEAR_TIE_SLACK
 ) -> bool:
-    """Re-verify the combination step: the Omega'/Omega bound difference must
-    dominate the even-n lower bound on X^(m)(n).
-
-    A caller that holds lattice.m1_upper_bound(m, n) and
-    lattice.m2_lower_bound(m, n) already passes them as m1_bound, m2_bound.
-    """
-    from . import lattice
-
-    if m1_bound is None:
-        m1_bound = lattice.m1_upper_bound(m, n)
-    if m2_bound is None:
-        m2_bound = lattice.m2_lower_bound(m, n)
+    """Re-verify the combination step: the Omega'/Omega bound difference
+    m2_bound - m1_bound (lattice.m2_lower_bound, lattice.m1_upper_bound) must
+    dominate the even-n lower bound on X^(m)(n)."""
     lhs = m2_bound - m1_bound
     rhs = theorem2_lower_bound(m, n)
     scale = max(1.0, abs(lhs), abs(rhs))

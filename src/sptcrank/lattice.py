@@ -207,29 +207,19 @@ def lambda_length_term(m: int, n: int) -> float:
     )
 
 
-def m1_upper_bound(m: int, n: int, area: float | None = None) -> float:
+def m1_upper_bound(m: int, n: int, area: float) -> float:
     """Strict upper bound on the odd-y count in Omega:
-    area/2 + 2.2*sqrt(n+1) + 1, with the area in (m,n)-form.
-
-    A caller that holds area_omega(m, n) already passes it as `area`.
-    """
+    area/2 + 2.2*sqrt(n+1) + 1, where area = area_omega(m, n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if area is None:
-        area = area_omega(m, n)
     return area / 2 + 2.2 * math.sqrt(n + 1) + 1
 
 
-def m2_lower_bound(m: int, n: int, area: float | None = None) -> float:
+def m2_lower_bound(m: int, n: int, area: float) -> float:
     """Strict lower bound on the odd-y count in Omega':
-    area/2 - 3.7*sqrt(n+1) - m - 1, with the area in (m,n)-form.
-
-    A caller that holds area_omega_prime(m, n) already passes it as `area`.
-    """
+    area/2 - 3.7*sqrt(n+1) - m - 1, where area = area_omega_prime(m, n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if area is None:
-        area = area_omega_prime(m, n)
     return area / 2 - 3.7 * math.sqrt(n + 1) - m - 1
 
 

@@ -236,15 +236,15 @@ def _cross_worker(args):
                         )
                 if not lattice.parity_lemma_check(cnt, fig):
                     out.append((m, n, kind.value, "parity bound |N/2-M| <= sup+1"))
-            m1_bound = lattice.m1_upper_bound(m, n, area=fig_o.area)
-            m2_bound = lattice.m2_lower_bound(m, n, area=fig_p.area)
+            m1_bound = lattice.m1_upper_bound(m, n, fig_o.area)
+            m2_bound = lattice.m2_lower_bound(m, n, fig_p.area)
             if bounds.classify_strict(mo.odd_y, m1_bound) is not bounds.StrictOutcome.PASS:
                 out.append((m, n, str(mo.odd_y), "M1 < upper bound"))
             if bounds.classify_strict(m2_bound, mp.odd_y) is not bounds.StrictOutcome.PASS:
                 out.append((m, n, str(mp.odd_y), "M2 > lower bound"))
             if bounds.classify_strict(bounds.theorem2_lower_bound(m, n), xs[n]) is not bounds.StrictOutcome.PASS:
                 out.append((m, n, str(xs[n]), "X > (ln2/4)(n+1)-6sqrt(n+1)-m-2"))
-            if not bounds.m2_minus_m1_bound_check(m, n, m1_bound=m1_bound, m2_bound=m2_bound):
+            if not bounds.m2_minus_m1_bound_check(m, n, m1_bound, m2_bound):
                 out.append((m, n, "bound-combination", "M2bound-M1bound >= theorem bound"))
     return _capped(out), jarnik_skips
 

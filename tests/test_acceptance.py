@@ -130,8 +130,8 @@ def test_criterion_6_geometric_inequalities():
             mo = counts[lattice.RegionKind.OMEGA]
             mp = counts[lattice.RegionKind.OMEGA_PRIME]
             for smaller, larger in (
-                (float(mo.odd_y), lattice.m1_upper_bound(m, n)),
-                (lattice.m2_lower_bound(m, n), float(mp.odd_y)),
+                (float(mo.odd_y), lattice.m1_upper_bound(m, n, lattice.area_omega(m, n))),
+                (lattice.m2_lower_bound(m, n, lattice.area_omega_prime(m, n)), float(mp.odd_y)),
                 (bounds.theorem2_lower_bound(m, n), float(xs[m][n])),
             ):
                 o = bounds.classify_strict(smaller, larger)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sptcrank import qseries
+from sptcrank import lattice, qseries
 from sptcrank.bounds import (
     LN2,
     StrictOutcome,
@@ -94,4 +94,6 @@ def test_lower_bound_actually_bounds_x():
 def test_bound_combination_step():
     for m in (0, 3, 10):
         for n in range(2, 2001, 68):
-            assert m2_minus_m1_bound_check(m, n)
+            m1 = lattice.m1_upper_bound(m, n, lattice.area_omega(m, n))
+            m2 = lattice.m2_lower_bound(m, n, lattice.area_omega_prime(m, n))
+            assert m2_minus_m1_bound_check(m, n, m1, m2)

@@ -213,8 +213,8 @@ def test_m1_m2_bounds_on_grid():
         for n in range(2, 2001, 41):
             o = count_region(RegionSpec(RegionKind.OMEGA, m, n))
             p = count_region(RegionSpec(RegionKind.OMEGA_PRIME, m, n))
-            assert o.odd_y < m1_upper_bound(m, n)
-            assert p.odd_y > m2_lower_bound(m, n)
+            assert o.odd_y < m1_upper_bound(m, n, area_omega(m, n))
+            assert p.odd_y > m2_lower_bound(m, n, area_omega_prime(m, n))
 
 
 def test_validation():
@@ -223,7 +223,7 @@ def test_validation():
     with pytest.raises(ValueError):
         LatticeCount(2, 3)
     with pytest.raises(ValueError):
-        m1_upper_bound(0, 0)
+        m1_upper_bound(0, 0, 0.0)
 
 
 def test_degenerate_guard_never_fires_on_valid_inputs():
