@@ -343,7 +343,6 @@ _CHECKS = {
 def _run_check(check_id: str, cfg: SweepConfig) -> VerificationReport:
     check = _CHECKS[check_id]
     t0 = time.monotonic()
-    _guard(cfg, check.slots(cfg))
     rep = VerificationReport(check_id, check.range_desc.format_map(vars(cfg)), "pending")
     counted = 0
     for chunk, count in _map_over_m(check.worker, check.args(cfg), cfg.parallelism):
@@ -358,5 +357,9 @@ def _run_check(check_id: str, cfg: SweepConfig) -> VerificationReport:
 
 
 def run_checks(cfg: SweepConfig) -> list:
-    """Run the configured checks in canonical order."""
-    return [_run_check(c, cfg) for c in CHECK_IDS if c in cfg.checks]
+    """Run the configured checks in canonical order, once the resource guard
+    has passed every one of them."""
+    selected = [c for c in CHECK_IDS if c in cfg.checks]
+    for c in selected:
+        _guard(cfg, _CHECKS[c].slots(cfg))
+    return [_run_check(c, cfg) for c in selected]

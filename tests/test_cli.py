@@ -144,6 +144,24 @@ def test_resource_guard_weighs_bivariate_order(run, monkeypatch):
     assert "slots" in err
 
 
+def test_resource_guard_weighs_every_check_before_any_runs(run, monkeypatch):
+    # the cross row trips on --bivariate-order; the checks ahead of it in
+    # canonical order must not run first and then have their work discarded
+    def must_not_run(*args):
+        raise AssertionError("the guard should stop every check before its sweep")
+
+    monkeypatch.setattr(verify, "_CHECKS", {
+        cid: c._replace(worker=must_not_run) for cid, c in verify._CHECKS.items()
+    })
+    code, out, err = run(
+        "verify", "--check", "all", "--m-max", "0", "--n-max", "1",
+        "--bivariate-order", "10000",
+    )
+    assert code == 3
+    assert out == ""
+    assert "slots" in err
+
+
 def test_verify_json_byte_identical_across_parallelism(run):
     argv = ["verify", "--check", "all", "--m-max", "2", "--n-max", "30",
             "--bivariate-order", "15", "--json"]
