@@ -118,6 +118,63 @@ def census(m: int, n: int) -> DivisorPairCensus:
     return DivisorPairCensus(a1, a2, b1, b2)
 
 
+def census_sweep(dec: OddPartDecomposition, m_max: int) -> list:
+    """census(m, dec.n) for every 0 <= m <= m_max, in runs of equal censuses.
+
+    Returns [(m_lo, m_hi, c), ...] ascending and covering 0..m_max, with
+    c == census(m, dec.n) for m_lo <= m <= m_hi.  In census, m enters only
+    through the threshold 2m+1, and an odd v is >= 2m+1 exactly when
+    v // 2 >= m.  So each divisor pair is read once: each odd positive v
+    of a set is tallied at k = min(v, 2*m_max+1) // 2, and a set's count
+    at m is its number of tallies at m and above.
+    """
+    if m_max < 0:
+        raise ValueError("m_max must be non-negative")
+    odd = dec.odd_part
+    divs = _odd_divisor_table(odd.bit_length())[odd >> 1]
+    p = 1 << dec.e
+    top = 2 * m_max + 1
+    counts = [0, 0, 0, 0]  # #A1, #A2, #B1, #B2 tallied at k = m_max
+    keys = []  # 4*k + i tallies set i of counts at k < m_max
+    for d1, d2 in zip(divs, reversed(divs)):
+        v = d2 - p * d1
+        if v % 2 == 1 and v >= 1:
+            if v >= top:
+                counts[0] += 1
+            else:
+                keys.append(4 * (v // 2))
+        v = d2 - 2 * p * d1
+        if v % 2 == 1 and v >= 1:
+            if v >= top:
+                counts[1] += 1
+            else:
+                keys.append(4 * (v // 2) + 1)
+        v = 2 * p * d2 - d1
+        if v % 2 == 1 and v >= 1:
+            if v >= top:
+                counts[2] += 1
+            else:
+                keys.append(4 * (v // 2) + 2)
+        v = p * d2 - d1
+        if v % 2 == 1 and v >= 1:
+            if v >= top:
+                counts[3] += 1
+            else:
+                keys.append(4 * (v // 2) + 3)
+    # Walk the tallies below m_max from the highest k down, summing the counts.
+    keys.sort(reverse=True)
+    runs = []
+    hi = m_max
+    for key in keys:
+        k = key // 4
+        if k < hi:
+            runs.append((k + 1, hi, DivisorPairCensus(*counts)))
+            hi = k
+        counts[key % 4] += 1
+    runs.append((0, hi, DivisorPairCensus(*counts)))
+    return runs[::-1]
+
+
 def containment_violation(c: DivisorPairCensus, e: int) -> str | None:
     """Check the structural set containments for the given 2-adic valuation e.
 

@@ -24,15 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, sub
 
-from .series import (
-    TruncatedSeries,
-    divide_by_one_minus_qk,
-    geometric_term,
-    sum_series,
-)
+from .series import TruncatedSeries, divide_by_one_minus_qk
 
 
 @dataclass(frozen=True)
@@ -196,10 +191,28 @@ def mc5_series(m: int, order: int) -> TruncatedSeries:
 # below regroup those 28 geometric terms by modulus; exponents are
 # transcribed verbatim, and the regrouping identity T = T1+T3+T5+T7+T9+T'
 # is asserted mechanically in the test suite and the verifier.
+#
+# Each component is a table of rows (alpha, beta, b, s), a row meaning
+# s * q^(alpha + beta*m) / (1 - q^b); every component is over (1 - q^2).
+
+T_ROWS = {
+    "T1": (
+        (1, 1, 1, 1), (3, 2, 2, -1), (4, 2, 2, -1), (10, 4, 4, -1), (14, 4, 4, 1),
+        (52, 8, 8, 1), (200, 16, 16, 1), (136, 16, 16, -1), (36, 8, 8, -1),
+    ),
+    "T3": ((6, 3, 3, 1), (21, 6, 6, -1), (30, 6, 6, -1), (78, 12, 12, -1), (114, 12, 12, 1)),
+    "T5": ((15, 5, 5, 1), (55, 10, 10, -1), (80, 10, 10, -1)),
+    "T7": ((28, 7, 7, 1), (154, 14, 14, -1), (105, 14, 14, -1)),
+    "T9": ((45, 9, 9, 1), (171, 18, 18, -1), (252, 18, 18, -1)),
+    "Tprime": tuple((n * (n + 1) // 2, n, n, 1) for n in (11, 13, 15, 17, 19)),
+}
 
 
-def _over_one_minus_q2(terms, order: int) -> TruncatedSeries:
-    return divide_by_one_minus_qk(sum_series(terms, order), 2)
+def _over_one_minus_q2(acc: list, order: int) -> TruncatedSeries:
+    """acc / (1 - q^2), dividing the list in place: acc[n] += acc[n-2]."""
+    for n in range(2, order + 1):
+        acc[n] += acc[n - 2]
+    return TruncatedSeries(order, tuple(acc))
 
 
 def t_series(m: int, order: int) -> TruncatedSeries:
@@ -218,101 +231,72 @@ def t_series(m: int, order: int) -> TruncatedSeries:
         fold(n * (3 * n + 1) + 2 * m * n, 2 * n, -1 if n % 2 else 1)
     for n in range(1, 20):
         fold(n * (n + 1) // 2 + m * n, n, 1 if n % 2 else -1)
-    return divide_by_one_minus_qk(TruncatedSeries(order, tuple(acc)), 2)
+    return _over_one_minus_q2(acc, order)
+
+
+def _r2_extra(m: int) -> list:
+    """Exponents of R2's leftover monomial groups, each with coefficient +1."""
+    skip3 = {2 + 2 * m, 4 + 2 * m, 6 + 2 * m}
+    skip5 = {2 + 2 * m, 4 + 2 * m, 6 + 2 * m, 8 + 2 * m}
+    return [
+        70 + 10 * m,
+        *range(1 + m, 2 * m + 2),
+        *(3 * k for k in range(2 + m, 6 + 2 * m + 1) if k not in skip3),
+        *(5 * k for k in range(3 + m, 10 + 2 * m + 1) if k not in skip5),
+    ]
+
+
+def _table_series(rows, m: int, order: int, extra=()) -> TruncatedSeries:
+    """(sum of the rows at shift m, plus q^e for each e in extra) / (1 - q^2)."""
+    acc = [0] * (order + 1)
+    for alpha, beta, b, s in rows:
+        for e in range(alpha + beta * m, order + 1, b):
+            acc[e] += s
+    for e in extra:
+        if e <= order:
+            acc[e] += 1
+    return _over_one_minus_q2(acc, order)
+
+
+def t_components(m: int, order: int) -> TruncatedSeries:
+    """T1 + T3 + T5 + T7 + T9 + T', built from all their rows at once."""
+    return _table_series(chain.from_iterable(T_ROWS.values()), m, order)
 
 
 def t1(m: int, order: int) -> TruncatedSeries:
-    g = geometric_term
-    terms = [
-        g(1 + m, 1, order),
-        -g(3 + 2 * m, 2, order),
-        -g(4 + 2 * m, 2, order),
-        -g(10 + 4 * m, 4, order),
-        g(14 + 4 * m, 4, order),
-        g(52 + 8 * m, 8, order),
-        g(200 + 16 * m, 16, order),
-        -g(136 + 16 * m, 16, order),
-        -g(36 + 8 * m, 8, order),
-    ]
-    return _over_one_minus_q2(terms, order)
+    return _table_series(T_ROWS["T1"], m, order)
 
 
 def t3(m: int, order: int) -> TruncatedSeries:
-    g = geometric_term
-    terms = [
-        g(6 + 3 * m, 3, order),
-        -g(21 + 6 * m, 6, order),
-        -g(30 + 6 * m, 6, order),
-        -g(78 + 12 * m, 12, order),
-        g(114 + 12 * m, 12, order),
-    ]
-    return _over_one_minus_q2(terms, order)
+    return _table_series(T_ROWS["T3"], m, order)
 
 
 def t5(m: int, order: int) -> TruncatedSeries:
-    g = geometric_term
-    terms = [
-        g(15 + 5 * m, 5, order),
-        -g(55 + 10 * m, 10, order),
-        -g(80 + 10 * m, 10, order),
-    ]
-    return _over_one_minus_q2(terms, order)
+    return _table_series(T_ROWS["T5"], m, order)
 
 
 def t7(m: int, order: int) -> TruncatedSeries:
-    g = geometric_term
-    terms = [
-        g(28 + 7 * m, 7, order),
-        -g(154 + 14 * m, 14, order),
-        -g(105 + 14 * m, 14, order),
-    ]
-    return _over_one_minus_q2(terms, order)
+    return _table_series(T_ROWS["T7"], m, order)
 
 
 def t9(m: int, order: int) -> TruncatedSeries:
-    g = geometric_term
-    terms = [
-        g(45 + 9 * m, 9, order),
-        -g(171 + 18 * m, 18, order),
-        -g(252 + 18 * m, 18, order),
-    ]
-    return _over_one_minus_q2(terms, order)
+    return _table_series(T_ROWS["T9"], m, order)
 
 
 def tprime(m: int, order: int) -> TruncatedSeries:
-    terms = [
-        geometric_term(n * (n + 1) // 2 + n * m, n, order)
-        for n in (11, 13, 15, 17, 19)
-    ]
-    return _over_one_minus_q2(terms, order)
+    return _table_series(T_ROWS["Tprime"], m, order)
 
 
 def r1(m: int, order: int) -> TruncatedSeries:
-    return t7(m, order) + t9(m, order) + tprime(m, order)
+    """T7 + T9 + T'."""
+    return _table_series(T_ROWS["T7"] + T_ROWS["T9"] + T_ROWS["Tprime"], m, order)
 
 
 def r2(m: int, order: int) -> TruncatedSeries:
     """R1 plus the leftover monomial groups from the T(q) rearrangement;
     nonnegative coefficient-wise for every m >= 0."""
-    extra = [0] * (order + 1)
-
-    def put(e: int) -> None:
-        if 0 <= e <= order:
-            extra[e] += 1
-
-    put(70 + 10 * m)
-    for k in range(1 + m, 1 + 2 * m + 1):
-        put(k)
-    skip3 = {2 + 2 * m, 4 + 2 * m, 6 + 2 * m}
-    for k in range(2 + m, 6 + 2 * m + 1):
-        if k not in skip3:
-            put(3 * k)
-    skip5 = {2 + 2 * m, 4 + 2 * m, 6 + 2 * m, 8 + 2 * m}
-    for k in range(3 + m, 10 + 2 * m + 1):
-        if k not in skip5:
-            put(5 * k)
-    extra_series = divide_by_one_minus_qk(TruncatedSeries(order, tuple(extra)), 2)
-    return r1(m, order) + extra_series
+    rows = T_ROWS["T7"] + T_ROWS["T9"] + T_ROWS["Tprime"]
+    return _table_series(rows, m, order, _r2_extra(m))
 
 
 _BUILDERS = {

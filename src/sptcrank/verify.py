@@ -3,8 +3,11 @@
 Each check sweeps a configured (m, n) grid, collects violations
 exhaustively (capped), and returns a deterministic report: identical
 configuration yields an identical violation list, sorted by (m, n),
-regardless of parallelism.  Work is partitioned by m because building one
-series per m and sharing it across all its n-checks dominates the cost.
+regardless of parallelism.  Each check splits its grid into parts, one
+worker call each.  Most parts are one m, because building one series per
+m and sharing it across all its n-checks dominates the cost.  y-nonneg's
+parts are blocks of n, because one divisor census sweep per n serves
+every m.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ RESOURCE_GUARD_SLOTS = 10**8
 CHECK_IDS = ("y-nonneg", "x-small-n", "finite-window", "conjecture", "cross")
 
 WINDOW_M = range(121)  # the finite window's fixed m range, 0 <= m <= 120
+Y_BLOCK = 256  # n per y-nonneg part
 
 
 class ResourceGuardError(RuntimeError):
@@ -88,36 +92,39 @@ def _guard(cfg: SweepConfig, slots: int) -> None:
         )
 
 
-def _map_over_m(worker, args, parallelism: int):
+def _map_parts(worker, args, parallelism: int):
     if parallelism <= 1 or len(args) <= 1:
         return [worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=parallelism) as ex:
         return list(ex.map(worker, args))
 
 
-# -- per-m workers (top-level so they pickle for process pools) --------------
+# -- workers, one call per part (top-level so they pickle for process pools) --
 
 
 def _capped(out: list) -> list:
     """One worker's violation tuples in report order, at most VIOLATION_CAP.
 
-    Each worker covers one m, so the report's first VIOLATION_CAP
-    violations over all workers are among the ones kept here.
+    The parts partition the grid, so each of the report's first
+    VIOLATION_CAP violations is among the first VIOLATION_CAP of its part,
+    which are the ones kept here.
     """
     return sorted(out, key=lambda v: (v[0], v[1], v[3]))[:VIOLATION_CAP]
 
 
 def _y_worker(args):
-    m, n_max = args
+    """Containments and Y >= 0 for every m <= m_max and n_lo <= n <= n_hi."""
+    n_lo, n_hi, m_max = args
     out = []
-    for n in range(1, n_max + 1):
+    for n in range(n_lo, n_hi + 1):
         dec = divisors.OddPartDecomposition.of(n)
-        c = divisors.census(m, n)
-        bad = divisors.containment_violation(c, dec.e)
-        if bad is not None:
-            out.append((m, n, f"{c}", bad))
-        if c.y < 0:
-            out.append((m, n, str(c.y), "Y^(m)(n) >= 0"))
+        for m_lo, m_hi, c in divisors.census_sweep(dec, m_max):
+            ms = range(m_lo, m_hi + 1)
+            bad = divisors.containment_violation(c, dec.e)
+            if bad is not None:
+                out += ((m, n, f"{c}", bad) for m in ms)
+            if c.y < 0:
+                out += ((m, n, str(c.y), "Y^(m)(n) >= 0") for m in ms)
     return _capped(out), 0
 
 
@@ -129,14 +136,7 @@ def _x_small_worker(args):
         return out, 0
     t = qseries.t_series(m, order)
     x = qseries.x_series(m, order)
-    comp = (
-        qseries.t1(m, order)
-        + qseries.t3(m, order)
-        + qseries.t5(m, order)
-        + qseries.t7(m, order)
-        + qseries.t9(m, order)
-        + qseries.tprime(m, order)
-    )
+    comp = qseries.t_components(m, order)
     rem = qseries.r2(m, order)
     for n in range(order + 1):
         if t[n] != x[n]:
@@ -295,10 +295,10 @@ def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:
 
 
 class _Check(NamedTuple):
-    """One check: a per-m sweep, then an optional post step."""
+    """One check: a sweep over parts of its grid, then an optional post step."""
 
-    worker: Callable  # per-m argument tuple -> (violation tuples, count)
-    args: Callable  # cfg -> the per-m argument tuples
+    worker: Callable  # one part's argument tuple -> (violation tuples, count)
+    args: Callable  # cfg -> the parts' argument tuples
     range_desc: str  # report range text, formatted with the config's fields
     slots: Callable  # cfg -> coefficient slots the resource guard weighs
     count_reason: str | None = None  # skip reason for the workers' summed count
@@ -309,9 +309,16 @@ def _m_and_n_max(cfg: SweepConfig) -> list:
     return [(m, cfg.n_max) for m in range(cfg.m_max + 1)]
 
 
+def _n_blocks(cfg: SweepConfig) -> list:
+    return [
+        (lo, min(lo + Y_BLOCK - 1, cfg.n_max), cfg.m_max)
+        for lo in range(1, cfg.n_max + 1, Y_BLOCK)
+    ]
+
+
 _CHECKS = {
     "y-nonneg": _Check(
-        _y_worker, _m_and_n_max, "0<=m<={m_max}, 1<=n<={n_max}",
+        _y_worker, _n_blocks, "0<=m<={m_max}, 1<=n<={n_max}",
         lambda cfg: (cfg.m_max + 1) * (cfg.n_max + 1),
         post=_note_empty_n_range,
     ),
@@ -345,7 +352,7 @@ def _run_check(check_id: str, cfg: SweepConfig) -> VerificationReport:
     t0 = time.monotonic()
     rep = VerificationReport(check_id, check.range_desc.format_map(vars(cfg)), "pending")
     counted = 0
-    for chunk, count in _map_over_m(check.worker, check.args(cfg), cfg.parallelism):
+    for chunk, count in _map_parts(check.worker, check.args(cfg), cfg.parallelism):
         rep.violations.extend(Violation(*v) for v in chunk)
         counted += count
     if check.post is not None:

@@ -8,6 +8,7 @@ from sptcrank.divisors import (
     DivisorPairCensus,
     OddPartDecomposition,
     census,
+    census_sweep,
     containment_violation,
     x_direct,
     y_direct,
@@ -73,6 +74,36 @@ def test_census_beyond_the_smallest_table(n):
     for m in (0, 1, 7, 40):
         assert census(m, n) == census_by_trial_division(m, n)
         assert census(m, 2 * n) == census_by_trial_division(m, 2 * n)
+
+
+def census_by_m(n: int, m_max: int) -> list:
+    """census_sweep's runs for n, expanded to one census per m <= m_max."""
+    out = []
+    for m_lo, m_hi, c in census_sweep(OddPartDecomposition.of(n), m_max):
+        assert m_lo == len(out) and m_hi >= m_lo
+        out += [c] * (m_hi - m_lo + 1)
+    assert len(out) == m_max + 1
+    return out
+
+
+def test_census_sweep_matches_census():
+    for n in range(1, 2401):
+        by_m = [census(m, n) for m in range(126)]
+        assert census_by_m(n, 125) == by_m, n
+        for m_max in (0, 1, 6):
+            assert census_by_m(n, m_max) == by_m[: m_max + 1], (n, m_max)
+
+
+@pytest.mark.parametrize("n", [4097, 4099, 9999, 3 * 5 * 7 * 11 * 13, 65535, 3**10])
+def test_census_sweep_beyond_the_smallest_table(n):
+    for k in (n, 2 * n):
+        for m_max in (0, 7, 125):
+            assert census_by_m(k, m_max) == [census(m, k) for m in range(m_max + 1)]
+
+
+def test_census_sweep_rejects_negative_m_max():
+    with pytest.raises(ValueError):
+        census_sweep(OddPartDecomposition.of(5), -1)
 
 
 def test_census_y_and_z():

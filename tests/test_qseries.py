@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sptcrank import qseries
-from sptcrank.series import divide_by_one_minus_qk
+from sptcrank.series import (
+    TruncatedSeries,
+    divide_by_one_minus_qk,
+    geometric_term,
+    sum_series,
+)
 from sptcrank.qseries import (
     SeriesId,
     build_series,
@@ -161,6 +166,126 @@ def test_mc_slices_vanish_below_their_shift():
         s5 = mc5_series(m, 30)
         assert all(s1[n] == 0 for n in range(min(m + 1, 31)))
         assert all(s5[n] == 0 for n in range(min(m + 1, 31)))
+
+
+# -- per-term reference for the T-components and R2 -------------------------
+#
+# Each component written out as a sum of geometric terms over (1 - q^2),
+# term by term; the term tables in qseries must match these bit for bit.
+
+
+def _over_one_minus_q2(terms, order):
+    return divide_by_one_minus_qk(sum_series(terms, order), 2)
+
+
+def ref_t1(m, order):
+    g = geometric_term
+    terms = [
+        g(1 + m, 1, order),
+        -g(3 + 2 * m, 2, order),
+        -g(4 + 2 * m, 2, order),
+        -g(10 + 4 * m, 4, order),
+        g(14 + 4 * m, 4, order),
+        g(52 + 8 * m, 8, order),
+        g(200 + 16 * m, 16, order),
+        -g(136 + 16 * m, 16, order),
+        -g(36 + 8 * m, 8, order),
+    ]
+    return _over_one_minus_q2(terms, order)
+
+
+def ref_t3(m, order):
+    g = geometric_term
+    terms = [
+        g(6 + 3 * m, 3, order),
+        -g(21 + 6 * m, 6, order),
+        -g(30 + 6 * m, 6, order),
+        -g(78 + 12 * m, 12, order),
+        g(114 + 12 * m, 12, order),
+    ]
+    return _over_one_minus_q2(terms, order)
+
+
+def ref_t5(m, order):
+    g = geometric_term
+    terms = [
+        g(15 + 5 * m, 5, order),
+        -g(55 + 10 * m, 10, order),
+        -g(80 + 10 * m, 10, order),
+    ]
+    return _over_one_minus_q2(terms, order)
+
+
+def ref_t7(m, order):
+    g = geometric_term
+    terms = [
+        g(28 + 7 * m, 7, order),
+        -g(154 + 14 * m, 14, order),
+        -g(105 + 14 * m, 14, order),
+    ]
+    return _over_one_minus_q2(terms, order)
+
+
+def ref_t9(m, order):
+    g = geometric_term
+    terms = [
+        g(45 + 9 * m, 9, order),
+        -g(171 + 18 * m, 18, order),
+        -g(252 + 18 * m, 18, order),
+    ]
+    return _over_one_minus_q2(terms, order)
+
+
+def ref_tprime(m, order):
+    terms = [
+        geometric_term(n * (n + 1) // 2 + n * m, n, order)
+        for n in (11, 13, 15, 17, 19)
+    ]
+    return _over_one_minus_q2(terms, order)
+
+
+def ref_r1(m, order):
+    return ref_t7(m, order) + ref_t9(m, order) + ref_tprime(m, order)
+
+
+def ref_r2(m, order):
+    extra = [0] * (order + 1)
+
+    def put(e):
+        if 0 <= e <= order:
+            extra[e] += 1
+
+    put(70 + 10 * m)
+    for k in range(1 + m, 1 + 2 * m + 1):
+        put(k)
+    skip3 = {2 + 2 * m, 4 + 2 * m, 6 + 2 * m}
+    for k in range(2 + m, 6 + 2 * m + 1):
+        if k not in skip3:
+            put(3 * k)
+    skip5 = {2 + 2 * m, 4 + 2 * m, 6 + 2 * m, 8 + 2 * m}
+    for k in range(3 + m, 10 + 2 * m + 1):
+        if k not in skip5:
+            put(5 * k)
+    extra_series = divide_by_one_minus_qk(TruncatedSeries(order, tuple(extra)), 2)
+    return ref_r1(m, order) + extra_series
+
+
+TABLE_SHIFTS = sorted(set(range(11)) | set(range(0, 121, 7)))
+
+
+@pytest.mark.parametrize("m", TABLE_SHIFTS)
+def test_term_tables_match_per_term_reference(m):
+    order = 20 * m
+    pairs = [
+        (qseries.t1, ref_t1), (qseries.t3, ref_t3), (qseries.t5, ref_t5),
+        (qseries.t7, ref_t7), (qseries.t9, ref_t9), (qseries.tprime, ref_tprime),
+        (qseries.r1, ref_r1), (qseries.r2, ref_r2),
+    ]
+    for table, reference in pairs:
+        assert table(m, order).coeffs == reference(m, order).coeffs, table.__name__
+    refs = (ref_t1, ref_t3, ref_t5, ref_t7, ref_t9, ref_tprime)
+    comp = sum_series((f(m, order) for f in refs), order)
+    assert qseries.t_components(m, order).coeffs == comp.coeffs
 
 
 def test_t_equals_x_below_20m():

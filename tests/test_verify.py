@@ -12,6 +12,7 @@ from sptcrank.verify import (
     Violation,
     run_checks,
 )
+from sptcrank.cli import run_cli
 
 
 def small_cfg(**kw):
@@ -128,17 +129,9 @@ def test_cross_worker_computes_each_area_once_per_even_n(monkeypatch):
 
 
 def test_t_component_corruption_is_caught(monkeypatch):
-    """Perturbing one T-component must break the regrouping identity."""
-    real = qseries.t5
-
-    def bad(m, order):
-        s = real(m, order)
-        cs = list(s.coeffs)
-        if len(cs) > 7:
-            cs[7] += 1
-        return TruncatedSeries(s.order, tuple(cs))
-
-    monkeypatch.setattr(qseries, "t5", bad)
+    """Perturbing one T-component's term table must break the regrouping identity."""
+    (alpha, beta, b, s), *rest = qseries.T_ROWS["T5"]
+    monkeypatch.setitem(qseries.T_ROWS, "T5", ((alpha, beta, b, -s), *rest))
     rep = run_checks(small_cfg(checks=("x-small-n",)))[0]
     assert rep.status == "fail"
     assert any("T1+T3+T5" in v.expected for v in rep.violations)
@@ -190,6 +183,30 @@ def test_worker_violations_capped_report_unchanged(monkeypatch):
     ]
     assert rep.status == "fail"
     assert rep.violations == everything[: verify.VIOLATION_CAP]
+
+
+def test_y_nonneg_violations_capped_across_n_blocks(monkeypatch, capsys):
+    """With every containment failing, the y-nonneg report is the first
+    VIOLATION_CAP violations in (m, n) order, though they span several
+    n-blocks, and its bytes do not depend on parallelism."""
+    monkeypatch.setattr(divisors, "containment_violation", lambda c, e: "always fails")
+    m_max, n_max = 3, 2 * verify.Y_BLOCK + 100
+    rep = run_checks(SweepConfig(m_max=m_max, n_max=n_max, checks=("y-nonneg",)))[0]
+    everything = [
+        Violation(m, n, f"{divisors.census(m, n)}", "always fails")
+        for m in range(m_max + 1)
+        for n in range(1, n_max + 1)
+    ]
+    assert rep.status == "fail"
+    assert rep.violations == everything[: verify.VIOLATION_CAP]
+    assert {v.m for v in rep.violations} == {0, 1}
+    outs = []
+    for parallel in ("1", "2"):
+        argv = ["verify", "--check", "y-nonneg", "--m-max", str(m_max),
+                "--n-max", str(n_max), "--parallel", parallel, "--json"]
+        assert run_cli(argv) == 1
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_violations_sorted_and_capped():
