@@ -1,18 +1,18 @@
-"""Divisor-pair evaluation of Y^(m), Z^(m) and X^(m).
+"""Divisor-pair evaluation of Y^(m) and Z^(m).
 
 This is the combinatorial computation path: each coefficient is obtained
 by enumerating factorizations (d1, d2) of the odd part of n and testing
 parity/size conditions on linear combinations of the factors.  It is
 independent of the q-series path and is cross-checked against it.  The
 divisors come from a sieved table shared by every m in the process.
+`census` counts the pairs for one (m, n); `census_sweep` counts them for
+one n and every m up to a bound in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-from . import lattice
 
 
 @dataclass(frozen=True)
@@ -205,21 +205,3 @@ def y_direct(m: int, n: int) -> int:
 def z_direct(m: int, n: int) -> int:
     """Z^(m)(n) = #B1 - #A2; always nonnegative."""
     return census(m, n).z
-
-
-def x_direct(m: int, n: int) -> int:
-    """X^(m)(n) by the parity split: odd n sums Z^(m) over odd k <= n;
-    even n >= 2 is the odd-y lattice count difference M2 - M1; n = 0 is 0."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return 0
-    if n % 2 == 1:
-        return sum(z_direct(m, k) for k in range(1, n + 1, 2))
-    omega = lattice.count_region(lattice.RegionSpec(lattice.RegionKind.OMEGA, m, n))
-    omega_p = lattice.count_region(
-        lattice.RegionSpec(lattice.RegionKind.OMEGA_PRIME, m, n)
-    )
-    return omega_p.odd_y - omega.odd_y

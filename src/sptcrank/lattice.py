@@ -197,16 +197,6 @@ def geometry_figures(spec: RegionSpec) -> GeometryFigures:
     )
 
 
-def lambda_length_term(m: int, n: int) -> float:
-    """lambda(m,n) = 2*sqrt(m^2+3(n+1)) - sqrt(m^2+2(n+1)) + m, the slanted
-    boundary-length contribution of Omega'."""
-    return (
-        2 * math.sqrt(m * m + 3 * (n + 1))
-        - math.sqrt(m * m + 2 * (n + 1))
-        + m
-    )
-
-
 def m1_upper_bound(m: int, n: int, area: float) -> float:
     """Strict upper bound on the odd-y count in Omega:
     area/2 + 2.2*sqrt(n+1) + 1, where area = area_omega(m, n)."""

@@ -14,7 +14,7 @@ fabricate coefficients beyond its inputs' common valid prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -38,47 +38,10 @@ class TruncatedSeries:
             )
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[int], order: int | None = None) -> "TruncatedSeries":
-        """Build from a coefficient list, zero-padding up to `order` if given."""
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if len(coeffs) < order + 1:
-            coeffs += [0] * (order + 1 - len(coeffs))
-        return cls(order, tuple(coeffs[: order + 1]))
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order, (0,) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls(order, (1,) + (0,) * order)
-
-    @classmethod
-    def monomial(cls, exponent: int, order: int, coeff: int = 1) -> "TruncatedSeries":
-        """coeff * q^exponent, or zero if the exponent exceeds the order."""
-        c = [0] * (order + 1)
-        if 0 <= exponent <= order:
-            c[exponent] = coeff
-        return cls(order, tuple(c))
-
     # -- inspection ---------------------------------------------------------
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def min_coefficient(self) -> int:
-        return min(self.coeffs)
-
-    def nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -101,9 +64,6 @@ class TruncatedSeries:
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.order, tuple(-c for c in self.coeffs))
-
-    def scale(self, k: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, tuple(k * c for c in self.coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy convolution truncated at the minimum operand order.

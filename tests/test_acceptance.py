@@ -10,6 +10,8 @@ import math
 from sptcrank import bivariate, bounds, divisors, lattice, qseries
 from sptcrank.cli import run_cli
 from sptcrank.verify import SweepConfig, run_checks
+from test_divisors import x_direct
+from test_series import nonnegative
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -37,7 +39,7 @@ def test_criterion_1_oracle_triangle():
                 if xs[n] != z_odd_acc:
                     bad += 1
             else:
-                if xs[n] != divisors.x_direct(m, n):
+                if xs[n] != x_direct(m, n):
                     bad += 1
     assert report("criterion 1 (oracle triangle, m<=20, n<=1000)", bad == 0,
                   f"{bad} mismatches")
@@ -67,7 +69,7 @@ def test_criterion_3_t_decomposition_window():
         )
         if t.coeffs != comp.coeffs:
             bad += 1
-        if not qseries.r2(m, order).nonnegative():
+        if not nonnegative(qseries.r2(m, order)):
             bad += 1
     assert report("criterion 3 (T-decomposition, m<=40, n<=20m)", bad == 0,
                   f"{bad} identity failures")
@@ -80,7 +82,7 @@ def test_criterion_4_conjecture_grid():
     for m in range(51):
         c1 = qseries.mc1_series(m, 500)
         c5 = qseries.mc5_series(m, 500)
-        if not (c1.nonnegative() and c5.nonnegative()):
+        if not (nonnegative(c1) and nonnegative(c5)):
             bad += 1
         if c1.coeffs != qseries.mc1_series(-m, 500).coeffs:
             bad += 1

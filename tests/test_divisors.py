@@ -3,17 +3,34 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sptcrank import qseries
+from sptcrank import lattice, qseries
 from sptcrank.divisors import (
     DivisorPairCensus,
     OddPartDecomposition,
     census,
     census_sweep,
     containment_violation,
-    x_direct,
     y_direct,
     z_direct,
 )
+
+
+def x_direct(m: int, n: int) -> int:
+    """X^(m)(n) by the parity split: odd n sums Z^(m) over odd k <= n;
+    even n >= 2 is the odd-y lattice count difference M2 - M1; n = 0 is 0."""
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n == 0:
+        return 0
+    if n % 2 == 1:
+        return sum(z_direct(m, k) for k in range(1, n + 1, 2))
+    omega = lattice.count_region(lattice.RegionSpec(lattice.RegionKind.OMEGA, m, n))
+    omega_p = lattice.count_region(
+        lattice.RegionSpec(lattice.RegionKind.OMEGA_PRIME, m, n)
+    )
+    return omega_p.odd_y - omega.odd_y
 
 
 def divisor_pairs(odd_n: int):

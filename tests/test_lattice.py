@@ -18,7 +18,6 @@ from sptcrank.lattice import (
     count_region,
     count_sweep,
     geometry_figures,
-    lambda_length_term,
     m1_upper_bound,
     m2_lower_bound,
     parity_lemma_check,
@@ -143,6 +142,16 @@ def test_bound_figures_scale():
     fig = geometry_figures(RegionSpec(RegionKind.OMEGA_PRIME, 4, 99))
     assert fig.length_bound == pytest.approx(59.0)
     assert fig.x_extent_bound == pytest.approx(math.sqrt(300) / 2 + 2)
+
+
+def lambda_length_term(m: int, n: int) -> float:
+    """lambda(m,n) = 2*sqrt(m^2+3(n+1)) - sqrt(m^2+2(n+1)) + m, the slanted
+    boundary-length contribution of Omega'."""
+    return (
+        2 * math.sqrt(m * m + 3 * (n + 1))
+        - math.sqrt(m * m + 2 * (n + 1))
+        + m
+    )
 
 
 def test_length_bound_dominates_lambda_term():

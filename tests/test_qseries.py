@@ -22,7 +22,7 @@ from sptcrank.qseries import (
     y_series,
     z_series,
 )
-from test_series import invert_unit
+from test_series import invert_unit, nonnegative
 
 # first coefficients of 1/(q;q)_oo, the unrestricted partition numbers
 PARTITIONS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
@@ -319,7 +319,7 @@ def test_t_component_identity():
 
 def test_r2_nonnegative():
     for m in range(1, 11):
-        assert qseries.r2(m, 20 * m).nonnegative()
+        assert nonnegative(qseries.r2(m, 20 * m))
 
 
 def test_r1_is_tail_components():
