@@ -26,6 +26,9 @@ INVOCATIONS = {
                          "--bivariate-order", "0"],
     "coeff-mc1": ["coeff", "--family", "mc1", "--m", "-2", "--n-max", "12"],
     "coeff-x": ["coeff", "--family", "x", "--m", "1", "--n-max", "12"],
+    "coeff-mc5": ["coeff", "--family", "mc5", "--m", "2", "--n-max", "12"],
+    "coeff-y": ["coeff", "--family", "y", "--m", "2", "--n-max", "12"],
+    "coeff-z": ["coeff", "--family", "z", "--m", "2", "--n-max", "12"],
     "lattice-omega": ["lattice", "--region", "omega", "--m", "1", "--n", "100"],
     "lattice-omega-n0": ["lattice", "--region", "omega", "--m", "0", "--n", "0"],
     "lattice-omega-prime": ["lattice", "--region", "omega-prime", "--m", "2", "--n", "100"],
