@@ -8,8 +8,6 @@ against each other before any nonnegativity claim is reported.
 
 from .series import TruncatedSeries
 from .qseries import (
-    SeriesId,
-    build_series,
     mc1_series,
     mc5_series,
     x_series,
@@ -39,8 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TruncatedSeries",
-    "SeriesId",
-    "build_series",
     "mc1_series",
     "mc5_series",
     "x_series",

@@ -28,13 +28,13 @@ class StrictOutcome(enum.Enum):
     NEAR_TIE = "near-tie"
 
 
-def classify_strict(smaller: float, larger: float, slack: float = NEAR_TIE_SLACK) -> StrictOutcome:
-    """Classify the strict inequality smaller < larger under relative slack."""
+def classify_strict(smaller: float, larger: float) -> StrictOutcome:
+    """Classify the strict inequality smaller < larger under the near-tie policy."""
     scale = max(1.0, abs(smaller), abs(larger))
     margin = larger - smaller
-    if margin > slack * scale:
+    if margin > NEAR_TIE_SLACK * scale:
         return StrictOutcome.PASS
-    if margin < -slack * scale:
+    if margin < -NEAR_TIE_SLACK * scale:
         return StrictOutcome.FAIL
     return StrictOutcome.NEAR_TIE
 
@@ -73,13 +73,9 @@ def theorem2_lower_bound(m: int, n: int) -> float:
     return LN2 / 4 * (n + 1) - 6 * math.sqrt(n + 1) - m - 2
 
 
-def m2_minus_m1_bound_check(
-    m: int, n: int, m1_bound: float, m2_bound: float, slack: float = NEAR_TIE_SLACK
-) -> bool:
+def m2_minus_m1_bound_check(m: int, n: int, m1_bound: float, m2_bound: float) -> bool:
     """Re-verify the combination step: the Omega'/Omega bound difference
     m2_bound - m1_bound (lattice.m2_lower_bound, lattice.m1_upper_bound) must
-    dominate the even-n lower bound on X^(m)(n)."""
-    lhs = m2_bound - m1_bound
+    exceed the even-n lower bound on X^(m)(n); a near-tie fails."""
     rhs = theorem2_lower_bound(m, n)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return lhs >= rhs - slack * scale
+    return classify_strict(rhs, m2_bound - m1_bound) is StrictOutcome.PASS

@@ -22,26 +22,11 @@ P2 / (1 - q^b), each built in O(N), so a series costs O(N^1.5) additions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
 from operator import add, sub
 
 from .series import TruncatedSeries, divide_by_one_minus_qk
-
-
-@dataclass(frozen=True)
-class SeriesId:
-    """A series family named by its key in _BUILDERS, plus the shift m >= 0."""
-
-    tag: str
-    shift: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tag not in _BUILDERS:
-            raise ValueError(f"unknown series tag {self.tag!r}")
-        if self.shift < 0:
-            raise ValueError("shift must be non-negative (callers pass |m|)")
 
 
 def euler_product(offset: int, step: int, order: int) -> TruncatedSeries:
@@ -97,7 +82,12 @@ def _c5_terms(m: int, order: int):
 
 
 def _lambert_series(terms, order: int) -> TruncatedSeries:
-    """sum of s * q^a / (1 - q^b) over the terms, truncated at `order`."""
+    """sum of s * q^a / (1 - q^b) over the terms, truncated at `order`.
+
+    The one loop that expands terms: X, Y, Z, T, the T-components and R2
+    all go through it.  A term whose step b exceeds the order is the
+    monomial s * q^a.
+    """
     acc = [0] * (order + 1)
     for a, b, s in terms:
         for e in range(a, order + 1, b):
@@ -208,30 +198,15 @@ T_ROWS = {
 }
 
 
-def _over_one_minus_q2(acc: list, order: int) -> TruncatedSeries:
-    """acc / (1 - q^2), dividing the list in place: acc[n] += acc[n-2]."""
-    for n in range(2, order + 1):
-        acc[n] += acc[n - 2]
-    return TruncatedSeries(order, tuple(acc))
-
-
 def t_series(m: int, order: int) -> TruncatedSeries:
     """The 9-term/19-term truncation of X^(m)'s defining double sum."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    acc = [0] * (order + 1)
-
-    def fold(a: int, b: int, sign: int) -> None:
-        e = a
-        while e <= order:
-            acc[e] += sign
-            e += b
-
-    for n in range(1, 10):
-        fold(n * (3 * n + 1) + 2 * m * n, 2 * n, -1 if n % 2 else 1)
-    for n in range(1, 20):
-        fold(n * (n + 1) // 2 + m * n, n, 1 if n % 2 else -1)
-    return _over_one_minus_q2(acc, order)
+    terms = chain(
+        ((n * (3 * n + 1) + 2 * m * n, 2 * n, -1 if n % 2 else 1) for n in range(1, 10)),
+        ((n * (n + 1) // 2 + m * n, n, 1 if n % 2 else -1) for n in range(1, 20)),
+    )
+    return divide_by_one_minus_qk(_lambert_series(terms, order), 2)
 
 
 def _r2_extra(m: int) -> list:
@@ -248,14 +223,11 @@ def _r2_extra(m: int) -> list:
 
 def _table_series(rows, m: int, order: int, extra=()) -> TruncatedSeries:
     """(sum of the rows at shift m, plus q^e for each e in extra) / (1 - q^2)."""
-    acc = [0] * (order + 1)
-    for alpha, beta, b, s in rows:
-        for e in range(alpha + beta * m, order + 1, b):
-            acc[e] += s
-    for e in extra:
-        if e <= order:
-            acc[e] += 1
-    return _over_one_minus_q2(acc, order)
+    terms = chain(
+        ((alpha + beta * m, b, s) for alpha, beta, b, s in rows),
+        ((e, order + 1, 1) for e in extra),
+    )
+    return divide_by_one_minus_qk(_lambert_series(terms, order), 2)
 
 
 def t_components(m: int, order: int) -> TruncatedSeries:
@@ -297,27 +269,3 @@ def r2(m: int, order: int) -> TruncatedSeries:
     nonnegative coefficient-wise for every m >= 0."""
     rows = T_ROWS["T7"] + T_ROWS["T9"] + T_ROWS["Tprime"]
     return _table_series(rows, m, order, _r2_extra(m))
-
-
-_BUILDERS = {
-    "X": x_series,
-    "Y": y_series,
-    "Z": z_series,
-    "InnerC1": x_inner_series,
-    "MC1": mc1_series,
-    "MC5": mc5_series,
-    "T": t_series,
-    "T1": t1,
-    "T3": t3,
-    "T5": t5,
-    "T7": t7,
-    "T9": t9,
-    "Tprime": tprime,
-    "R1": r1,
-    "R2": r2,
-}
-
-
-def build_series(sid: SeriesId, order: int) -> TruncatedSeries:
-    """Dispatch a SeriesId to its builder."""
-    return _BUILDERS[sid.tag](sid.shift, order)

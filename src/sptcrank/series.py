@@ -22,7 +22,9 @@ class TruncatedSeries:
     """Prefix of a formal power series: coeffs[n] is the coefficient of q^n.
 
     Immutable after construction; all operations are pure functions, so
-    values are safe to share across threads and processes.
+    values are safe to share across threads and processes.  coeffs must be
+    a tuple of ints: anything else (a float, a bool, a string) is a
+    TypeError, never silently converted.
     """
 
     order: int
@@ -36,7 +38,8 @@ class TruncatedSeries:
                 f"coeffs must have order+1={self.order + 1} entries, "
                 f"got {len(self.coeffs)}"
             )
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        if type(self.coeffs) is not tuple or {*map(type, self.coeffs)} - {int}:
+            raise TypeError(f"coeffs must be a tuple of ints, got {self.coeffs!r:.60}")
 
     # -- inspection ---------------------------------------------------------
 

@@ -309,6 +309,13 @@ def _m_and_n_max(cfg: SweepConfig) -> list:
     return [(m, cfg.n_max) for m in range(cfg.m_max + 1)]
 
 
+def _divisor_table_entries(cfg: SweepConfig) -> int:
+    """The divisor table's size for every n <= n_max: it holds the divisors
+    of every odd N < 2^bits, at most 2^bits * bits / 4 of them once bits >= 5."""
+    bits = cfg.n_max.bit_length()
+    return (1 << bits) * bits // 4
+
+
 def _n_blocks(cfg: SweepConfig) -> list:
     return [
         (lo, min(lo + Y_BLOCK - 1, cfg.n_max), cfg.m_max)
@@ -319,7 +326,7 @@ def _n_blocks(cfg: SweepConfig) -> list:
 _CHECKS = {
     "y-nonneg": _Check(
         _y_worker, _n_blocks, "0<=m<={m_max}, 1<=n<={n_max}",
-        lambda cfg: (cfg.m_max + 1) * (cfg.n_max + 1),
+        lambda cfg: (cfg.m_max + 1) * (cfg.n_max + 1) + _divisor_table_entries(cfg),
         post=_note_empty_n_range,
     ),
     "x-small-n": _Check(
@@ -339,7 +346,7 @@ _CHECKS = {
     "cross": _Check(
         _cross_worker, _m_and_n_max,
         "0<=m<={m_max}, 1<=n<={n_max}; bivariate order {bivariate_order}",
-        lambda cfg: 3 * (cfg.m_max + 1) * (cfg.n_max + 1)
+        lambda cfg: 3 * (cfg.m_max + 1) * (cfg.n_max + 1) + _divisor_table_entries(cfg)
         + (2 * cfg.bivariate_order + 1) * (cfg.bivariate_order + 1),
         count_reason="Jarnik hypothesis not met (empty region or length bound < 1)",
         post=_bivariate_slices,

@@ -97,3 +97,16 @@ def test_bound_combination_step():
             m1 = lattice.m1_upper_bound(m, n, lattice.area_omega(m, n))
             m2 = lattice.m2_lower_bound(m, n, lattice.area_omega_prime(m, n))
             assert m2_minus_m1_bound_check(m, n, m1, m2)
+
+
+def test_bound_combination_near_tie_fails():
+    # m2 - m1 a hair below the bound: inside the near-tie slack, so the
+    # step is not proved, whichever side of the bound the rounding fell on
+    m, n = 3, 100
+    rhs = theorem2_lower_bound(m, n)
+    m2 = rhs - 4.8e-11
+    assert 0 < rhs - m2 < 1e-9 * abs(rhs)
+    assert not m2_minus_m1_bound_check(m, n, 0.0, m2)
+    assert not m2_minus_m1_bound_check(m, n, 0.0, rhs)
+    assert not m2_minus_m1_bound_check(m, n, 0.0, rhs + 4.8e-11)
+    assert m2_minus_m1_bound_check(m, n, 0.0, rhs + 1e-6)

@@ -162,6 +162,21 @@ def test_resource_guard_weighs_every_check_before_any_runs(run, monkeypatch):
     assert "slots" in err
 
 
+def test_resource_guard_weighs_the_divisor_table(run, monkeypatch):
+    # one m, so the grid is small; the table of divisors of every odd
+    # N < 2^25 (about 2 * 10^8 entries) is what must stop the check
+    def must_not_build(bits):
+        raise AssertionError("the guard should stop the check before the table")
+
+    monkeypatch.setattr(verify.divisors, "_odd_divisor_table", must_not_build)
+    code, out, err = run(
+        "verify", "--check", "y-nonneg", "--m-max", "0", "--n-max", "20000000"
+    )
+    assert code == 3
+    assert out == ""
+    assert "slots" in err
+
+
 def test_verify_json_byte_identical_across_parallelism(run):
     argv = ["verify", "--check", "all", "--m-max", "2", "--n-max", "30",
             "--bivariate-order", "15", "--json"]

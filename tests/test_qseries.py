@@ -11,8 +11,6 @@ from sptcrank.series import (
     sum_series,
 )
 from sptcrank.qseries import (
-    SeriesId,
-    build_series,
     euler_product,
     mc1_series,
     mc5_series,
@@ -327,15 +325,6 @@ def test_r1_is_tail_components():
     r = qseries.r1(m, order)
     expect = qseries.t7(m, order) + qseries.t9(m, order) + qseries.tprime(m, order)
     assert r.coeffs == expect.coeffs
-
-
-def test_series_id_dispatch():
-    assert build_series(SeriesId("X", 0), 10).coeffs == X0_PREFIX
-    assert build_series(SeriesId("MC5", 0), 6).coeffs == mc5_series(0, 6).coeffs
-    with pytest.raises(ValueError):
-        SeriesId("nope")
-    with pytest.raises(ValueError):
-        SeriesId("X", -1)
 
 
 def test_negative_m_rejected_by_builders():

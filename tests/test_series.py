@@ -69,6 +69,18 @@ def test_construction_validates_length():
         TruncatedSeries(-1, ())
 
 
+@pytest.mark.parametrize("coeffs", ((-0.5, 1), (True, 0), ("3", 0), (1, 2.0)))
+def test_construction_rejects_non_int_coefficients(coeffs):
+    # checked, not coerced: int(-0.5) would turn a negative into a zero
+    with pytest.raises(TypeError):
+        TruncatedSeries(1, coeffs)
+
+
+def test_construction_rejects_non_tuple_coeffs():
+    with pytest.raises(TypeError):
+        TruncatedSeries(1, [0, 1])
+
+
 def test_constructors():
     assert zero(3).coeffs == (0, 0, 0, 0)
     assert one(2).coeffs == (1, 0, 0)

@@ -236,6 +236,22 @@ def test_resource_guard_trips_and_overrides():
     verify._guard(ok, 10**12)  # does not raise
 
 
+@pytest.mark.parametrize("check", ("y-nonneg", "cross"))
+def test_guard_weighs_the_divisor_table(check):
+    # the grid is 2 * 10^7 values at most; the table of the divisors of
+    # every odd N < 2^25 is what the guard must refuse
+    cfg = SweepConfig(m_max=0, n_max=20_000_000, checks=(check,), bivariate_order=0)
+    assert 3 * (cfg.n_max + 1) < verify.RESOURCE_GUARD_SLOTS
+    with pytest.raises(ResourceGuardError):
+        verify._guard(cfg, verify._CHECKS[check].slots(cfg))
+
+
+def test_divisor_table_entries_bound_the_table():
+    for bits in range(5, 17):
+        entries = sum(map(len, divisors._odd_divisor_table(bits)))
+        assert entries <= verify._divisor_table_entries(SweepConfig(n_max=(1 << bits) - 1))
+
+
 def test_elapsed_ms_recorded():
     rep = run_checks(small_cfg(checks=("y-nonneg",)))[0]
     assert isinstance(rep.elapsed_ms, int) and rep.elapsed_ms >= 0
