@@ -87,7 +87,7 @@ class VerificationReport:
 def _guard(cfg: SweepConfig, slots: int) -> None:
     if slots > RESOURCE_GUARD_SLOTS and not cfg.override_resource_guard:
         raise ResourceGuardError(
-            f"configuration implies ~{slots} coefficient slots "
+            f"configuration implies ~{slots} coefficient slots and table entries "
             f"(> {RESOURCE_GUARD_SLOTS}); pass the override flag to proceed"
         )
 
@@ -300,7 +300,7 @@ class _Check(NamedTuple):
     worker: Callable  # one part's argument tuple -> (violation tuples, count)
     args: Callable  # cfg -> the parts' argument tuples
     range_desc: str  # report range text, formatted with the config's fields
-    slots: Callable  # cfg -> coefficient slots the resource guard weighs
+    slots: Callable  # cfg -> coefficient slots and table entries the guard weighs
     count_reason: str | None = None  # skip reason for the workers' summed count
     post: Callable | None = None  # (cfg, report) -> None, run after the sweep
 
