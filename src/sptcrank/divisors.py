@@ -5,8 +5,8 @@ by enumerating factorizations (d1, d2) of the odd part of n and testing
 parity/size conditions on linear combinations of the factors.  It is
 independent of the q-series path and is cross-checked against it.  The
 divisors come from a sieved table shared by every m in the process.
-`census` counts the pairs for one (m, n); `census_sweep` counts them for
-one n and every m up to a bound in one pass.
+One loop reads each divisor pair once: `census` counts the pairs for one
+(m, n), and `census_sweep` for one n and every m up to a bound.
 """
 
 from __future__ import annotations
@@ -83,6 +83,48 @@ def _odd_divisor_table(bits: int) -> tuple:
     return _odd_divisor_table(bits - 1) + tuple(map(tuple, block))
 
 
+def _tally(dec: OddPartDecomposition, top: int) -> tuple:
+    """Read each divisor pair (d1, d2) of dec.odd_part once, classifying its
+    four values v, one per set of census, against top >= 1.
+
+    Returns ((#A1, #A2, #B1, #B2), keys): each set's number of odd v >= top,
+    and the key 4*(v//2) + i for each odd positive v < top of the i-th set.
+    """
+    odd = dec.odd_part
+    divs = _odd_divisor_table(odd.bit_length())[odd >> 1]
+    p = 1 << dec.e
+    q = 2 * p
+    a1 = a2 = b1 = b2 = 0
+    keys = []
+    # The divisors ascend, so read backwards they are the cofactors d2 = N / d1.
+    for d1, d2 in zip(divs, reversed(divs)):
+        v = d2 - p * d1  # A1
+        if v & 1:
+            if v >= top:
+                a1 += 1
+            elif v > 0:
+                keys.append(4 * (v // 2))
+        v = d2 - q * d1  # A2
+        if v & 1:
+            if v >= top:
+                a2 += 1
+            elif v > 0:
+                keys.append(4 * (v // 2) + 1)
+        v = q * d2 - d1  # B1
+        if v & 1:
+            if v >= top:
+                b1 += 1
+            elif v > 0:
+                keys.append(4 * (v // 2) + 2)
+        v = p * d2 - d1  # B2
+        if v & 1:
+            if v >= top:
+                b2 += 1
+            elif v > 0:
+                keys.append(4 * (v // 2) + 3)
+    return (a1, a2, b1, b2), keys
+
+
 def census(m: int, n: int) -> DivisorPairCensus:
     """Count the divisor pairs (d1, d2) of the odd part N of n = 2^e * N in:
 
@@ -95,27 +137,8 @@ def census(m: int, n: int) -> DivisorPairCensus:
         raise ValueError("m must be non-negative")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    dec = OddPartDecomposition.of(n)
-    odd = dec.odd_part
-    divs = _odd_divisor_table(odd.bit_length())[odd >> 1]
-    p = 1 << dec.e
-    lo = 2 * m + 1
-    a1 = a2 = b1 = b2 = 0
-    # The divisors ascend, so read backwards they are the cofactors d2 = N / d1.
-    for d1, d2 in zip(divs, reversed(divs)):
-        v = d2 - p * d1
-        if v >= lo and v % 2 == 1:
-            a1 += 1
-        v = d2 - 2 * p * d1
-        if v >= lo and v % 2 == 1:
-            a2 += 1
-        v = 2 * p * d2 - d1
-        if v >= lo and v % 2 == 1:
-            b1 += 1
-        v = p * d2 - d1
-        if v >= lo and v % 2 == 1:
-            b2 += 1
-    return DivisorPairCensus(a1, a2, b1, b2)
+    counts, _ = _tally(OddPartDecomposition.of(n), 2 * m + 1)
+    return DivisorPairCensus(*counts)
 
 
 def census_sweep(dec: OddPartDecomposition, m_max: int) -> list:
@@ -124,44 +147,15 @@ def census_sweep(dec: OddPartDecomposition, m_max: int) -> list:
     Returns [(m_lo, m_hi, c), ...] ascending and covering 0..m_max, with
     c == census(m, dec.n) for m_lo <= m <= m_hi.  In census, m enters only
     through the threshold 2m+1, and an odd v is >= 2m+1 exactly when
-    v // 2 >= m.  So each divisor pair is read once: each odd positive v
-    of a set is tallied at k = min(v, 2*m_max+1) // 2, and a set's count
-    at m is its number of tallies at m and above.
+    v // 2 >= m.  So each divisor pair is read once: the counts at m_max
+    come with a key for each odd positive v below 2*m_max+1, and a set's
+    count at m < m_max adds its keys at v // 2 >= m.
     """
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
-    odd = dec.odd_part
-    divs = _odd_divisor_table(odd.bit_length())[odd >> 1]
-    p = 1 << dec.e
-    top = 2 * m_max + 1
-    counts = [0, 0, 0, 0]  # #A1, #A2, #B1, #B2 tallied at k = m_max
-    keys = []  # 4*k + i tallies set i of counts at k < m_max
-    for d1, d2 in zip(divs, reversed(divs)):
-        v = d2 - p * d1
-        if v % 2 == 1 and v >= 1:
-            if v >= top:
-                counts[0] += 1
-            else:
-                keys.append(4 * (v // 2))
-        v = d2 - 2 * p * d1
-        if v % 2 == 1 and v >= 1:
-            if v >= top:
-                counts[1] += 1
-            else:
-                keys.append(4 * (v // 2) + 1)
-        v = 2 * p * d2 - d1
-        if v % 2 == 1 and v >= 1:
-            if v >= top:
-                counts[2] += 1
-            else:
-                keys.append(4 * (v // 2) + 2)
-        v = p * d2 - d1
-        if v % 2 == 1 and v >= 1:
-            if v >= top:
-                counts[3] += 1
-            else:
-                keys.append(4 * (v // 2) + 3)
-    # Walk the tallies below m_max from the highest k down, summing the counts.
+    counts, keys = _tally(dec, 2 * m_max + 1)
+    counts = list(counts)
+    # Walk the keys from the highest v down, adding each to its set's count.
     keys.sort(reverse=True)
     runs = []
     hi = m_max

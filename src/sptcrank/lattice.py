@@ -117,9 +117,17 @@ def count_sweep(kind: RegionKind, m: int, n_max: int) -> list:
     return list(map(LatticeCount, accumulate(total), accumulate(odd)))
 
 
+def _roots(m: int, n: int) -> tuple:
+    """s8 = sqrt(4m^2+8(n+1)) and s12 = sqrt(4m^2+12(n+1)), which every
+    vertex and area of the two regions reads from here.
+
+    They satisfy (s8-2m)(s8+2m) = 8(n+1) and (s12-2m)(s12+2m) = 12(n+1).
+    """
+    return math.sqrt(4 * m * m + 8 * (n + 1)), math.sqrt(4 * m * m + 12 * (n + 1))
+
+
 def _vertices_omega(m: int, n: int):
-    s8 = math.sqrt(4 * m * m + 8 * (n + 1))
-    s12 = math.sqrt(4 * m * m + 12 * (n + 1))
+    s8, s12 = _roots(m, n)
     x1, y1 = 0.0, 2.0 * m
     x2 = (-2 * m + s8) / 8
     y2 = (n + 1) / (2 * x2)
@@ -129,8 +137,7 @@ def _vertices_omega(m: int, n: int):
 
 
 def _vertices_omega_prime(m: int, n: int):
-    s8 = math.sqrt(4 * m * m + 8 * (n + 1))
-    s12 = math.sqrt(4 * m * m + 12 * (n + 1))
+    s8, s12 = _roots(m, n)
     x4, y4 = m / 2, 0.0
     x5, y5 = float(m), 0.0
     x6 = (s8 + 2 * m) / 8
@@ -147,8 +154,7 @@ def area_omega(m: int, n: int) -> float:
     -(m/24)*(3*sqrt(4m^2+8(n+1)) - 2*sqrt(4m^2+12(n+1)) - 2m), which also
     matches the t = (n+1)/m^2 form of the expression for m >= 1.
     """
-    s8 = math.sqrt(4 * m * m + 8 * (n + 1))
-    s12 = math.sqrt(4 * m * m + 12 * (n + 1))
+    s8, s12 = _roots(m, n)
     return 0.5 * (n + 1) * math.log(3 * (s8 - 2 * m) / (2 * (s12 - 2 * m))) - (
         m / 24.0
     ) * (3 * s8 - 2 * s12 - 2 * m)
@@ -156,8 +162,7 @@ def area_omega(m: int, n: int) -> float:
 
 def area_omega_prime(m: int, n: int) -> float:
     """Closed-form area of Omega' in the 2m-parameterization."""
-    s8 = math.sqrt(4 * m * m + 8 * (n + 1))
-    s12 = math.sqrt(4 * m * m + 12 * (n + 1))
+    s8, s12 = _roots(m, n)
     return (
         0.5
         * (n + 1)

@@ -103,9 +103,9 @@ def census_by_m(n: int, m_max: int) -> list:
     return out
 
 
-def test_census_sweep_matches_census():
+def test_census_sweep_matches_trial_division():
     for n in range(1, 2401):
-        by_m = [census(m, n) for m in range(126)]
+        by_m = [census_by_trial_division(m, n) for m in range(126)]
         assert census_by_m(n, 125) == by_m, n
         for m_max in (0, 1, 6):
             assert census_by_m(n, m_max) == by_m[: m_max + 1], (n, m_max)
@@ -115,7 +115,9 @@ def test_census_sweep_matches_census():
 def test_census_sweep_beyond_the_smallest_table(n):
     for k in (n, 2 * n):
         for m_max in (0, 7, 125):
-            assert census_by_m(k, m_max) == [census(m, k) for m in range(m_max + 1)]
+            assert census_by_m(k, m_max) == [
+                census_by_trial_division(m, k) for m in range(m_max + 1)
+            ]
 
 
 def test_census_sweep_rejects_negative_m_max():

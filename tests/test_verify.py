@@ -71,6 +71,39 @@ def test_finite_window_reports_coverage_count():
     assert counted and counted[0]["count"] > 70000
 
 
+def test_conjecture_notes_an_empty_n_range():
+    rep = run_checks(small_cfg(checks=("conjecture",), n_max=0))[0]
+    assert rep.status == "pass"
+    assert rep.skips == [{"reason": "empty n range", "count": 1}]
+    assert run_checks(small_cfg(checks=("conjecture",), n_max=1))[0].skips == []
+
+
+def test_worker_pool_capped_at_the_number_of_parts(monkeypatch):
+    """The pool is asked for at most one worker per part; its map runs serially."""
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    checks = ("y-nonneg", "finite-window", "conjecture")
+    pooled = run_checks(small_cfg(m_max=1, checks=checks, parallelism=5000))
+    # y-nonneg's one n-block runs without a pool; 121 window m's; 2 conjecture m's
+    assert asked == [len(verify.WINDOW_M), 2]
+    serial = run_checks(small_cfg(m_max=1, checks=checks))
+    assert [report_key(r) for r in pooled] == [report_key(r) for r in serial]
+
+
 def test_census_corruption_is_caught(monkeypatch):
     """Poisoning the divisor census must surface as cross-check violations."""
     real = divisors.census
