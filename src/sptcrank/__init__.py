@@ -32,8 +32,7 @@ from .verify import (
     Violation,
     run_checks,
 )
-
-__version__ = "0.1.0"
+from .verify import TOOL_VERSION as __version__
 
 __all__ = [
     "TruncatedSeries",

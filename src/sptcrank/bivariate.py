@@ -14,8 +14,8 @@ pass over the z-rows and by 1/(1 - z^-1 q^k) in one descending pass:
 O(N^3) additions in all, on one dense table of z-rows.  Every power z^d
 comes with at least q^|d|, so |d| <= N.
 
-The result is stored q-major: for each n <= order, a Laurent polynomial
-in z.  Fixed-m slices are the cross-oracle for the univariate M_C1/M_C5
+The result is that table, one row per power of z, so a fixed-m slice is
+one row.  The slices are the cross-oracle for the univariate M_C1/M_C5
 generating functions; the build reads only the product form, never the
 Lambert sums that M_C1/M_C5 are built from.
 """
@@ -44,38 +44,29 @@ class FamilyId(enum.Enum):
 
 @dataclass(frozen=True)
 class LaurentSeries:
-    """Truncated-in-q series whose q^n coefficient is a Laurent polynomial in z.
+    """Truncated-in-q series in z, stored by powers of z.
 
-    qcoeffs[n] is a pair (min_degree, coeffs) with no leading or trailing
-    zero padding; the zero polynomial is (0, ()).  Every nonzero z-degree d
-    at q^n satisfies |d| <= n.
+    rows[order + d] is the tuple of q^0..q^order coefficients of z^d for
+    |d| <= order; z^d is zero below q^|d|.
     """
 
     order: int
-    qcoeffs: tuple
+    rows: tuple
 
     def __post_init__(self) -> None:
-        if len(self.qcoeffs) != self.order + 1:
-            raise ValueError("qcoeffs must have order+1 entries")
-        for n, (mindeg, cs) in enumerate(self.qcoeffs):
-            if cs and (cs[0] == 0 or cs[-1] == 0):
-                raise ValueError(f"zero padding in z-polynomial at q^{n}")
-            if cs and max(abs(mindeg), abs(mindeg + len(cs) - 1)) > n:
-                raise ValueError(f"z-degree exceeds {n} at q^{n}")
-
-    def z_coefficient(self, n: int, d: int) -> int:
-        mindeg, cs = self.qcoeffs[n]
-        i = d - mindeg
-        if 0 <= i < len(cs):
-            return cs[i]
-        return 0
+        N = self.order
+        if len(self.rows) != 2 * N + 1 or any(len(r) != N + 1 for r in self.rows):
+            raise ValueError("rows must be 2*order+1 rows of order+1 coefficients")
+        for d, row in enumerate(self.rows, -N):
+            if any(row[: abs(d)]):
+                raise ValueError(f"z^{d} is nonzero below q^{abs(d)}")
 
 
 def extract_m(s: LaurentSeries, m: int) -> TruncatedSeries:
-    """The univariate q-series of z^m coefficients (zero beyond stored degrees)."""
-    return TruncatedSeries(
-        s.order, tuple(s.z_coefficient(n, m) for n in range(s.order + 1))
-    )
+    """The univariate q-series of z^m coefficients (zero for |m| > order)."""
+    if abs(m) > s.order:
+        return TruncatedSeries(s.order, (0,) * (s.order + 1))
+    return TruncatedSeries(s.order, s.rows[s.order + m])
 
 
 # One row per family: (s, (a, b, c), runs) gives sign_n = s^n, the prefactor
@@ -115,14 +106,4 @@ def spt_crank_bivariate(family: FamilyId, order: int) -> LaurentSeries:
             rows[i + 1][k:] = map(add, rows[i + 1][k:], rows[i])
         for i in reversed(span):  # times 1/(1 - z^-1 q^k): descending
             rows[i - 1][k:] = map(add, rows[i - 1][k:], rows[i])
-
-    qcoeffs = []
-    for n in range(N + 1):
-        column = [row[n] for row in rows[N - n : N + n + 1]]
-        nonzero = [i for i, x in enumerate(column) if x]
-        if nonzero:
-            lo, hi = nonzero[0], nonzero[-1]
-            qcoeffs.append((lo - n, tuple(column[lo : hi + 1])))
-        else:
-            qcoeffs.append((0, ()))
-    return LaurentSeries(N, tuple(qcoeffs))
+    return LaurentSeries(N, tuple(map(tuple, rows)))

@@ -149,12 +149,7 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m-max", type=int, default=verify.SweepConfig.m_max)
-    p.add_argument("--n-max", type=int, default=verify.SweepConfig.n_max)
-    p.add_argument(
-        "--bivariate-order", type=int, default=verify.SweepConfig.bivariate_order
-    )
+def _add_parallel_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--parallel",
         type=int,
@@ -163,6 +158,15 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
         default=_env("PARALLEL") or 1,
         help="number of worker processes for per-m sweeps",
     )
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--m-max", type=int, default=verify.SweepConfig.m_max)
+    p.add_argument("--n-max", type=int, default=verify.SweepConfig.n_max)
+    p.add_argument(
+        "--bivariate-order", type=int, default=verify.SweepConfig.bivariate_order
+    )
+    _add_parallel_flag(p)
     # SPTCRANK_OVERRIDE_RESOURCE_GUARD=1 also sets it (see _run_and_emit).
     p.add_argument("--override-resource-guard", action="store_true")
 
@@ -189,7 +193,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "finite-window", help="the fixed sweep over 0<=m<=120, 20m<n<f(m)"
     )
-    _add_sweep_flags(p)
+    # Its range is fixed and its guard weight is 0, so no range or guard flag
+    # could change the run; the config echo shows SweepConfig's defaults.
+    _add_parallel_flag(p)
+    d = verify.SweepConfig
+    p.set_defaults(m_max=d.m_max, n_max=d.n_max, bivariate_order=d.bivariate_order,
+                   override_resource_guard=False)
     _add_format_flags(p)
 
     p = sub.add_parser("cross-check", help="alias for verify --check cross")

@@ -261,7 +261,8 @@ def _window_coverage(cfg: SweepConfig, rep: VerificationReport) -> None:
 
 def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:
     """The bivariate cross-oracle: each z^m slice of the C1/C5 expansions
-    equals the univariate M_C1/M_C5 series, and equals the z^-m slice.
+    equals the univariate M_C1/M_C5 series and the z^-m slice, and every
+    coefficient of both expansions, at every z-degree |m| <= order, is >= 0.
 
     The z <-> 1/z symmetry is checked on the expansion itself because the
     univariate builders take |m|, so they cannot tell -m from m.
@@ -285,6 +286,11 @@ def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:
                 rep.violations.append(
                     Violation(m, 0, f"bivariate {name} slice at -m", "equals slice at +m")
                 )
+        rep.violations.extend(
+            Violation(d, n, str(v), f"M_{name}(m,n) >= 0 on the bivariate expansion")
+            for d, row in enumerate(expansion.rows, -order)
+            for n, v in enumerate(row) if v < 0
+        )
 
 
 # -- the check table and its one driver --------------------------------------
@@ -335,6 +341,8 @@ _CHECKS = {
         "0<=m<=120, 20m<n<f(m)", lambda cfg: 0,
         count_reason="values checked", post=_window_coverage,
     ),
+    # Only m >= 0 is built: negative m rest on M(-m,n) = M(m,n), which only
+    # the cross check's bivariate checks test, for n <= --bivariate-order.
     "conjecture": _Check(
         _conjecture_worker, _m_and_n_max, "|m|<={m_max}, 1<=n<={n_max}",
         lambda cfg: 2 * (cfg.m_max + 1) * (cfg.n_max + 1),

@@ -80,7 +80,7 @@ def pair_cache_bivariate(fam: str, order: int) -> tuple:
     identity 1/(x; q)_oo = sum_i x^i / (q; q)_i, every product
     1/((q;q)_i (q;q)_j) is cached, and the pairs of each outer term are
     grouped by z-degree i - j before one convolution per degree.
-    Returns the q-major qcoeffs."""
+    Returns the rows, z^-order first."""
     N = order
 
     def mul(a, b):
@@ -156,30 +156,19 @@ def pair_cache_bivariate(fam: str, order: int) -> tuple:
             for e in range(N + 1):
                 tgt[e] += sign * conv[e]
 
-    qcoeffs = []
-    for qn in range(N + 1):
-        present = [(d, acc[d][qn]) for d in sorted(acc) if acc[d][qn]]
-        if not present:
-            qcoeffs.append((0, ()))
-            continue
-        lo = present[0][0]
-        row = [0] * (present[-1][0] - lo + 1)
-        for d, c in present:
-            row[d - lo] = c
-        qcoeffs.append((lo, tuple(row)))
-    return tuple(qcoeffs)
+    return tuple(tuple(acc.get(d, [0] * (N + 1))) for d in range(-N, N + 1))
 
 
 @pytest.mark.parametrize("fam", [f.value for f in FamilyId])
 def test_matches_pair_cache_reference(fam):
     for order in [*range(1, 16), 30]:
-        got = spt_crank_bivariate(FamilyId(fam), order).qcoeffs
+        got = spt_crank_bivariate(FamilyId(fam), order).rows
         assert got == pair_cache_bivariate(fam, order), (fam, order)
 
 
 @pytest.mark.parametrize("fam", ["C1", "C5"])
 def test_matches_pair_cache_reference_order_60(fam):
-    got = spt_crank_bivariate(FamilyId(fam), 60).qcoeffs
+    got = spt_crank_bivariate(FamilyId(fam), 60).rows
     assert got == pair_cache_bivariate(fam, 60)
 
 
@@ -197,10 +186,10 @@ def test_full_expansion_matches_naive_oracle(fam):
     s = spt_crank_bivariate(FamilyId(fam), order)
     want = naive_family(fam, order)
     got = {
-        (n, d): s.z_coefficient(n, d)
-        for n in range(order + 1)
-        for d in range(-n, n + 1)
-        if s.z_coefficient(n, d)
+        (n, d): c
+        for d, row in enumerate(s.rows, -order)
+        for n, c in enumerate(row)
+        if c
     }
     assert got == want
 
@@ -208,9 +197,7 @@ def test_full_expansion_matches_naive_oracle(fam):
 @pytest.mark.parametrize("fam", [f.value for f in FamilyId])
 def test_symmetric_under_z_inversion(fam):
     s = spt_crank_bivariate(FamilyId(fam), 14)
-    for n in range(15):
-        for d in range(1, n + 1):
-            assert s.z_coefficient(n, d) == s.z_coefficient(n, -d)
+    assert s.rows == s.rows[::-1]
 
 
 def test_c_slices_match_univariate_series():
@@ -224,25 +211,23 @@ def test_c_slices_match_univariate_series():
 
 def test_e2_leading_term():
     s = spt_crank_bivariate(FamilyId.E2, 6)
-    assert s.z_coefficient(1, 0) == -1
+    assert extract_m(s, 0)[1] == -1
 
 
 def test_laurent_series_validation():
     with pytest.raises(ValueError):
-        LaurentSeries(1, ((0, ()),))  # wrong length
+        LaurentSeries(1, ((0, 0),))  # wrong number of rows
     with pytest.raises(ValueError):
-        LaurentSeries(1, ((0, ()), (0, (0, 1))))  # zero padding
+        LaurentSeries(1, ((0, 0), (0, 0), (0,)))  # short row
     with pytest.raises(ValueError):
-        LaurentSeries(1, ((0, ()), (-2, (1,))))  # degree exceeds q-power
+        LaurentSeries(1, ((1, 0), (0, 0), (0, 0)))  # z^-1 below q^1
     with pytest.raises(ValueError):
         spt_crank_bivariate(FamilyId.C1, 0)
 
 
-def test_z_coefficient_out_of_stored_range_is_zero():
+def test_extract_m_out_of_stored_range_is_zero():
     s = spt_crank_bivariate(FamilyId.C1, 5)
-    # at q^3 the stored degrees are -2..2: z^d comes with at least q^(1+|d|)
-    assert s.qcoeffs[3] == (-2, (1, 1, 1, 1, 1))
-    assert s.z_coefficient(3, 2) == s.z_coefficient(3, -2) == 1
-    for d in (3, -3, 4, -4):
-        assert s.z_coefficient(3, d) == 0
-    assert s.z_coefficient(2, -2) == extract_m(s, -2)[2]
+    # at q^3 the nonzero degrees are -2..2: z^d comes with at least q^(1+|d|)
+    assert [extract_m(s, d)[3] for d in range(-5, 6)] == [0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0]
+    for m in (6, -6, 100):
+        assert extract_m(s, m).coeffs == (0,) * 6

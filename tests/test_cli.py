@@ -56,6 +56,12 @@ def test_coeff_json(run):
     assert [r["value"] for r in doc["records"]] == ["0", "0", "1", "1", "2"]
 
 
+def test_package_version_is_the_reported_tool_version():
+    assert sptcrank.__version__ == verify.TOOL_VERSION
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert f'version = "{verify.TOOL_VERSION}"' in pyproject.read_text().splitlines()
+
+
 def test_coeff_negative_m_symmetric(run):
     _, out_pos, _ = run("coeff", "--family", "mc5", "--m", "3", "--n-max", "12")
     _, out_neg, _ = run("coeff", "--family", "mc5", "--m", "-3", "--n-max", "12")
@@ -120,6 +126,19 @@ def test_negative_bivariate_order_is_usage_error(run):
     assert code == 2
     assert out == ""
     assert "bivariate_order must be non-negative" in err
+
+
+@pytest.mark.parametrize("flag", [
+    ["--m-max", "5"], ["--n-max", "5"], ["--bivariate-order", "5"],
+    ["--override-resource-guard"],
+])
+def test_finite_window_takes_no_range_or_guard_flags(run, flag):
+    """The window's range is fixed and never trips the guard, so these
+    flags could not change the run: each is a usage error."""
+    code, out, err = run("finite-window", *flag)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_resource_guard_exit_three(run):

@@ -177,12 +177,10 @@ def test_bivariate_z_asymmetry_is_caught(monkeypatch):
 
     def skewed(family, order):
         s = real(family, order)
-        rows = list(s.qcoeffs)
-        for n, (lo, cs) in enumerate(rows):
-            i = -1 - lo
-            if 0 <= i < len(cs) and cs[i]:
-                rows[n] = (lo, cs[:i] + (2 * cs[i],) + cs[i + 1:])
-                break
+        rows = list(s.rows)
+        z_inv = rows[order - 1]
+        n = next(n for n, c in enumerate(z_inv) if c)
+        rows[order - 1] = z_inv[:n] + (2 * z_inv[n],) + z_inv[n + 1:]
         return bivariate.LaurentSeries(s.order, tuple(rows))
 
     monkeypatch.setattr(bivariate, "spt_crank_bivariate", skewed)
@@ -192,6 +190,36 @@ def test_bivariate_z_asymmetry_is_caught(monkeypatch):
         Violation(1, 0, "bivariate C1 slice at -m", "equals slice at +m"),
         Violation(1, 0, "bivariate C5 slice at -m", "equals slice at +m"),
     ]
+
+
+def test_bivariate_negative_coefficient_above_m_max_is_caught(monkeypatch):
+    """The sign scan reads every z-degree of the expansion: a negative
+    coefficient at d > m_max fails cross though every slice check passes."""
+    real = bivariate.spt_crank_bivariate
+    cfg = small_cfg(checks=("cross",))
+    d, n = cfg.m_max + 2, cfg.bivariate_order
+
+    def negated(family, order):
+        s = real(family, order)
+        if family is not bivariate.FamilyId.C5:
+            return s
+        rows = list(s.rows)
+        rows[order + d] = rows[order + d][:n] + (-1,)
+        return bivariate.LaurentSeries(s.order, tuple(rows))
+
+    monkeypatch.setattr(bivariate, "spt_crank_bivariate", negated)
+    rep = run_checks(cfg)[0]
+    assert rep.status == "fail"
+    assert rep.violations == [
+        Violation(d, n, "-1", "M_C5(m,n) >= 0 on the bivariate expansion")
+    ]
+
+
+def test_bivariate_expansions_have_no_negative_coefficient():
+    for order in (12, 30, 60):
+        for family in (bivariate.FamilyId.C1, bivariate.FamilyId.C5):
+            rows = bivariate.spt_crank_bivariate(family, order).rows
+            assert min(map(min, rows)) >= 0, (family, order)
 
 
 def test_worker_violations_capped_report_unchanged(monkeypatch):
