@@ -210,6 +210,17 @@ def test_verify_json_byte_identical_across_parallelism(run):
     assert all(r["elapsedMs"] == 0 for r in doc["reports"])
 
 
+def test_cross_json_byte_identical_across_parallelism(run):
+    """m <= 17 spans three cross parts; every --parallel gives the golden bytes."""
+    argv = ["cross-check", "--m-max", "17", "--n-max", "300",
+            "--bivariate-order", "20", "--json"]
+    golden = (Path(__file__).resolve().parent / "golden" / "cross-check-m17.json").read_text(
+        encoding="utf-8"
+    )
+    for parallel in ("1", "2", "3"):
+        assert run(*argv, "--parallel", parallel) == (0, golden, ""), parallel
+
+
 def test_timing_flag_populates_elapsed(run):
     code, out, _ = run(
         "verify", "--check", "y-nonneg", "--m-max", "2", "--n-max", "30",

@@ -24,6 +24,9 @@ INVOCATIONS = {
     "cross-check": ["cross-check"],
     "cross-check-n300": ["cross-check", "--m-max", "6", "--n-max", "300",
                          "--bivariate-order", "0"],
+    # m <= 17 spans three cross parts of verify.CROSS_M_BLOCK = 8 m each
+    "cross-check-m17": ["cross-check", "--m-max", "17", "--n-max", "300",
+                        "--bivariate-order", "20"],
     "coeff-mc1": ["coeff", "--family", "mc1", "--m", "-2", "--n-max", "12"],
     "coeff-x": ["coeff", "--family", "x", "--m", "1", "--n-max", "12"],
     "coeff-mc5": ["coeff", "--family", "mc5", "--m", "2", "--n-max", "12"],
