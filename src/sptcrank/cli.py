@@ -156,7 +156,8 @@ def _add_parallel_flag(p: argparse.ArgumentParser) -> None:
         # argparse converts a string default with `type`, so a malformed
         # environment value is a usage error like a malformed flag.
         default=_env("PARALLEL") or 1,
-        help="number of worker processes for per-m sweeps",
+        help="number of worker processes, each taking parts of the grid: "
+        "blocks of m for cross, blocks of n for y-nonneg, one m otherwise",
     )
 
 
@@ -223,6 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_coeff(args) -> int:
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
+    verify.guard(args.n_max + 1, _env_switch("OVERRIDE_RESOURCE_GUARD"))
     # mc1/mc5 are symmetric in m and take |m|; x/y/z reject m < 0 (exit 2).
     s = getattr(qseries, f"{args.family}_series")(args.m, args.n_max)
     rows = [
@@ -302,6 +304,7 @@ def _cmd_lattice(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.m_max < 0:
         raise ValueError("--m-max must be non-negative")
+    verify.guard(args.m_max + 1, _env_switch("OVERRIDE_RESOURCE_GUARD"))
     profiles = [bounds.threshold_profile(m) for m in range(args.m_max + 1)]
     _emit(
         args,

@@ -6,7 +6,9 @@ parity/size conditions on linear combinations of the factors.  It is
 independent of the q-series path and is cross-checked against it.  The
 divisors come from a sieved table shared by every m in the process.
 One loop reads each divisor pair once: `census` counts the pairs for one
-(m, n), and `census_sweep` for one n and every m up to a bound.
+(m, n), and `census_sweep` for one n and every m up to a bound.  The
+verifier's y-nonneg and cross checks read only `census_sweep`, one call
+per n for all the m of their part.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 
 class RegionKind(enum.Enum):
@@ -52,6 +53,14 @@ class GeometryFigures:
     length_bound: float
     x_extent_bound: float
     vertices: tuple  # ((x, y), ...) in the region's conventional order
+
+
+class Figures(NamedTuple):
+    """A region's area and the two bounds that the lattice lemmas read."""
+
+    area: float
+    length_bound: float
+    x_extent_bound: float
 
 
 class DegenerateRegionError(ValueError):
@@ -119,50 +128,31 @@ def count_sweep(kind: RegionKind, m: int, n_max: int) -> list:
 
 def _roots(m: int, n: int) -> tuple:
     """s8 = sqrt(4m^2+8(n+1)) and s12 = sqrt(4m^2+12(n+1)), which every
-    vertex and area of the two regions reads from here.
+    vertex, area and ordering guard of the two regions reads from here.
 
     They satisfy (s8-2m)(s8+2m) = 8(n+1) and (s12-2m)(s12+2m) = 12(n+1).
     """
     return math.sqrt(4 * m * m + 8 * (n + 1)), math.sqrt(4 * m * m + 12 * (n + 1))
 
 
-def _vertices_omega(m: int, n: int):
-    s8, s12 = _roots(m, n)
-    x1, y1 = 0.0, 2.0 * m
-    x2 = (-2 * m + s8) / 8
-    y2 = (n + 1) / (2 * x2)
-    x3 = (s12 - 2 * m) / 12
-    y3 = (n + 1) / (2 * x3)
-    return (x1, y1), (x2, y2), (x3, y3)
-
-
-def _vertices_omega_prime(m: int, n: int):
-    s8, s12 = _roots(m, n)
-    x4, y4 = m / 2, 0.0
-    x5, y5 = float(m), 0.0
-    x6 = (s8 + 2 * m) / 8
-    y6 = (n + 1) / (2 * x6)
-    x7 = (s12 + 2 * m) / 4
-    y7 = (n + 1) / (2 * x7)
-    return (x4, y4), (x5, y5), (x6, y6), (x7, y7)
-
-
-def area_omega(m: int, n: int) -> float:
+def area_omega(m: int, n: int, roots: tuple | None = None) -> float:
     """Closed-form area of Omega in the 2m-parameterization (no limit needed at m=0).
 
     The triangle correction equals 2*x2^2 - 3*x3^2 =
     -(m/24)*(3*sqrt(4m^2+8(n+1)) - 2*sqrt(4m^2+12(n+1)) - 2m), which also
-    matches the t = (n+1)/m^2 form of the expression for m >= 1.
+    matches the t = (n+1)/m^2 form of the expression for m >= 1.  roots,
+    when the caller has them, is _roots(m, n).
     """
-    s8, s12 = _roots(m, n)
+    s8, s12 = roots or _roots(m, n)
     return 0.5 * (n + 1) * math.log(3 * (s8 - 2 * m) / (2 * (s12 - 2 * m))) - (
         m / 24.0
     ) * (3 * s8 - 2 * s12 - 2 * m)
 
 
-def area_omega_prime(m: int, n: int) -> float:
-    """Closed-form area of Omega' in the 2m-parameterization."""
-    s8, s12 = _roots(m, n)
+def area_omega_prime(m: int, n: int, roots: tuple | None = None) -> float:
+    """Closed-form area of Omega' in the 2m-parameterization; roots, when
+    the caller has them, is _roots(m, n)."""
+    s8, s12 = roots or _roots(m, n)
     return (
         0.5
         * (n + 1)
@@ -174,32 +164,55 @@ def area_omega_prime(m: int, n: int) -> float:
     )
 
 
-def geometry_figures(spec: RegionSpec) -> GeometryFigures:
-    """Area, boundary-length bound, x-extent bound, and vertex list."""
-    m, n = spec.m, spec.n
-    if spec.kind is RegionKind.OMEGA:
-        v1, v2, v3 = _vertices_omega(m, n)
-        if v3[0] > v2[0]:
+def _figures(kind: RegionKind, m: int, n: int) -> tuple:
+    """(Figures, (xa, xb)): the region's area and bounds, and the x of its two
+    vertices on the hyperbola, (x2, x3) for Omega and (x6, x7) for Omega'.
+
+    Raises DegenerateRegionError when the floats give x3 > x2 or x7 < x6,
+    which exact arithmetic never does, before any vertex's y is computed.
+    """
+    roots = s8, s12 = _roots(m, n)
+    if kind is RegionKind.OMEGA:
+        xs = (s8 - 2 * m) / 8, (s12 - 2 * m) / 12
+        if xs[1] > xs[0]:
             raise DegenerateRegionError(
                 f"vertex ordering collapsed for Omega at m={m}, n={n}"
             )
-        return GeometryFigures(
-            area=area_omega(m, n),
-            length_bound=3.6 * math.sqrt(n + 1),
-            x_extent_bound=math.sqrt(2 * (n + 1)) / 4,
-            vertices=(v1, v2, v3),
-        )
-    v4, v5, v6, v7 = _vertices_omega_prime(m, n)
-    if v7[0] < v6[0]:
+        return Figures(
+            area_omega(m, n, roots), 3.6 * math.sqrt(n + 1), math.sqrt(2 * (n + 1)) / 4
+        ), xs
+    xs = (s8 + 2 * m) / 8, (s12 + 2 * m) / 4
+    if xs[1] < xs[0]:
         raise DegenerateRegionError(
             f"vertex ordering collapsed for Omega' at m={m}, n={n}"
         )
-    return GeometryFigures(
-        area=area_omega_prime(m, n),
-        length_bound=5.5 * math.sqrt(n + 1) + m,
-        x_extent_bound=math.sqrt(3 * (n + 1)) / 2 + m / 2,
-        vertices=(v4, v5, v6, v7),
-    )
+    return Figures(
+        area_omega_prime(m, n, roots),
+        5.5 * math.sqrt(n + 1) + m,
+        math.sqrt(3 * (n + 1)) / 2 + m / 2,
+    ), xs
+
+
+def figure_sweep(kind: RegionKind, m: int, n_max: int):
+    """Yield the region's Figures at each even 2 <= n <= n_max, in order.
+
+    Each equals geometry_figures(RegionSpec(kind, m, n))'s first three
+    fields, without building the spec, the vertex list or the dataclass.
+    """
+    for n in range(2, n_max + 1, 2):
+        yield _figures(kind, m, n)[0]
+
+
+def geometry_figures(spec: RegionSpec) -> GeometryFigures:
+    """Area, boundary-length bound, x-extent bound, and vertex list."""
+    m, n = spec.m, spec.n
+    fig, xs = _figures(spec.kind, m, n)
+    if spec.kind is RegionKind.OMEGA:
+        corners = ((0.0, 2.0 * m),)
+    else:
+        corners = ((m / 2, 0.0), (float(m), 0.0))
+    on_hyperbola = tuple((x, (n + 1) / (2 * x)) for x in xs)
+    return GeometryFigures(*fig, vertices=corners + on_hyperbola)
 
 
 def m1_upper_bound(m: int, n: int, area: float) -> float:
@@ -218,8 +231,9 @@ def m2_lower_bound(m: int, n: int, area: float) -> float:
     return area / 2 - 3.7 * math.sqrt(n + 1) - m - 1
 
 
-def parity_lemma_check(count: LatticeCount, fig: GeometryFigures) -> bool:
-    """|total/2 - odd_y| <= x_extent_bound + 1 for a region's count and figures.
+def parity_lemma_check(count: LatticeCount, fig) -> bool:
+    """|total/2 - odd_y| <= x_extent_bound + 1 for a region's count and its
+    Figures or GeometryFigures.
 
     The gap is |total - 2*odd_y| / 2, an exact integer divided once, so it
     is the correctly rounded float of the exact rational gap.

@@ -4,10 +4,11 @@ Each check sweeps a configured (m, n) grid, collects violations
 exhaustively (capped), and returns a deterministic report: identical
 configuration yields an identical violation list, sorted by (m, n),
 regardless of parallelism.  Each check splits its grid into parts, one
-worker call each.  Most parts are one m, because building one series per
-m and sharing it across all its n-checks dominates the cost.  y-nonneg's
-parts are blocks of n, because one divisor census sweep per n serves
-every m.
+worker call each.  x-small-n, finite-window and conjecture take one m per
+part, because building one series per m and sharing it across all its
+n-checks dominates the cost.  y-nonneg's parts are blocks of n, and
+cross's are blocks of m, because one divisor census sweep per n serves
+every m of the part.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ CHECK_IDS = ("y-nonneg", "x-small-n", "finite-window", "conjecture", "cross")
 
 WINDOW_M = range(121)  # the finite window's fixed m range, 0 <= m <= 120
 Y_BLOCK = 256  # n per y-nonneg part
+CROSS_M_BLOCK = 8  # m per cross part
 
 
 class ResourceGuardError(RuntimeError):
@@ -84,11 +86,13 @@ class VerificationReport:
         return self
 
 
-def _guard(cfg: SweepConfig, slots: int) -> None:
-    if slots > RESOURCE_GUARD_SLOTS and not cfg.override_resource_guard:
+def guard(slots: int, override: bool) -> None:
+    """Refuse, unless overridden, work of more than RESOURCE_GUARD_SLOTS
+    coefficient slots and table entries."""
+    if slots > RESOURCE_GUARD_SLOTS and not override:
         raise ResourceGuardError(
             f"configuration implies ~{slots} coefficient slots and table entries "
-            f"(> {RESOURCE_GUARD_SLOTS}); pass the override flag to proceed"
+            f"(> {RESOURCE_GUARD_SLOTS}); override the resource guard to proceed"
         )
 
 
@@ -180,69 +184,82 @@ def _conjecture_worker(args):
 
 
 def _cross_worker(args):
-    """Series, divisor and lattice paths against each other for one m.
+    """Series, divisor and lattice paths against each other for m_lo <= m <= m_hi.
 
-    Each (m, n) takes one divisor census, and each region one lattice
-    sweep up to n_max; the lattice path enumerates points and never
+    Each n takes one divisor census sweep, which serves every m of the
+    block; each m takes one lattice count sweep and one figure pass per
+    region up to n_max.  The lattice path enumerates points and never
     reads the census.
     """
-    m, n_max = args
+    m_lo, m_hi, n_max = args
     out = []
+    ms = range(m_lo, m_hi + 1)
+    ys = [qseries.y_series(m, n_max).coeffs for m in ms]
+    zs = [qseries.z_series(m, n_max).coeffs for m in ms]
+    for n in range(1, n_max + 1):
+        runs = divisors.census_sweep(divisors.OddPartDecomposition.of(n), m_hi)
+        for lo, hi, c in runs:
+            yd, zd = c.y, c.z
+            for m in range(max(lo, m_lo), hi + 1):
+                y, z = ys[m - m_lo][n], zs[m - m_lo][n]
+                if yd != y:
+                    out.append((m, n, str(yd), f"divisor Y == series Y {y}"))
+                if zd != z:
+                    out.append((m, n, str(zd), f"divisor Z == series Z {z}"))
+                if zd < 0:
+                    out.append((m, n, str(zd), "Z^(m)(n) >= 0"))
+    del ys
+    jarnik_skips = sum(_cross_lattice(m, n_max, z, out) for m, z in zip(ms, zs))
+    return _capped(out), jarnik_skips
+
+
+def _cross_lattice(m: int, n_max: int, zs: tuple, out: list) -> int:
+    """The odd-k Z partial sums, and the lattice and analytic bound checks,
+    at one m; appends violations to out and returns the Jarnik skips."""
     jarnik_skips = 0
     xs = qseries.x_series(m, n_max)
-    ys = qseries.y_series(m, n_max)
-    zs = qseries.z_series(m, n_max)
+    z_acc_odd = 0
+    for n in range(1, n_max + 1, 2):
+        z_acc_odd += zs[n]
+        if z_acc_odd != xs[n]:
+            out.append((m, n, str(z_acc_odd), f"odd-k Z partial sum == series X {xs[n]}"))
     omega, omega_p = lattice.RegionKind.OMEGA, lattice.RegionKind.OMEGA_PRIME
     o_counts = lattice.count_sweep(omega, m, n_max)
     p_counts = lattice.count_sweep(omega_p, m, n_max)
-    z_acc_odd = 0
-    for n in range(1, n_max + 1):
-        c = divisors.census(m, n)
-        yd, zd = c.y, c.z
-        if yd != ys[n]:
-            out.append((m, n, str(yd), f"divisor Y == series Y {ys[n]}"))
-        if zd != zs[n]:
-            out.append((m, n, str(zd), f"divisor Z == series Z {zs[n]}"))
-        if zd < 0:
-            out.append((m, n, str(zd), "Z^(m)(n) >= 0"))
-        if n % 2 == 1:
-            z_acc_odd += zs[n]
-            if z_acc_odd != xs[n]:
-                out.append(
-                    (m, n, str(z_acc_odd), f"odd-k Z partial sum == series X {xs[n]}")
-                )
-        else:
-            mo, mp = o_counts[n], p_counts[n]
-            if mp.odd_y - mo.odd_y != xs[n]:
-                out.append(
-                    (m, n, str(mp.odd_y - mo.odd_y), f"lattice M2-M1 == series X {xs[n]}")
-                )
-            # each region's area is computed once, in its figures
-            fig_o = lattice.geometry_figures(lattice.RegionSpec(omega, m, n))
-            fig_p = lattice.geometry_figures(lattice.RegionSpec(omega_p, m, n))
-            for kind, cnt, fig in ((omega, mo, fig_o), (omega_p, mp, fig_p)):
-                if cnt.total == 0 or fig.length_bound < 1:
-                    jarnik_skips += 1
-                else:
-                    o = bounds.classify_strict(abs(cnt.total - fig.area), fig.length_bound)
-                    if o is not bounds.StrictOutcome.PASS:
-                        out.append(
-                            (m, n, f"|N-A|={abs(cnt.total - fig.area)!r}",
-                             f"Jarnik |N-A| < {fig.length_bound!r} [{o.value}]")
-                        )
-                if not lattice.parity_lemma_check(cnt, fig):
-                    out.append((m, n, kind.value, "parity bound |N/2-M| <= sup+1"))
-            m1_bound = lattice.m1_upper_bound(m, n, fig_o.area)
-            m2_bound = lattice.m2_lower_bound(m, n, fig_p.area)
-            if bounds.classify_strict(mo.odd_y, m1_bound) is not bounds.StrictOutcome.PASS:
-                out.append((m, n, str(mo.odd_y), "M1 < upper bound"))
-            if bounds.classify_strict(m2_bound, mp.odd_y) is not bounds.StrictOutcome.PASS:
-                out.append((m, n, str(mp.odd_y), "M2 > lower bound"))
-            if bounds.classify_strict(bounds.theorem2_lower_bound(m, n), xs[n]) is not bounds.StrictOutcome.PASS:
-                out.append((m, n, str(xs[n]), "X > (ln2/4)(n+1)-6sqrt(n+1)-m-2"))
-            if not bounds.m2_minus_m1_bound_check(m, n, m1_bound, m2_bound):
-                out.append((m, n, "bound-combination", "M2bound-M1bound >= theorem bound"))
-    return _capped(out), jarnik_skips
+    # each region's area is computed once per even n, in its figures
+    for n, fig_o, fig_p in zip(
+        range(2, n_max + 1, 2),
+        lattice.figure_sweep(omega, m, n_max),
+        lattice.figure_sweep(omega_p, m, n_max),
+    ):
+        mo, mp = o_counts[n], p_counts[n]
+        if mp.odd_y - mo.odd_y != xs[n]:
+            out.append(
+                (m, n, str(mp.odd_y - mo.odd_y), f"lattice M2-M1 == series X {xs[n]}")
+            )
+        for kind, cnt, fig in ((omega, mo, fig_o), (omega_p, mp, fig_p)):
+            if cnt.total == 0 or fig.length_bound < 1:
+                jarnik_skips += 1
+            else:
+                o = bounds.classify_strict(abs(cnt.total - fig.area), fig.length_bound)
+                if o is not bounds.StrictOutcome.PASS:
+                    out.append(
+                        (m, n, f"|N-A|={abs(cnt.total - fig.area)!r}",
+                         f"Jarnik |N-A| < {fig.length_bound!r} [{o.value}]")
+                    )
+            if not lattice.parity_lemma_check(cnt, fig):
+                out.append((m, n, kind.value, "parity bound |N/2-M| <= sup+1"))
+        m1_bound = lattice.m1_upper_bound(m, n, fig_o.area)
+        m2_bound = lattice.m2_lower_bound(m, n, fig_p.area)
+        if bounds.classify_strict(mo.odd_y, m1_bound) is not bounds.StrictOutcome.PASS:
+            out.append((m, n, str(mo.odd_y), "M1 < upper bound"))
+        if bounds.classify_strict(m2_bound, mp.odd_y) is not bounds.StrictOutcome.PASS:
+            out.append((m, n, str(mp.odd_y), "M2 > lower bound"))
+        if bounds.classify_strict(bounds.theorem2_lower_bound(m, n), xs[n]) is not bounds.StrictOutcome.PASS:
+            out.append((m, n, str(xs[n]), "X > (ln2/4)(n+1)-6sqrt(n+1)-m-2"))
+        if not bounds.m2_minus_m1_bound_check(m, n, m1_bound, m2_bound):
+            out.append((m, n, "bound-combination", "M2bound-M1bound >= theorem bound"))
+    return jarnik_skips
 
 
 def _note_empty_n_range(cfg: SweepConfig, rep: VerificationReport) -> None:
@@ -318,11 +335,17 @@ def _divisor_table_entries(cfg: SweepConfig) -> int:
     return (1 << bits) * bits // 4
 
 
+def _blocks(first: int, last: int, size: int, rest: int) -> list:
+    """(lo, hi, rest) for consecutive blocks lo..hi of size values from first to last."""
+    return [(lo, min(lo + size - 1, last), rest) for lo in range(first, last + 1, size)]
+
+
+def _m_blocks(cfg: SweepConfig) -> list:
+    return _blocks(0, cfg.m_max, CROSS_M_BLOCK, cfg.n_max)
+
+
 def _n_blocks(cfg: SweepConfig) -> list:
-    return [
-        (lo, min(lo + Y_BLOCK - 1, cfg.n_max), cfg.m_max)
-        for lo in range(1, cfg.n_max + 1, Y_BLOCK)
-    ]
+    return _blocks(1, cfg.n_max, Y_BLOCK, cfg.m_max)
 
 
 _CHECKS = {
@@ -349,7 +372,7 @@ _CHECKS = {
         post=_note_empty_n_range,
     ),
     "cross": _Check(
-        _cross_worker, _m_and_n_max,
+        _cross_worker, _m_blocks,
         "0<=m<={m_max}, 1<=n<={n_max}; bivariate order {bivariate_order}",
         lambda cfg: 3 * (cfg.m_max + 1) * (cfg.n_max + 1) + _divisor_table_entries(cfg)
         + (2 * cfg.bivariate_order + 1) * (cfg.bivariate_order + 1),
@@ -380,5 +403,5 @@ def run_checks(cfg: SweepConfig) -> list:
     has passed every one of them."""
     selected = [c for c in CHECK_IDS if c in cfg.checks]
     for c in selected:
-        _guard(cfg, _CHECKS[c].slots(cfg))
+        guard(_CHECKS[c].slots(cfg), cfg.override_resource_guard)
     return [_run_check(c, cfg) for c in selected]

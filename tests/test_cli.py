@@ -196,6 +196,33 @@ def test_resource_guard_weighs_the_divisor_table(run, monkeypatch):
     assert "slots" in err
 
 
+@pytest.mark.parametrize("argv, module, builder", [
+    (("coeff", "--family", "mc1", "--n-max", "1000000000"), qseries, "mc1_series"),
+    (("coeff", "--family", "z", "--m", "2", "--n-max", "1000000000"), qseries, "z_series"),
+    (("bounds", "--m-max", "1000000000"), bounds, "threshold_profile"),
+])
+def test_resource_guard_weighs_coeff_and_bounds(run, monkeypatch, argv, module, builder):
+    def must_not_build(*args):
+        raise AssertionError("the guard should stop the command before it builds")
+
+    monkeypatch.setattr(module, builder, must_not_build)
+    code, out, err = run(*argv)
+    assert code == 3
+    assert out == ""
+    assert "slots" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeff", "--family", "mc5", "--n-max", "20"),
+    ("bounds", "--m-max", "20"),
+])
+def test_env_overrides_the_guard_of_coeff_and_bounds(run, monkeypatch, argv):
+    monkeypatch.setattr(verify, "RESOURCE_GUARD_SLOTS", 10)
+    assert run(*argv)[0] == 3
+    monkeypatch.setenv("SPTCRANK_OVERRIDE_RESOURCE_GUARD", "1")
+    assert run(*argv)[0] == 0
+
+
 def test_verify_json_byte_identical_across_parallelism(run):
     argv = ["verify", "--check", "all", "--m-max", "2", "--n-max", "30",
             "--bivariate-order", "15", "--json"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from sptcrank import lattice
 from sptcrank.lattice import (
     DegenerateRegionError,
     LatticeCount,
@@ -17,6 +18,7 @@ from sptcrank.lattice import (
     area_omega_prime,
     count_region,
     count_sweep,
+    figure_sweep,
     geometry_figures,
     m1_upper_bound,
     m2_lower_bound,
@@ -181,6 +183,61 @@ def test_sweep_matches_count_region(kind, m):
     assert len(sweep) == 601
     for n, cnt in enumerate(sweep):
         assert cnt == count_region(RegionSpec(kind, m, n)), n
+
+
+def figures_reference(kind, m, n):
+    """The area, bound and vertex expressions, one transcription per region."""
+    s8 = math.sqrt(4 * m * m + 8 * (n + 1))
+    s12 = math.sqrt(4 * m * m + 12 * (n + 1))
+    if kind is RegionKind.OMEGA:
+        x2, x3 = (-2 * m + s8) / 8, (s12 - 2 * m) / 12
+        return (
+            area_omega(m, n), 3.6 * math.sqrt(n + 1), math.sqrt(2 * (n + 1)) / 4,
+            ((0.0, 2.0 * m), (x2, (n + 1) / (2 * x2)), (x3, (n + 1) / (2 * x3))),
+        )
+    x6, x7 = (s8 + 2 * m) / 8, (s12 + 2 * m) / 4
+    return (
+        area_omega_prime(m, n), 5.5 * math.sqrt(n + 1) + m,
+        math.sqrt(3 * (n + 1)) / 2 + m / 2,
+        ((m / 2, 0.0), (float(m), 0.0), (x6, (n + 1) / (2 * x6)), (x7, (n + 1) / (2 * x7))),
+    )
+
+
+@pytest.mark.parametrize("kind", REGIONS)
+@pytest.mark.parametrize("m", [0, 1, 7, 30, 120])
+def test_figure_sweep_matches_geometry_figures(kind, m):
+    """The figure pass gives geometry_figures' floats bit for bit at every
+    even n <= 2000, and both give the reference expressions' floats."""
+    sweep = list(figure_sweep(kind, m, 2000))
+    assert len(sweep) == 1000
+    for n, fig in zip(range(2, 2001, 2), sweep):
+        full = geometry_figures(RegionSpec(kind, m, n))
+        assert fig == (full.area, full.length_bound, full.x_extent_bound), n
+        assert (*fig, full.vertices) == figures_reference(kind, m, n), n
+
+
+@pytest.mark.parametrize("kind, roots", [
+    # x2 = 1/8 < x3 = 2: Omega's hyperbola vertices in the wrong order
+    (RegionKind.OMEGA, lambda m, n: (2 * m + 1.0, 2 * m + 24.0)),
+    # x6 = 3 > x7 = 1/4: Omega''s hyperbola vertices in the wrong order
+    (RegionKind.OMEGA_PRIME, lambda m, n: (24.0 - 2 * m, 1.0 - 2 * m)),
+])
+def test_figure_sweep_applies_the_ordering_guard(monkeypatch, kind, roots):
+    """Roots that put the hyperbola vertices out of order trip the guard in
+    the figure pass as in geometry_figures.  Swapping the true s8 and s12
+    cannot do it: x3 < x2 and x6 < x7 hold either way."""
+    monkeypatch.setattr(lattice, "_roots", roots)
+    with pytest.raises(DegenerateRegionError, match="vertex ordering collapsed"):
+        next(figure_sweep(kind, 1, 10))
+    with pytest.raises(DegenerateRegionError, match="vertex ordering collapsed"):
+        geometry_figures(RegionSpec(kind, 1, 10))
+
+
+def test_ordering_guard_fires_before_a_vertex_divides_by_zero():
+    """At m = 10^9, n = 22 the float x2 = (s8 - 2m)/8 cancels to 0.0 while
+    x3 > 0: the guard reports the collapse before y2 = (n+1)/(2*x2) is taken."""
+    with pytest.raises(DegenerateRegionError, match="m=1000000000, n=22"):
+        geometry_figures(RegionSpec(RegionKind.OMEGA, 10**9, 22))
 
 
 def test_sweep_of_empty_bound():

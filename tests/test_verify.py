@@ -104,40 +104,74 @@ def test_worker_pool_capped_at_the_number_of_parts(monkeypatch):
     assert [report_key(r) for r in pooled] == [report_key(r) for r in serial]
 
 
+def _poisoned(c):
+    return divisors.DivisorPairCensus(c.a1 + 1, c.a2, c.b1, c.b2)
+
+
 def test_census_corruption_is_caught(monkeypatch):
     """Poisoning the divisor census must surface as cross-check violations."""
-    real = divisors.census
+    real = divisors.census_sweep
 
-    def bad(m, n):
-        c = real(m, n)
-        if n == 15:
-            return divisors.DivisorPairCensus(c.a1 + 1, c.a2, c.b1, c.b2)
-        return c
+    def bad(dec, m_max):
+        runs = real(dec, m_max)
+        if dec.n == 15:
+            return [(lo, hi, _poisoned(c)) for lo, hi, c in runs]
+        return runs
 
-    monkeypatch.setattr(divisors, "census", bad)
+    monkeypatch.setattr(divisors, "census_sweep", bad)
     rep = run_checks(small_cfg(checks=("cross",)))[0]
     assert rep.status == "fail"
     assert any(v.n == 15 and "divisor Y" in v.expected for v in rep.violations)
 
 
-def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
-    """The cross worker reads each (m, n) census once and takes its lattice
-    counts from the sweep, never from count_region."""
-    calls = {"census": 0, "count_region": 0}
+def test_census_corruption_in_the_second_block_names_its_m(monkeypatch):
+    """A census poisoned at m = 9 only, an m of the second cross part, is
+    reported at m = 9 and at no other m."""
+    real = divisors.census_sweep
 
-    def counting(name, real):
+    def bad(dec, m_max):
+        runs = real(dec, m_max)
+        if dec.n != 15:
+            return runs
+        # one run per m, so that only m = 9's census is poisoned
+        return [
+            (m, m, _poisoned(c) if m == 9 else c)
+            for lo, hi, c in runs for m in range(lo, hi + 1)
+        ]
+
+    monkeypatch.setattr(divisors, "census_sweep", bad)
+    cfg = small_cfg(m_max=17, checks=("cross",))
+    second = verify._m_blocks(cfg)[1]
+    assert second[0] <= 9 <= second[1]
+    rep = run_checks(cfg)[0]
+    assert rep.status == "fail"
+    assert {v.m for v in rep.violations} == {9}
+    assert any(v.n == 15 and "divisor Y" in v.expected for v in rep.violations)
+
+
+def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
+    """Each cross part reads each n's censuses from one sweep for its whole
+    block of m, never from census, and takes its lattice counts from the
+    count sweep, never from count_region."""
+    calls = {"census": 0, "census_sweep": 0, "count_region": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(divisors, "census", counting("census", divisors.census))
-    monkeypatch.setattr(lattice, "count_region", counting("count_region", lattice.count_region))
-    n_max = 120
-    violations, skips = verify._cross_worker((3, n_max))
-    assert violations == [] and skips > 0
-    assert calls == {"census": n_max, "count_region": 0}
+    counting(divisors, "census")
+    counting(divisors, "census_sweep")
+    counting(lattice, "count_region")
+    cfg = small_cfg(m_max=17, n_max=120, checks=("cross",), bivariate_order=0)
+    assert len(verify._m_blocks(cfg)) == 3
+    rep = run_checks(cfg)[0]
+    assert rep.status == "pass" and rep.skips
+    assert calls == {"census": 0, "census_sweep": 3 * cfg.n_max, "count_region": 0}
 
 
 def test_cross_worker_computes_each_area_once_per_even_n(monkeypatch):
@@ -156,7 +190,7 @@ def test_cross_worker_computes_each_area_once_per_even_n(monkeypatch):
 
     counting("area_omega")
     counting("area_omega_prime")
-    violations, skips = verify._cross_worker((3, 120))
+    violations, skips = verify._cross_worker((3, 3, 120))
     assert violations == [] and skips > 0
     assert calls == {"area_omega": 60, "area_omega_prime": 60}
 
@@ -294,7 +328,7 @@ def test_resource_guard_trips_and_overrides():
     ok = SweepConfig(
         m_max=10**4, n_max=10**5, checks=("y-nonneg",), override_resource_guard=True
     )
-    verify._guard(ok, 10**12)  # does not raise
+    verify.guard(10**12, ok.override_resource_guard)  # does not raise
 
 
 @pytest.mark.parametrize("check", ("y-nonneg", "cross"))
@@ -304,7 +338,7 @@ def test_guard_weighs_the_divisor_table(check):
     cfg = SweepConfig(m_max=0, n_max=20_000_000, checks=(check,), bivariate_order=0)
     assert 3 * (cfg.n_max + 1) < verify.RESOURCE_GUARD_SLOTS
     with pytest.raises(ResourceGuardError):
-        verify._guard(cfg, verify._CHECKS[check].slots(cfg))
+        verify.guard(verify._CHECKS[check].slots(cfg), cfg.override_resource_guard)
 
 
 def test_divisor_table_entries_bound_the_table():
