@@ -21,6 +21,8 @@ LN2 = math.log(2.0)
 
 NEAR_TIE_SLACK = 1e-9
 
+THEOREM2_SQRT = 6  # theorem 2's sqrt(n+1) coefficient, above lattice's M1 + M2 ones
+
 
 class StrictOutcome(enum.Enum):
     PASS = "pass"
@@ -28,13 +30,16 @@ class StrictOutcome(enum.Enum):
     NEAR_TIE = "near-tie"
 
 
+def strictly_less(smaller: float, larger: float) -> bool:
+    """smaller < larger by more than the near-tie margin: classify_strict's PASS."""
+    return larger - smaller > NEAR_TIE_SLACK * max(1.0, abs(smaller), abs(larger))
+
+
 def classify_strict(smaller: float, larger: float) -> StrictOutcome:
     """Classify the strict inequality smaller < larger under the near-tie policy."""
-    scale = max(1.0, abs(smaller), abs(larger))
-    margin = larger - smaller
-    if margin > NEAR_TIE_SLACK * scale:
+    if strictly_less(smaller, larger):
         return StrictOutcome.PASS
-    if margin < -NEAR_TIE_SLACK * scale:
+    if larger - smaller < -NEAR_TIE_SLACK * max(1.0, abs(smaller), abs(larger)):
         return StrictOutcome.FAIL
     return StrictOutcome.NEAR_TIE
 
@@ -64,18 +69,22 @@ def threshold_profile(m: int) -> ThresholdProfile:
     return ThresholdProfile(m, fv, 20 * m, outcome is StrictOutcome.PASS)
 
 
+def theorem2_m_free(n: int, root: float) -> float:
+    """(ln2/4)*(n+1) - 6*root, theorem 2's bound before m, where root = sqrt(n+1)."""
+    return LN2 / 4 * (n + 1) - THEOREM2_SQRT * root
+
+
 def theorem2_lower_bound(m: int, n: int) -> float:
     """(ln2/4)*(n+1) - 6*sqrt(n+1) - m - 2; derived only for even n >= 2."""
     if n < 2 or n % 2 != 0:
         raise ValueError("the lower bound is derived only for even n >= 2")
     if m < 0:
         raise ValueError("m must be non-negative")
-    return LN2 / 4 * (n + 1) - 6 * math.sqrt(n + 1) - m - 2
+    return theorem2_m_free(n, math.sqrt(n + 1)) - m - 2
 
 
 def m2_minus_m1_bound_check(m: int, n: int, m1_bound: float, m2_bound: float) -> bool:
     """Re-verify the combination step: the Omega'/Omega bound difference
     m2_bound - m1_bound (lattice.m2_lower_bound, lattice.m1_upper_bound) must
     exceed the even-n lower bound on X^(m)(n); a near-tie fails."""
-    rhs = theorem2_lower_bound(m, n)
-    return classify_strict(rhs, m2_bound - m1_bound) is StrictOutcome.PASS
+    return strictly_less(theorem2_lower_bound(m, n), m2_bound - m1_bound)

@@ -18,7 +18,6 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
 
 
 class RegionKind(enum.Enum):
@@ -55,21 +54,16 @@ class GeometryFigures:
     vertices: tuple  # ((x, y), ...) in the region's conventional order
 
 
-class Figures(NamedTuple):
-    """A region's area and the two bounds that the lattice lemmas read."""
-
-    area: float
-    length_bound: float
-    x_extent_bound: float
+# sqrt(n+1) coefficients of the Jarnik length bounds of Omega and Omega' and
+# of the M1 and M2 bounds (tests/test_bounds.py checks how they are derived)
+OMEGA_LENGTH = 3.6
+OMEGA_PRIME_LENGTH = 5.5
+M1_SQRT = 2.2
+M2_SQRT = 3.7
 
 
 class DegenerateRegionError(ValueError):
     """Raised when the computed vertex ordering of a region collapses."""
-
-
-def _odd_count(lo: int, hi: int) -> int:
-    """Number of odd integers in [lo, hi]; assumes lo <= hi."""
-    return (hi + 1) // 2 - lo // 2
 
 
 def _columns(kind: RegionKind, m: int, n: int):
@@ -103,12 +97,13 @@ def count_region(spec: RegionSpec) -> LatticeCount:
     odd = 0
     for _, lo, hi in _columns(spec.kind, spec.m, spec.n):
         total += hi - lo + 1
-        odd += _odd_count(lo, hi)
+        odd += (hi + 1) // 2 - lo // 2  # the odd y in [lo, hi]
     return LatticeCount(total, odd)
 
 
-def count_sweep(kind: RegionKind, m: int, n_max: int) -> list:
-    """count_region(RegionSpec(kind, m, n)) for every 0 <= n <= n_max, at index n.
+def count_sweep(kind: RegionKind, m: int, n_max: int) -> tuple:
+    """(totals, odds): count_region(RegionSpec(kind, m, n))'s total and
+    odd_y at index n of each list, for every 0 <= n <= n_max.
 
     A point of the region at bound n_max lies in the region at bound n
     exactly when 2*x*y <= n.  So the points are enumerated once, each is
@@ -123,7 +118,7 @@ def count_sweep(kind: RegionKind, m: int, n_max: int) -> list:
             total[key] += 1
         for key in range(step * (lo | 1), step * hi + 1, 2 * step):  # odd y
             odd[key] += 1
-    return list(map(LatticeCount, accumulate(total), accumulate(odd)))
+    return list(accumulate(total)), list(accumulate(odd))
 
 
 def _roots(m: int, n: int) -> tuple:
@@ -153,63 +148,71 @@ def area_omega_prime(m: int, n: int, roots: tuple | None = None) -> float:
     """Closed-form area of Omega' in the 2m-parameterization; roots, when
     the caller has them, is _roots(m, n)."""
     s8, s12 = roots or _roots(m, n)
-    return (
-        0.5
-        * (n + 1)
-        * (
-            2 * m / (s12 + 2 * m)
-            - 2 * m / (s8 + 2 * m)
-            + math.log(2 * (s12 + 2 * m) / (s8 + 2 * m))
-        )
+    return 0.5 * (n + 1) * (
+        2 * m / (s12 + 2 * m) - 2 * m / (s8 + 2 * m) + math.log(2 * (s12 + 2 * m) / (s8 + 2 * m))
     )
 
 
-def _figures(kind: RegionKind, m: int, n: int) -> tuple:
-    """(Figures, (xa, xb)): the region's area and bounds, and the x of its two
-    vertices on the hyperbola, (x2, x3) for Omega and (x6, x7) for Omega'.
+def _hyperbola_xs(kind: RegionKind, m: int, n: int, roots: tuple) -> tuple:
+    """The x of the region's two vertices on the hyperbola, (x2, x3) for
+    Omega and (x6, x7) for Omega', from roots = _roots(m, n).
 
     Raises DegenerateRegionError when the floats give x3 > x2 or x7 < x6,
-    which exact arithmetic never does, before any vertex's y is computed.
+    which exact arithmetic never does, before any vertex's y or the area
+    is computed.
     """
-    roots = s8, s12 = _roots(m, n)
+    s8, s12 = roots
     if kind is RegionKind.OMEGA:
         xs = (s8 - 2 * m) / 8, (s12 - 2 * m) / 12
         if xs[1] > xs[0]:
-            raise DegenerateRegionError(
-                f"vertex ordering collapsed for Omega at m={m}, n={n}"
-            )
-        return Figures(
-            area_omega(m, n, roots), 3.6 * math.sqrt(n + 1), math.sqrt(2 * (n + 1)) / 4
-        ), xs
-    xs = (s8 + 2 * m) / 8, (s12 + 2 * m) / 4
-    if xs[1] < xs[0]:
-        raise DegenerateRegionError(
-            f"vertex ordering collapsed for Omega' at m={m}, n={n}"
+            raise DegenerateRegionError(f"vertex ordering collapsed for Omega at m={m}, n={n}")
+    else:
+        xs = (s8 + 2 * m) / 8, (s12 + 2 * m) / 4
+        if xs[1] < xs[0]:
+            raise DegenerateRegionError(f"vertex ordering collapsed for Omega' at m={m}, n={n}")
+    return xs
+
+
+def sqrt_terms(n: int) -> tuple:
+    """(n, sqrt(n+1), 3.6*sqrt(n+1), sqrt(2(n+1))/4, 5.5*sqrt(n+1),
+    sqrt(3(n+1))/2, 2.2*sqrt(n+1), 3.7*sqrt(n+1)): the m-free leading terms of
+    the figures and M1/M2 bounds; adding the m terms in order gives their floats."""
+    root = math.sqrt(n + 1)
+    return (
+        n, root, OMEGA_LENGTH * root, math.sqrt(2 * (n + 1)) / 4,
+        OMEGA_PRIME_LENGTH * root, math.sqrt(3 * (n + 1)) / 2, M1_SQRT * root, M2_SQRT * root,
+    )
+
+
+def figure_rows(m: int, terms):
+    """For each sqrt_terms(n) row of terms yield, after both ordering guards,
+    (n, area_o, length_o, extent_o, m1_bound, area_p, length_p, extent_p, m2_bound):
+    geometry_figures' numbers for Omega and Omega', and m1_upper_bound and
+    m2_lower_bound at those areas, as plain floats."""
+    omega, omega_p = RegionKind.OMEGA, RegionKind.OMEGA_PRIME
+    for n, _, length_o, extent_o, length_p, extent_p, m1_sqrt, m2_sqrt in terms:
+        roots = _roots(m, n)
+        _hyperbola_xs(omega, m, n, roots)
+        _hyperbola_xs(omega_p, m, n, roots)
+        area_o = area_omega(m, n, roots)
+        area_p = area_omega_prime(m, n, roots)
+        yield (
+            n, area_o, length_o, extent_o, area_o / 2 + m1_sqrt + 1,
+            area_p, length_p + m, extent_p + m / 2, area_p / 2 - m2_sqrt - m - 1,
         )
-    return Figures(
-        area_omega_prime(m, n, roots),
-        5.5 * math.sqrt(n + 1) + m,
-        math.sqrt(3 * (n + 1)) / 2 + m / 2,
-    ), xs
-
-
-def figure_sweep(kind: RegionKind, m: int, n_max: int):
-    """Yield the region's Figures at each even 2 <= n <= n_max, in order.
-
-    Each equals geometry_figures(RegionSpec(kind, m, n))'s first three
-    fields, without building the spec, the vertex list or the dataclass.
-    """
-    for n in range(2, n_max + 1, 2):
-        yield _figures(kind, m, n)[0]
 
 
 def geometry_figures(spec: RegionSpec) -> GeometryFigures:
     """Area, boundary-length bound, x-extent bound, and vertex list."""
     m, n = spec.m, spec.n
-    fig, xs = _figures(spec.kind, m, n)
+    roots = _roots(m, n)
+    xs = _hyperbola_xs(spec.kind, m, n, roots)
+    _, _, length_o, extent_o, length_p, extent_p, _, _ = sqrt_terms(n)
     if spec.kind is RegionKind.OMEGA:
+        fig = area_omega(m, n, roots), length_o, extent_o
         corners = ((0.0, 2.0 * m),)
     else:
+        fig = area_omega_prime(m, n, roots), length_p + m, extent_p + m / 2
         corners = ((m / 2, 0.0), (float(m), 0.0))
     on_hyperbola = tuple((x, (n + 1) / (2 * x)) for x in xs)
     return GeometryFigures(*fig, vertices=corners + on_hyperbola)
@@ -220,7 +223,7 @@ def m1_upper_bound(m: int, n: int, area: float) -> float:
     area/2 + 2.2*sqrt(n+1) + 1, where area = area_omega(m, n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return area / 2 + 2.2 * math.sqrt(n + 1) + 1
+    return area / 2 + M1_SQRT * math.sqrt(n + 1) + 1
 
 
 def m2_lower_bound(m: int, n: int, area: float) -> float:
@@ -228,12 +231,12 @@ def m2_lower_bound(m: int, n: int, area: float) -> float:
     area/2 - 3.7*sqrt(n+1) - m - 1, where area = area_omega_prime(m, n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return area / 2 - 3.7 * math.sqrt(n + 1) - m - 1
+    return area / 2 - M2_SQRT * math.sqrt(n + 1) - m - 1
 
 
 def parity_lemma_check(count: LatticeCount, fig) -> bool:
     """|total/2 - odd_y| <= x_extent_bound + 1 for a region's count and its
-    Figures or GeometryFigures.
+    GeometryFigures.
 
     The gap is |total - 2*odd_y| / 2, an exact integer divided once, so it
     is the correctly rounded float of the exact rational gap.

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -99,6 +98,8 @@ def guard(slots: int, override: bool) -> None:
 def _map_parts(worker, args, parallelism: int):
     if parallelism <= 1 or len(args) <= 1:
         return [worker(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=min(parallelism, len(args))) as ex:
         return list(ex.map(worker, args))
 
@@ -187,9 +188,10 @@ def _cross_worker(args):
     """Series, divisor and lattice paths against each other for m_lo <= m <= m_hi.
 
     Each n takes one divisor census sweep, which serves every m of the
-    block; each m takes one lattice count sweep and one figure pass per
-    region up to n_max.  The lattice path enumerates points and never
-    reads the census.
+    block; each m takes one lattice count sweep per region and one figure
+    pass up to n_max, and the figures' and bounds' terms that do not depend
+    on m are computed once per even n for the whole block.  The lattice
+    path enumerates points and never reads the census.
     """
     m_lo, m_hi, n_max = args
     out = []
@@ -209,13 +211,19 @@ def _cross_worker(args):
                 if zd < 0:
                     out.append((m, n, str(zd), "Z^(m)(n) >= 0"))
     del ys
-    jarnik_skips = sum(_cross_lattice(m, n_max, z, out) for m, z in zip(ms, zs))
+    terms = [lattice.sqrt_terms(n) for n in range(2, n_max + 1, 2)]
+    t2_free = [bounds.theorem2_m_free(n, root) for n, root, *_ in terms]
+    jarnik_skips = sum(
+        _cross_lattice(m, n_max, z, terms, t2_free, out) for m, z in zip(ms, zs)
+    )
     return _capped(out), jarnik_skips
 
 
-def _cross_lattice(m: int, n_max: int, zs: tuple, out: list) -> int:
+def _cross_lattice(m: int, n_max: int, zs: tuple, terms: list, t2_free: list, out: list) -> int:
     """The odd-k Z partial sums, and the lattice and analytic bound checks,
-    at one m; appends violations to out and returns the Jarnik skips."""
+    at one m; appends violations to out and returns the Jarnik skips.  terms
+    and t2_free are the part's lattice.sqrt_terms and bounds.theorem2_m_free
+    at each even n.  A comparison is classified only when it fails."""
     jarnik_skips = 0
     xs = qseries.x_series(m, n_max)
     z_acc_odd = 0
@@ -223,41 +231,36 @@ def _cross_lattice(m: int, n_max: int, zs: tuple, out: list) -> int:
         z_acc_odd += zs[n]
         if z_acc_odd != xs[n]:
             out.append((m, n, str(z_acc_odd), f"odd-k Z partial sum == series X {xs[n]}"))
+    less = bounds.strictly_less
     omega, omega_p = lattice.RegionKind.OMEGA, lattice.RegionKind.OMEGA_PRIME
-    o_counts = lattice.count_sweep(omega, m, n_max)
-    p_counts = lattice.count_sweep(omega_p, m, n_max)
-    # each region's area is computed once per even n, in its figures
-    for n, fig_o, fig_p in zip(
-        range(2, n_max + 1, 2),
-        lattice.figure_sweep(omega, m, n_max),
-        lattice.figure_sweep(omega_p, m, n_max),
-    ):
-        mo, mp = o_counts[n], p_counts[n]
-        if mp.odd_y - mo.odd_y != xs[n]:
-            out.append(
-                (m, n, str(mp.odd_y - mo.odd_y), f"lattice M2-M1 == series X {xs[n]}")
-            )
-        for kind, cnt, fig in ((omega, mo, fig_o), (omega_p, mp, fig_p)):
-            if cnt.total == 0 or fig.length_bound < 1:
+    o_totals, o_odds = lattice.count_sweep(omega, m, n_max)
+    p_totals, p_odds = lattice.count_sweep(omega_p, m, n_max)
+    for row, t2_n in zip(lattice.figure_rows(m, terms), t2_free):
+        n, area_o, length_o, extent_o, m1_bound, area_p, length_p, extent_p, m2_bound = row
+        mo, mp, x = o_odds[n], p_odds[n], xs[n]
+        if mp - mo != x:
+            out.append((m, n, str(mp - mo), f"lattice M2-M1 == series X {x}"))
+        for kind, total, odd, area, length, extent in (
+            (omega, o_totals[n], mo, area_o, length_o, extent_o),
+            (omega_p, p_totals[n], mp, area_p, length_p, extent_p),
+        ):
+            if total == 0 or length < 1:
                 jarnik_skips += 1
-            else:
-                o = bounds.classify_strict(abs(cnt.total - fig.area), fig.length_bound)
-                if o is not bounds.StrictOutcome.PASS:
-                    out.append(
-                        (m, n, f"|N-A|={abs(cnt.total - fig.area)!r}",
-                         f"Jarnik |N-A| < {fig.length_bound!r} [{o.value}]")
-                    )
-            if not lattice.parity_lemma_check(cnt, fig):
+            elif not less(abs(total - area), length):
+                o = bounds.classify_strict(abs(total - area), length)
+                out.append(
+                    (m, n, f"|N-A|={abs(total - area)!r}", f"Jarnik |N-A| < {length!r} [{o.value}]")
+                )
+            if not abs(total - 2 * odd) / 2 <= extent + 1:  # lattice.parity_lemma_check
                 out.append((m, n, kind.value, "parity bound |N/2-M| <= sup+1"))
-        m1_bound = lattice.m1_upper_bound(m, n, fig_o.area)
-        m2_bound = lattice.m2_lower_bound(m, n, fig_p.area)
-        if bounds.classify_strict(mo.odd_y, m1_bound) is not bounds.StrictOutcome.PASS:
-            out.append((m, n, str(mo.odd_y), "M1 < upper bound"))
-        if bounds.classify_strict(m2_bound, mp.odd_y) is not bounds.StrictOutcome.PASS:
-            out.append((m, n, str(mp.odd_y), "M2 > lower bound"))
-        if bounds.classify_strict(bounds.theorem2_lower_bound(m, n), xs[n]) is not bounds.StrictOutcome.PASS:
-            out.append((m, n, str(xs[n]), "X > (ln2/4)(n+1)-6sqrt(n+1)-m-2"))
-        if not bounds.m2_minus_m1_bound_check(m, n, m1_bound, m2_bound):
+        t2 = t2_n - m - 2  # bounds.theorem2_lower_bound(m, n)
+        if not less(mo, m1_bound):
+            out.append((m, n, str(mo), "M1 < upper bound"))
+        if not less(m2_bound, mp):
+            out.append((m, n, str(mp), "M2 > lower bound"))
+        if not less(t2, x):
+            out.append((m, n, str(x), "X > (ln2/4)(n+1)-6sqrt(n+1)-m-2"))
+        if not less(t2, m2_bound - m1_bound):
             out.append((m, n, "bound-combination", "M2bound-M1bound >= theorem bound"))
     return jarnik_skips
 

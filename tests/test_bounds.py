@@ -1,16 +1,20 @@
 """Threshold f(m), strict-inequality classification, even-n lower bound."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sptcrank import lattice, qseries
+from sptcrank import bounds, lattice, qseries
 from sptcrank.bounds import (
     LN2,
+    NEAR_TIE_SLACK,
     StrictOutcome,
     classify_strict,
     f_of_m,
     m2_minus_m1_bound_check,
+    strictly_less,
     theorem2_lower_bound,
     threshold_profile,
 )
@@ -110,3 +114,72 @@ def test_bound_combination_near_tie_fails():
     assert not m2_minus_m1_bound_check(m, n, 0.0, rhs)
     assert not m2_minus_m1_bound_check(m, n, 0.0, rhs + 4.8e-11)
     assert m2_minus_m1_bound_check(m, n, 0.0, rhs + 1e-6)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
+operand = st.one_of(st.integers(-10**12, 10**12), finite)
+
+
+@st.composite
+def near_pairs(draw):
+    """(smaller, larger) with larger - smaller within +-2e-9 relative of
+    zero, either operand an int or a float of either sign."""
+    smaller = draw(operand)
+    rel = draw(st.floats(-2 * NEAR_TIE_SLACK, 2 * NEAR_TIE_SLACK))
+    larger = smaller + rel * max(1.0, abs(smaller))
+    return smaller, draw(st.sampled_from((larger, round(larger))))
+
+
+def classify_reference(smaller, larger) -> str:
+    """The near-tie policy, transcribed on its own: margin against scale."""
+    scale = max(1.0, abs(smaller), abs(larger))
+    margin = larger - smaller
+    if margin > NEAR_TIE_SLACK * scale:
+        return "pass"
+    return "fail" if margin < -NEAR_TIE_SLACK * scale else "near-tie"
+
+
+@given(st.one_of(st.tuples(operand, operand), near_pairs()))
+@settings(max_examples=2000, deadline=None)
+def test_strictly_less_is_classify_strict_pass(pair):
+    """The hot loops' predicate is True exactly when classify_strict says
+    PASS, and both follow the policy's own transcription."""
+    expected = classify_reference(*pair)
+    assert classify_strict(*pair).value == expected
+    assert strictly_less(*pair) is (classify_strict(*pair) is StrictOutcome.PASS)
+    assert strictly_less(*pair) is (expected == "pass")
+
+
+def derivation_holds() -> bool:
+    """The constants of the M1, M2 and theorem 2 bounds follow from the
+    Jarnik and parity lemmas, in exact rationals over the floats as used:
+
+    - M1 <= N/2 + sqrt(2(n+1))/4 + 1 and N < A + 3.6 sqrt(n+1) give
+      M1 < A/2 + 2.2 sqrt(n+1) + 1 when 2.2 - 3.6/2 >= sqrt(2)/4;
+    - M2 >= N/2 - sqrt(3(n+1))/2 - m/2 - 1 and N > A - 5.5 sqrt(n+1) - m
+      give M2 > A/2 - 3.7 sqrt(n+1) - m - 1 when 3.7 - 5.5/2 >= sqrt(3)/2;
+    - M2 - M1 then exceeds theorem 2's bound when 2.2 + 3.7 < 6.
+    """
+    m1, m2 = Fraction(lattice.M1_SQRT), Fraction(lattice.M2_SQRT)
+    jo, jp = Fraction(lattice.OMEGA_LENGTH), Fraction(lattice.OMEGA_PRIME_LENGTH)
+    return (
+        m1 - jo / 2 >= 0 and (m1 - jo / 2) ** 2 >= Fraction(2, 16)
+        and m2 - jp / 2 >= 0 and (m2 - jp / 2) ** 2 >= Fraction(3, 4)
+        and m1 + m2 < Fraction(bounds.THEOREM2_SQRT)
+    )
+
+
+def test_bound_constants_follow_from_the_lemmas():
+    assert derivation_holds()
+
+
+@pytest.mark.parametrize("module, name, value", [
+    (lattice, "M1_SQRT", 2.1),
+    (lattice, "M2_SQRT", 3.5),
+    (lattice, "OMEGA_LENGTH", 3.7),
+    (lattice, "OMEGA_PRIME_LENGTH", 5.7),
+    (bounds, "THEOREM2_SQRT", 5.9),
+])
+def test_a_one_digit_change_breaks_the_derivation(monkeypatch, module, name, value):
+    monkeypatch.setattr(module, name, value)
+    assert not derivation_holds()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from sptcrank import lattice
+from sptcrank import bounds, lattice
 from sptcrank.lattice import (
     DegenerateRegionError,
     LatticeCount,
@@ -18,11 +18,12 @@ from sptcrank.lattice import (
     area_omega_prime,
     count_region,
     count_sweep,
-    figure_sweep,
+    figure_rows,
     geometry_figures,
     m1_upper_bound,
     m2_lower_bound,
     parity_lemma_check,
+    sqrt_terms,
 )
 
 REGIONS = (RegionKind.OMEGA, RegionKind.OMEGA_PRIME)
@@ -179,10 +180,10 @@ def test_jarnik_on_grid():
 @pytest.mark.parametrize("kind", REGIONS)
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 30])
 def test_sweep_matches_count_region(kind, m):
-    sweep = count_sweep(kind, m, 600)
-    assert len(sweep) == 601
-    for n, cnt in enumerate(sweep):
-        assert cnt == count_region(RegionSpec(kind, m, n)), n
+    totals, odds = count_sweep(kind, m, 600)
+    assert len(totals) == len(odds) == 601
+    for n in range(601):
+        assert LatticeCount(totals[n], odds[n]) == count_region(RegionSpec(kind, m, n)), n
 
 
 def figures_reference(kind, m, n):
@@ -203,17 +204,37 @@ def figures_reference(kind, m, n):
     )
 
 
+def even_terms(n_max):
+    return [sqrt_terms(n) for n in range(2, n_max + 1, 2)]
+
+
 @pytest.mark.parametrize("kind", REGIONS)
 @pytest.mark.parametrize("m", [0, 1, 7, 30, 120])
 def test_figure_sweep_matches_geometry_figures(kind, m):
     """The figure pass gives geometry_figures' floats bit for bit at every
     even n <= 2000, and both give the reference expressions' floats."""
-    sweep = list(figure_sweep(kind, m, 2000))
-    assert len(sweep) == 1000
-    for n, fig in zip(range(2, 2001, 2), sweep):
+    rows = list(figure_rows(m, even_terms(2000)))
+    assert [row[0] for row in rows] == list(range(2, 2001, 2))
+    part = slice(1, 4) if kind is RegionKind.OMEGA else slice(5, 8)
+    for row in rows:
+        n, fig = row[0], row[part]
         full = geometry_figures(RegionSpec(kind, m, n))
         assert fig == (full.area, full.length_bound, full.x_extent_bound), n
         assert (*fig, full.vertices) == figures_reference(kind, m, n), n
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 30, 120])
+def test_hoisted_bounds_match_the_single_point_functions(m):
+    """The figure pass's M1 and M2 bounds, and theorem 2's bound from its
+    m-free term, equal the single-point functions' floats at every even
+    n <= 2000."""
+    terms = even_terms(2000)
+    for (n, root, *_), row in zip(terms, figure_rows(m, terms)):
+        _, area_o, _, _, m1_bound, area_p, _, _, m2_bound = row
+        assert m1_bound == m1_upper_bound(m, n, area_omega(m, n)), n
+        assert m2_bound == m2_lower_bound(m, n, area_omega_prime(m, n)), n
+        assert (area_o, area_p) == (area_omega(m, n), area_omega_prime(m, n)), n
+        assert bounds.theorem2_m_free(n, root) - m - 2 == bounds.theorem2_lower_bound(m, n), n
 
 
 @pytest.mark.parametrize("kind, roots", [
@@ -223,12 +244,14 @@ def test_figure_sweep_matches_geometry_figures(kind, m):
     (RegionKind.OMEGA_PRIME, lambda m, n: (24.0 - 2 * m, 1.0 - 2 * m)),
 ])
 def test_figure_sweep_applies_the_ordering_guard(monkeypatch, kind, roots):
-    """Roots that put the hyperbola vertices out of order trip the guard in
-    the figure pass as in geometry_figures.  Swapping the true s8 and s12
-    cannot do it: x3 < x2 and x6 < x7 hold either way."""
+    """Roots that put one region's hyperbola vertices out of order trip its
+    guard in the figure pass, which guards both regions, as in
+    geometry_figures.  Swapping the true s8 and s12 cannot do it: x3 < x2
+    and x6 < x7 hold either way."""
     monkeypatch.setattr(lattice, "_roots", roots)
-    with pytest.raises(DegenerateRegionError, match="vertex ordering collapsed"):
-        next(figure_sweep(kind, 1, 10))
+    name = "Omega" if kind is RegionKind.OMEGA else "Omega'"
+    with pytest.raises(DegenerateRegionError, match=f"collapsed for {name} at m=1, n=2"):
+        next(figure_rows(1, even_terms(10)))
     with pytest.raises(DegenerateRegionError, match="vertex ordering collapsed"):
         geometry_figures(RegionSpec(kind, 1, 10))
 
@@ -242,7 +265,7 @@ def test_ordering_guard_fires_before_a_vertex_divides_by_zero():
 
 def test_sweep_of_empty_bound():
     for kind in REGIONS:
-        assert count_sweep(kind, 0, 0) == [LatticeCount(0, 0)]
+        assert count_sweep(kind, 0, 0) == ([0], [0])
 
 
 def test_parity_lemma_on_grid():

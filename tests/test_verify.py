@@ -1,7 +1,14 @@
 """Verifier orchestration: reports, determinism, negative paths, guard."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sptcrank
 from sptcrank import bivariate, divisors, lattice, qseries, verify
 from sptcrank.series import TruncatedSeries
 from sptcrank.verify import (
@@ -95,13 +102,25 @@ def test_worker_pool_capped_at_the_number_of_parts(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     checks = ("y-nonneg", "finite-window", "conjecture")
     pooled = run_checks(small_cfg(m_max=1, checks=checks, parallelism=5000))
     # y-nonneg's one n-block runs without a pool; 121 window m's; 2 conjecture m's
     assert asked == [len(verify.WINDOW_M), 2]
     serial = run_checks(small_cfg(m_max=1, checks=checks))
     assert [report_key(r) for r in pooled] == [report_key(r) for r in serial]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """A serial run never loads concurrent.futures or multiprocessing:
+    verify imports the pool only when it maps parts over one."""
+    src = str(Path(sptcrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, sptcrank.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def _poisoned(c):
@@ -193,6 +212,48 @@ def test_cross_worker_computes_each_area_once_per_even_n(monkeypatch):
     violations, skips = verify._cross_worker((3, 3, 120))
     assert violations == [] and skips > 0
     assert calls == {"area_omega": 60, "area_omega_prime": 60}
+
+
+def test_lattice_corruption_in_the_second_block_names_its_m_and_n(monkeypatch):
+    """An Omega' odd count poisoned at one (m, even n) of the second cross
+    part is reported as a lattice M2-M1 violation at exactly that point."""
+    real = lattice.count_sweep
+    m_bad, n_bad = 10, 40
+
+    def bad(kind, m, n_max):
+        totals, odds = real(kind, m, n_max)
+        if kind is lattice.RegionKind.OMEGA_PRIME and m == m_bad:
+            odds = odds[:n_bad] + [odds[n_bad] + 1] + odds[n_bad + 1:]
+        return totals, odds
+
+    monkeypatch.setattr(lattice, "count_sweep", bad)
+    cfg = small_cfg(m_max=17, n_max=60, checks=("cross",), bivariate_order=0)
+    second = verify._m_blocks(cfg)[1]
+    assert second[0] <= m_bad <= second[1]
+    rep = run_checks(cfg)[0]
+    assert rep.status == "fail"
+    lattice_x = [(v.m, v.n) for v in rep.violations if "lattice M2-M1 == series X" in v.expected]
+    assert lattice_x == [(m_bad, n_bad)]
+    assert {(v.m, v.n) for v in rep.violations} == {(m_bad, n_bad)}
+
+
+def test_jarnik_near_tie_is_reported_as_a_near_tie(monkeypatch):
+    """An Omega area within the near-tie margin of N - length at one point
+    fails the Jarnik check with classify_strict's "[near-tie]" text."""
+    m, n = 2, 50
+    total = lattice.count_region(lattice.RegionSpec(lattice.RegionKind.OMEGA, m, n)).total
+    length = lattice.OMEGA_LENGTH * (n + 1) ** 0.5
+    assert total > 0 and length >= 1
+    real = lattice.area_omega
+
+    def tied(m_, n_, roots=None):
+        return total - length * (1 + 1e-12) if (m_, n_) == (m, n) else real(m_, n_, roots)
+
+    monkeypatch.setattr(lattice, "area_omega", tied)
+    violations, _ = verify._cross_worker((0, 7, 60))
+    jarnik = [v for v in violations if v[3].startswith("Jarnik")]
+    assert [(v[0], v[1]) for v in jarnik] == [(m, n)]
+    assert jarnik[0][3].endswith("[near-tie]")
 
 
 def test_t_component_corruption_is_caught(monkeypatch):
