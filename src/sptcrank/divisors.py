@@ -4,17 +4,17 @@ This is the combinatorial computation path: each coefficient is obtained
 by enumerating factorizations (d1, d2) of the odd part of n and testing
 parity/size conditions on linear combinations of the factors.  It is
 independent of the q-series path and is cross-checked against it.  The
-divisors come from a sieved table shared by every m in the process.
-One loop reads each divisor pair once: `census` counts the pairs for one
-(m, n), and `census_sweep` for one n and every m up to a bound.  The
-verifier's y-nonneg and cross checks read only `census_sweep`, one call
-per n for all the m of their part.
+divisors of each odd part come by trial division to its square root; no
+table is kept.  One loop reads each divisor pair once: `census` counts
+the pairs for one (m, n), and `census_sweep` for one n and every m up to
+a bound.  The verifier's y-nonneg and cross checks read only
+`census_sweep`, one call per n for all the m of their part.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -65,24 +65,11 @@ class DivisorPairCensus:
         return self.b1 - self.a2
 
 
-@lru_cache(maxsize=None)
-def _odd_divisor_table(bits: int) -> tuple:
-    """The divisors of every odd N < 2^bits, ascending, at index N // 2.
-
-    The table for 2^bits extends the one for 2^(bits-1) by sieving the
-    odd N in [2^(bits-1), 2^bits): each odd d is entered at its odd
-    multiples there.  So every N is sieved once per process, and the
-    cached tables share their divisor tuples.
-    """
-    if bits == 0:
-        return ()
-    lo, hi = 1 << (bits - 1), 1 << bits
-    block = [[] for _ in range(hi // 2 - lo // 2)]
-    for d in range(1, hi, 2):
-        first = -(-lo // d) * d  # the first multiple of d at or above lo
-        for k in range(first if first % 2 else first + d, hi, 2 * d):
-            block[(k >> 1) - (lo >> 1)].append(d)
-    return _odd_divisor_table(bits - 1) + tuple(map(tuple, block))
+def _odd_divisors(n: int) -> list:
+    """The divisors of the odd n, ascending: the d <= sqrt(n) by trial
+    division, then their cofactors n // d in reverse, a square's root once."""
+    small = [d for d in range(1, math.isqrt(n) + 1, 2) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _tally(dec: OddPartDecomposition, top: int) -> tuple:
@@ -92,8 +79,7 @@ def _tally(dec: OddPartDecomposition, top: int) -> tuple:
     Returns ((#A1, #A2, #B1, #B2), keys): each set's number of odd v >= top,
     and the key 4*(v//2) + i for each odd positive v < top of the i-th set.
     """
-    odd = dec.odd_part
-    divs = _odd_divisor_table(odd.bit_length())[odd >> 1]
+    divs = _odd_divisors(dec.odd_part)
     p = 1 << dec.e
     q = 2 * p
     a1 = a2 = b1 = b2 = 0

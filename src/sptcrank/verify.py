@@ -87,10 +87,10 @@ class VerificationReport:
 
 def guard(slots: int, override: bool) -> None:
     """Refuse, unless overridden, work of more than RESOURCE_GUARD_SLOTS
-    coefficient slots and table entries."""
+    coefficient slots."""
     if slots > RESOURCE_GUARD_SLOTS and not override:
         raise ResourceGuardError(
-            f"configuration implies ~{slots} coefficient slots and table entries "
+            f"configuration implies ~{slots} coefficient slots "
             f"(> {RESOURCE_GUARD_SLOTS}); override the resource guard to proceed"
         )
 
@@ -322,20 +322,13 @@ class _Check(NamedTuple):
     worker: Callable  # one part's argument tuple -> (violation tuples, count)
     args: Callable  # cfg -> the parts' argument tuples
     range_desc: str  # report range text, formatted with the config's fields
-    slots: Callable  # cfg -> coefficient slots and table entries the guard weighs
+    slots: Callable  # cfg -> coefficient slots the guard weighs
     count_reason: str | None = None  # skip reason for the workers' summed count
     post: Callable | None = None  # (cfg, report) -> None, run after the sweep
 
 
 def _m_and_n_max(cfg: SweepConfig) -> list:
     return [(m, cfg.n_max) for m in range(cfg.m_max + 1)]
-
-
-def _divisor_table_entries(cfg: SweepConfig) -> int:
-    """The divisor table's size for every n <= n_max: it holds the divisors
-    of every odd N < 2^bits, at most 2^bits * bits / 4 of them once bits >= 5."""
-    bits = cfg.n_max.bit_length()
-    return (1 << bits) * bits // 4
 
 
 def _blocks(first: int, last: int, size: int, rest: int) -> list:
@@ -354,7 +347,7 @@ def _n_blocks(cfg: SweepConfig) -> list:
 _CHECKS = {
     "y-nonneg": _Check(
         _y_worker, _n_blocks, "0<=m<={m_max}, 1<=n<={n_max}",
-        lambda cfg: (cfg.m_max + 1) * (cfg.n_max + 1) + _divisor_table_entries(cfg),
+        lambda cfg: (cfg.m_max + 1) * (cfg.n_max + 1),
         post=_note_empty_n_range,
     ),
     "x-small-n": _Check(
@@ -377,7 +370,7 @@ _CHECKS = {
     "cross": _Check(
         _cross_worker, _m_blocks,
         "0<=m<={m_max}, 1<=n<={n_max}; bivariate order {bivariate_order}",
-        lambda cfg: 3 * (cfg.m_max + 1) * (cfg.n_max + 1) + _divisor_table_entries(cfg)
+        lambda cfg: 3 * (cfg.m_max + 1) * (cfg.n_max + 1)
         + (2 * cfg.bivariate_order + 1) * (cfg.bivariate_order + 1),
         count_reason="Jarnik hypothesis not met (empty region or length bound < 1)",
         post=_bivariate_slices,

@@ -181,15 +181,14 @@ def test_resource_guard_weighs_every_check_before_any_runs(run, monkeypatch):
     assert "slots" in err
 
 
-def test_resource_guard_weighs_the_divisor_table(run, monkeypatch):
-    # one m, so the grid is small; the table of divisors of every odd
-    # N < 2^25 (about 2 * 10^8 entries) is what must stop the check
-    def must_not_build(bits):
-        raise AssertionError("the guard should stop the check before the table")
+def test_resource_guard_weighs_grid_slots(run, monkeypatch):
+    # 100 * 1,000,001 = 100,000,100 coefficient slots, just over the guard
+    def must_not_sweep(dec, m_max):
+        raise AssertionError("the guard should stop the check before its sweep")
 
-    monkeypatch.setattr(verify.divisors, "_odd_divisor_table", must_not_build)
+    monkeypatch.setattr(verify.divisors, "census_sweep", must_not_sweep)
     code, out, err = run(
-        "verify", "--check", "y-nonneg", "--m-max", "0", "--n-max", "20000000"
+        "verify", "--check", "y-nonneg", "--m-max", "99", "--n-max", "1000000"
     )
     assert code == 3
     assert out == ""

@@ -1,12 +1,15 @@
 """Divisor-pair census path and its agreement with the series path."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sptcrank import lattice, qseries
+from sptcrank import lattice, qseries, verify
 from sptcrank.divisors import (
     DivisorPairCensus,
     OddPartDecomposition,
+    _odd_divisors,
     census,
     census_sweep,
     containment_violation,
@@ -93,6 +96,45 @@ def test_census_beyond_the_smallest_table(n):
         assert census(m, 2 * n) == census_by_trial_division(m, 2 * n)
 
 
+P, Q = 999983, 1000003  # the primes either side of 10^6
+
+
+def test_odd_divisors_match_brute_force():
+    for n in range(1, 5000, 2):
+        assert _odd_divisors(n) == [d for d in range(1, n + 1, 2) if n % d == 0], n
+
+
+@pytest.mark.parametrize("n, expected", [
+    (1, [1]),
+    (9, [1, 3, 9]),
+    (3**10, [3**k for k in range(11)]),
+    (P * P, [1, P, P * P]),
+    (P * Q, [1, P, Q, P * Q]),
+])
+def test_odd_divisors_of_squares_and_a_large_semiprime(n, expected):
+    # ascending, and a square's root appears once
+    assert _odd_divisors(n) == expected
+
+
+def test_census_far_beyond_any_table():
+    # a table of every odd N up to P * Q would hold ~5 * 10^11 rows
+    for n in (P * Q, 2 * P * Q):
+        for m in (0, (2 * Q - P) // 2, Q):
+            assert census(m, n) == census_by_trial_division(m, n), (m, n)
+
+
+def test_y_worker_holds_no_divisor_state():
+    # one y-nonneg part at n ~ 2^17; a table of every odd N < 2^18 takes ~30 MB
+    tracemalloc.start()
+    try:
+        violations, _ = verify._y_worker((2**17, 2**17 + 255, 120))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert violations == []
+    assert peak < 1 << 20
+
+
 def census_by_m(n: int, m_max: int) -> list:
     """census_sweep's runs for n, expanded to one census per m <= m_max."""
     out = []
@@ -118,6 +160,13 @@ def test_census_sweep_beyond_the_smallest_table(n):
             assert census_by_m(k, m_max) == [
                 census_by_trial_division(m, k) for m in range(m_max + 1)
             ]
+
+
+def test_census_vanishes_once_m_reaches_n():
+    # every value v is at most 2^(e+1) * N - 1 = 2n - 1 < 2m + 1 when m >= n
+    zero = DivisorPairCensus(0, 0, 0, 0)
+    for n in range(1, 401):
+        assert census_by_m(n, n + 3)[n:] == [zero] * 4, n
 
 
 def test_census_sweep_rejects_negative_m_max():

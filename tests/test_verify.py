@@ -393,19 +393,28 @@ def test_resource_guard_trips_and_overrides():
 
 
 @pytest.mark.parametrize("check", ("y-nonneg", "cross"))
-def test_guard_weighs_the_divisor_table(check):
-    # the grid is 2 * 10^7 values at most; the table of the divisors of
-    # every odd N < 2^25 is what the guard must refuse
-    cfg = SweepConfig(m_max=0, n_max=20_000_000, checks=(check,), bivariate_order=0)
-    assert 3 * (cfg.n_max + 1) < verify.RESOURCE_GUARD_SLOTS
-    with pytest.raises(ResourceGuardError):
+def test_guard_weighs_grid_slots(check):
+    # the weight is the grid's coefficient slots and nothing else
+    for m, n, b in ((0, 0, 0), (0, 20_000_000, 0), (7, 2400, 30), (120, 10**5, 3)):
+        cfg = SweepConfig(m_max=m, n_max=n, checks=(check,), bivariate_order=b)
+        grid = (m + 1) * (n + 1)
+        if check == "cross":
+            grid = 3 * grid + (2 * b + 1) * (b + 1)
+        assert verify._CHECKS[check].slots(cfg) == grid
+
+
+@pytest.mark.parametrize("check, m_max, n_max", [
+    ("y-nonneg", 99, 999_999),  # 100 * 10^6 = 10^8 slots
+    ("cross", 0, 33_333_332),  # 3 * 33,333,333 + 1 = 10^8 slots
+], ids=("y-nonneg", "cross"))
+def test_guard_boundary(check, m_max, n_max):
+    def weigh(n):
+        cfg = SweepConfig(m_max=m_max, n_max=n, checks=(check,), bivariate_order=0)
         verify.guard(verify._CHECKS[check].slots(cfg), cfg.override_resource_guard)
 
-
-def test_divisor_table_entries_bound_the_table():
-    for bits in range(5, 17):
-        entries = sum(map(len, divisors._odd_divisor_table(bits)))
-        assert entries <= verify._divisor_table_entries(SweepConfig(n_max=(1 << bits) - 1))
+    weigh(n_max)  # exactly the limit passes
+    with pytest.raises(ResourceGuardError):
+        weigh(n_max + 1)
 
 
 def test_elapsed_ms_recorded():
