@@ -247,6 +247,16 @@ def test_cross_json_byte_identical_across_parallelism(run):
         assert run(*argv, "--parallel", parallel) == (0, golden, ""), parallel
 
 
+def test_conjecture_json_byte_identical_across_parallelism(run):
+    """Every --parallel gives the golden bytes of the conjecture grid at m <= 17."""
+    argv = ["verify", "--check", "conjecture", "--m-max", "17", "--n-max", "300", "--json"]
+    golden = (Path(__file__).resolve().parent / "golden" / "conjecture-m17.json").read_text(
+        encoding="utf-8"
+    )
+    for parallel in ("1", "2", "3"):
+        assert run(*argv, "--parallel", parallel) == (0, golden, ""), parallel
+
+
 def test_timing_flag_populates_elapsed(run):
     code, out, _ = run(
         "verify", "--check", "y-nonneg", "--m-max", "2", "--n-max", "30",

@@ -27,6 +27,8 @@ INVOCATIONS = {
     # m <= 17 spans three cross parts of verify.CROSS_M_BLOCK = 8 m each
     "cross-check-m17": ["cross-check", "--m-max", "17", "--n-max", "300",
                         "--bivariate-order", "20"],
+    # the conjecture grid at m <= 17; test_cli checks it at --parallel 1, 2 and 3
+    "conjecture-m17": ["verify", "--check", "conjecture", "--m-max", "17", "--n-max", "300"],
     "coeff-mc1": ["coeff", "--family", "mc1", "--m", "-2", "--n-max", "12"],
     "coeff-x": ["coeff", "--family", "x", "--m", "1", "--n-max", "12"],
     "coeff-mc5": ["coeff", "--family", "mc5", "--m", "2", "--n-max", "12"],
