@@ -18,6 +18,16 @@ and each of those sums is a signed sum of terms q^a / (1 - q^b).  P2 comes
 from Euler's pentagonal-number recurrence in O(N^1.5) and is cached per
 order N; each series is then a signed sum of O(sqrt N) shifted copies of
 P2 / (1 - q^b), each built in O(N), so a series costs O(N^1.5) additions.
+
+mc_sweep builds both families for a block of consecutive m.  Every term's
+exponent a grows by exactly its modulus b per unit of m, and
+
+    q^(a+b) / (1 - q^b) = q^a / (1 - q^b) - q^a,
+
+so each step m -> m+1 subtracts P2 * sum s * q^a(m) over the terms with
+a(m) <= N: one shifted copy of P2 per term, with no division.  Terms only
+leave as m grows.  The block starts from the direct build, split into the
+first sums of X^(m) and Y^(m) and the shared Z^(m), which both families add.
 """
 
 from __future__ import annotations
@@ -67,18 +77,24 @@ def _z_terms(m: int, order: int):
     return _lambert_terms(order, lambda n: n * (n + 1) // 2 + m * n, lambda n: n, -1)
 
 
+def _x_lead_terms(m: int, order: int):
+    """The first sum of X^(m)'s inner difference: exponents n(3n+1)+2mn over 1-q^(2n)."""
+    return _lambert_terms(order, lambda n: n * (3 * n + 1) + 2 * m * n, lambda n: 2 * n, 1)
+
+
+def _y_lead_terms(m: int, order: int):
+    """The first sum of Y^(m): exponents n(n+1)+2mn over 1-q^(2n)."""
+    return _lambert_terms(order, lambda n: n * (n + 1) + 2 * m * n, lambda n: 2 * n, 1)
+
+
 def _c1_terms(m: int, order: int):
-    """The inner difference of X^(m): exponents n(3n+1)+2mn over 1-q^(2n), plus Z^(m)."""
-    yield from _lambert_terms(
-        order, lambda n: n * (3 * n + 1) + 2 * m * n, lambda n: 2 * n, 1
-    )
-    yield from _z_terms(m, order)
+    """The inner difference of X^(m): its first sum plus Z^(m)."""
+    return chain(_x_lead_terms(m, order), _z_terms(m, order))
 
 
 def _c5_terms(m: int, order: int):
-    """Y^(m): exponents n(n+1)+2mn over 1-q^(2n), plus Z^(m)."""
-    yield from _lambert_terms(order, lambda n: n * (n + 1) + 2 * m * n, lambda n: 2 * n, 1)
-    yield from _z_terms(m, order)
+    """Y^(m): its first sum plus Z^(m)."""
+    return chain(_y_lead_terms(m, order), _z_terms(m, order))
 
 
 def _lambert_series(terms, order: int) -> TruncatedSeries:
@@ -146,8 +162,9 @@ def _p2_kernel(order: int) -> tuple:
     return tuple(out)
 
 
-def _times_p2(terms, order: int) -> TruncatedSeries:
-    """P2 times the sum of s * q^a / (1 - q^b) over the terms, truncated at `order`.
+def _times_p2(terms, order: int) -> list:
+    """P2 times the sum of s * q^a / (1 - q^b) over the terms, truncated at
+    `order`, as a coefficient list.
 
     Each term adds s * q^a * P2/(1 - q^b): the kernel prefix of length
     order+1-a, summed cumulatively along each residue class mod b, shifted
@@ -161,17 +178,48 @@ def _times_p2(terms, order: int) -> TruncatedSeries:
         for r in range(0, b, 2 - b % 2):
             g[r::b] = accumulate(g[r::b])
         acc[a:] = map(add if s > 0 else sub, acc[a:], g)
-    return TruncatedSeries(order, tuple(acc))
+    return acc
+
+
+def _drop_leading(acc: list, terms, p2_even: tuple) -> None:
+    """Step acc from m to m+1: subtract P2 * s * q^a for each term (a, b, s) at m.
+
+    P2 vanishes at odd powers, so only acc[a], acc[a+2], ... change.
+    """
+    for a, _, s in terms:
+        acc[a::2] = map(sub if s > 0 else add, acc[a::2], p2_even)
 
 
 def mc1_series(m: int, order: int) -> TruncatedSeries:
     """Generating function of M_C1(m, .); symmetric in m, so |m| is used."""
-    return _times_p2(_c1_terms(abs(m), order), order)
+    return TruncatedSeries(order, tuple(_times_p2(_c1_terms(abs(m), order), order)))
 
 
 def mc5_series(m: int, order: int) -> TruncatedSeries:
     """Generating function of M_C5(m, .); symmetric in m, so |m| is used."""
-    return _times_p2(_c5_terms(abs(m), order), order)
+    return TruncatedSeries(order, tuple(_times_p2(_c5_terms(abs(m), order), order)))
+
+
+def mc_sweep(m_lo: int, m_hi: int, order: int):
+    """Yield (m, M_C1 series, M_C5 series) for each m_lo <= m <= m_hi.
+
+    The same series as mc1_series and mc5_series: m_lo is built directly,
+    and each later m by one step of the identity in the module docstring.
+    """
+    if m_lo < 0:
+        raise ValueError("m must be non-negative")
+    p2_even = _p2_kernel(order)[::2]
+    parts = (_x_lead_terms, _y_lead_terms, _z_terms)
+    x_lead, y_lead, z = (_times_p2(terms(m_lo, order), order) for terms in parts)
+    for m in range(m_lo, m_hi + 1):
+        if m > m_lo:
+            for acc, terms in zip((x_lead, y_lead, z), parts):
+                _drop_leading(acc, terms(m - 1, order), p2_even)
+        yield (
+            m,
+            TruncatedSeries(order, tuple(map(add, x_lead, z))),
+            TruncatedSeries(order, tuple(map(add, y_lead, z))),
+        )
 
 
 # -- finite T-series decomposition for the n <= 20m window -------------------

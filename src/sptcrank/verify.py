@@ -4,11 +4,13 @@ Each check sweeps a configured (m, n) grid, collects violations
 exhaustively (capped), and returns a deterministic report: identical
 configuration yields an identical violation list, sorted by (m, n),
 regardless of parallelism.  Each check splits its grid into parts, one
-worker call each.  x-small-n, finite-window and conjecture take one m per
-part, because building one series per m and sharing it across all its
-n-checks dominates the cost.  y-nonneg's parts are blocks of n, and
-cross's are blocks of m, because one divisor census sweep per n serves
-every m of the part.
+worker call each.  x-small-n and finite-window take one m per part,
+because building one series per m and sharing it across all its n-checks
+dominates the cost.  y-nonneg's parts are blocks of n, because one
+divisor census sweep per n serves every m of the part.  conjecture's and
+cross's parts are blocks of M_BLOCK m: conjecture builds a block's
+M_C1/M_C5 series in one qseries.mc_sweep, and cross takes one census
+sweep per n for the whole block.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ CHECK_IDS = ("y-nonneg", "x-small-n", "finite-window", "conjecture", "cross")
 
 WINDOW_M = range(121)  # the finite window's fixed m range, 0 <= m <= 120
 Y_BLOCK = 256  # n per y-nonneg part
-CROSS_M_BLOCK = 8  # m per cross part
+M_BLOCK = 8  # m per conjecture and cross part
 
 
 class ResourceGuardError(RuntimeError):
@@ -172,15 +174,15 @@ def _finite_window_worker(args):
 
 
 def _conjecture_worker(args):
-    m, n_max = args
+    """M_C1(m, n) >= 0 and M_C5(m, n) >= 0 for m_lo <= m <= m_hi, 1 <= n <= n_max."""
+    m_lo, m_hi, n_max = args
     out = []
-    c1 = qseries.mc1_series(m, n_max)
-    c5 = qseries.mc5_series(m, n_max)
-    for n in range(1, n_max + 1):
-        if c1[n] < 0:
-            out.append((m, n, str(c1[n]), "M_C1(m,n) >= 0"))
-        if c5[n] < 0:
-            out.append((m, n, str(c5[n]), "M_C5(m,n) >= 0"))
+    for m, c1, c5 in qseries.mc_sweep(m_lo, m_hi, n_max):
+        for n, v1, v5 in zip(range(1, n_max + 1), c1.coeffs[1:], c5.coeffs[1:]):
+            if v1 < 0:
+                out.append((m, n, str(v1), "M_C1(m,n) >= 0"))
+            if v5 < 0:
+                out.append((m, n, str(v5), "M_C5(m,n) >= 0"))
     return _capped(out), 0
 
 
@@ -284,21 +286,21 @@ def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:
     equals the univariate M_C1/M_C5 series and the z^-m slice, and every
     coefficient of both expansions, at every z-degree |m| <= order, is >= 0.
 
+    The univariate series come from qseries.mc_sweep, the builder the
+    conjecture check reads, so the product form checks every step of it.
     The z <-> 1/z symmetry is checked on the expansion itself because the
     univariate builders take |m|, so they cannot tell -m from m.
     """
     order = cfg.bivariate_order
     if order < 1:
         return
-    for family, univariate in (
-        (bivariate.FamilyId.C1, qseries.mc1_series),
-        (bivariate.FamilyId.C5, qseries.mc5_series),
-    ):
-        expansion = bivariate.spt_crank_bivariate(family, order)
-        name = family.value
-        for m in range(min(cfg.m_max, order) + 1):
+    families = (bivariate.FamilyId.C1, bivariate.FamilyId.C5)
+    expansions = [bivariate.spt_crank_bivariate(family, order) for family in families]
+    for m, *univariate in qseries.mc_sweep(0, min(cfg.m_max, order), order):
+        for family, expansion, series in zip(families, expansions, univariate):
+            name = family.value
             s = bivariate.extract_m(expansion, m).coeffs
-            if s != univariate(m, order).coeffs:
+            if s != series.coeffs:
                 rep.violations.append(
                     Violation(m, 0, f"bivariate {name} slice", f"equals m{name.lower()} series")
                 )
@@ -306,6 +308,8 @@ def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:
                 rep.violations.append(
                     Violation(m, 0, f"bivariate {name} slice at -m", "equals slice at +m")
                 )
+    for family, expansion in zip(families, expansions):
+        name = family.value
         rep.violations.extend(
             Violation(d, n, str(v), f"M_{name}(m,n) >= 0 on the bivariate expansion")
             for d, row in enumerate(expansion.rows, -order)
@@ -327,17 +331,13 @@ class _Check(NamedTuple):
     post: Callable | None = None  # (cfg, report) -> None, run after the sweep
 
 
-def _m_and_n_max(cfg: SweepConfig) -> list:
-    return [(m, cfg.n_max) for m in range(cfg.m_max + 1)]
-
-
 def _blocks(first: int, last: int, size: int, rest: int) -> list:
     """(lo, hi, rest) for consecutive blocks lo..hi of size values from first to last."""
     return [(lo, min(lo + size - 1, last), rest) for lo in range(first, last + 1, size)]
 
 
 def _m_blocks(cfg: SweepConfig) -> list:
-    return _blocks(0, cfg.m_max, CROSS_M_BLOCK, cfg.n_max)
+    return _blocks(0, cfg.m_max, M_BLOCK, cfg.n_max)
 
 
 def _n_blocks(cfg: SweepConfig) -> list:
@@ -363,7 +363,7 @@ _CHECKS = {
     # Only m >= 0 is built: negative m rest on M(-m,n) = M(m,n), which only
     # the cross check's bivariate checks test, for n <= --bivariate-order.
     "conjecture": _Check(
-        _conjecture_worker, _m_and_n_max, "|m|<={m_max}, 1<=n<={n_max}",
+        _conjecture_worker, _m_blocks, "|m|<={m_max}, 1<=n<={n_max}",
         lambda cfg: 2 * (cfg.m_max + 1) * (cfg.n_max + 1),
         post=_note_empty_n_range,
     ),

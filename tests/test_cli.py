@@ -248,7 +248,7 @@ def test_cross_json_byte_identical_across_parallelism(run):
 
 
 def test_conjecture_json_byte_identical_across_parallelism(run):
-    """Every --parallel gives the golden bytes of the conjecture grid at m <= 17."""
+    """m <= 17 spans three conjecture parts; every --parallel gives the golden bytes."""
     argv = ["verify", "--check", "conjecture", "--m-max", "17", "--n-max", "300", "--json"]
     golden = (Path(__file__).resolve().parent / "golden" / "conjecture-m17.json").read_text(
         encoding="utf-8"
@@ -365,10 +365,11 @@ def test_unexpected_error_exits_four(run, monkeypatch, module, name, exc, argv):
 
 
 def test_corrupted_series_is_verification_failure(run, monkeypatch):
-    def negative(m, order):
-        return TruncatedSeries(order, (-1,) * (order + 1))
+    def negative(m_lo, m_hi, order):
+        for m in range(m_lo, m_hi + 1):
+            yield m, TruncatedSeries(order, (-1,) * (order + 1)), qseries.mc5_series(m, order)
 
-    monkeypatch.setattr(qseries, "mc1_series", negative)
+    monkeypatch.setattr(qseries, "mc_sweep", negative)
     code, out, _ = run("verify", "--check", "conjecture", "--m-max", "1", "--n-max", "5")
     assert code == 1
     assert "conjecture: fail" in out

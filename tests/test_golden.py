@@ -24,10 +24,10 @@ INVOCATIONS = {
     "cross-check": ["cross-check"],
     "cross-check-n300": ["cross-check", "--m-max", "6", "--n-max", "300",
                          "--bivariate-order", "0"],
-    # m <= 17 spans three cross parts of verify.CROSS_M_BLOCK = 8 m each
+    # m <= 17 spans three parts of verify.M_BLOCK = 8 m each, in cross and
+    # in conjecture; test_cli checks both at --parallel 1, 2 and 3
     "cross-check-m17": ["cross-check", "--m-max", "17", "--n-max", "300",
                         "--bivariate-order", "20"],
-    # the conjecture grid at m <= 17; test_cli checks it at --parallel 1, 2 and 3
     "conjecture-m17": ["verify", "--check", "conjecture", "--m-max", "17", "--n-max", "300"],
     "coeff-mc1": ["coeff", "--family", "mc1", "--m", "-2", "--n-max", "12"],
     "coeff-x": ["coeff", "--family", "x", "--m", "1", "--n-max", "12"],

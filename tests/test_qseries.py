@@ -166,6 +166,32 @@ def test_mc_slices_vanish_below_their_shift():
         assert all(s5[n] == 0 for n in range(min(m + 1, 31)))
 
 
+@pytest.mark.parametrize("m_lo, m_hi, order", [
+    (0, 7, 60),
+    (8, 15, 60),
+    (5, 5, 40),
+    (3, 40, 30),  # m_hi > order: every term has dropped out by the end
+    (0, 4, 0),
+    (0, 4, 1),
+    (2, 6, 1),
+    (0, 20, 1000),
+])
+def test_mc_sweep_matches_the_direct_builds(m_lo, m_hi, order):
+    swept = list(qseries.mc_sweep(m_lo, m_hi, order))
+    assert [m for m, _, _ in swept] == list(range(m_lo, m_hi + 1))
+    for m, c1, c5 in swept:
+        assert (c1.order, c5.order) == (order, order)
+        assert c1.coeffs == mc1_series(m, order).coeffs, (m, order)
+        assert c5.coeffs == mc5_series(m, order).coeffs, (m, order)
+        if m >= order:  # M(m, n) = 0 for n <= m
+            assert c1.coeffs == c5.coeffs == (0,) * (order + 1)
+
+
+def test_mc_sweep_rejects_negative_m():
+    with pytest.raises(ValueError):
+        next(qseries.mc_sweep(-1, 3, 10))
+
+
 # -- per-term reference for the T-components and R2 -------------------------
 #
 # Each component written out as a sum of geometric terms over (1 - q^2),

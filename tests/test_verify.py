@@ -104,10 +104,10 @@ def test_worker_pool_capped_at_the_number_of_parts(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     checks = ("y-nonneg", "finite-window", "conjecture")
-    pooled = run_checks(small_cfg(m_max=1, checks=checks, parallelism=5000))
-    # y-nonneg's one n-block runs without a pool; 121 window m's; 2 conjecture m's
+    pooled = run_checks(small_cfg(m_max=9, checks=checks, parallelism=5000))
+    # y-nonneg's one n-block runs without a pool; 121 window m's; 2 conjecture m-blocks
     assert asked == [len(verify.WINDOW_M), 2]
-    serial = run_checks(small_cfg(m_max=1, checks=checks))
+    serial = run_checks(small_cfg(m_max=9, checks=checks))
     assert [report_key(r) for r in pooled] == [report_key(r) for r in serial]
 
 
@@ -321,13 +321,14 @@ def test_worker_violations_capped_report_unchanged(monkeypatch):
     """Workers keep at most VIOLATION_CAP violations each, and the report
     is still the first VIOLATION_CAP of all violations in (m, n) order."""
 
-    def failing(m, order):
-        return TruncatedSeries(order, (-1,) * (order + 1))
+    def failing(m_lo, m_hi, order):
+        for m in range(m_lo, m_hi + 1):
+            s = TruncatedSeries(order, (-1,) * (order + 1))
+            yield m, s, s
 
-    monkeypatch.setattr(qseries, "mc1_series", failing)
-    monkeypatch.setattr(qseries, "mc5_series", failing)
+    monkeypatch.setattr(qseries, "mc_sweep", failing)
     n_max = verify.VIOLATION_CAP + 200
-    chunk, _ = verify._conjecture_worker((1, n_max))
+    chunk, _ = verify._conjecture_worker((1, 1, n_max))
     assert len(chunk) == verify.VIOLATION_CAP
     assert chunk[:2] == [(1, 1, "-1", "M_C1(m,n) >= 0"), (1, 1, "-1", "M_C5(m,n) >= 0")]
     rep = run_checks(SweepConfig(m_max=2, n_max=n_max, checks=("conjecture",)))[0]
