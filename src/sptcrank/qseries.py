@@ -181,15 +181,6 @@ def _times_p2(terms, order: int) -> list:
     return acc
 
 
-def _drop_leading(acc: list, terms, p2_even: tuple) -> None:
-    """Step acc from m to m+1: subtract P2 * s * q^a for each term (a, b, s) at m.
-
-    P2 vanishes at odd powers, so only acc[a], acc[a+2], ... change.
-    """
-    for a, _, s in terms:
-        acc[a::2] = map(sub if s > 0 else add, acc[a::2], p2_even)
-
-
 def mc1_series(m: int, order: int) -> TruncatedSeries:
     """Generating function of M_C1(m, .); symmetric in m, so |m| is used."""
     return TruncatedSeries(order, tuple(_times_p2(_c1_terms(abs(m), order), order)))
@@ -212,9 +203,11 @@ def mc_sweep(m_lo: int, m_hi: int, order: int):
     parts = (_x_lead_terms, _y_lead_terms, _z_terms)
     x_lead, y_lead, z = (_times_p2(terms(m_lo, order), order) for terms in parts)
     for m in range(m_lo, m_hi + 1):
-        if m > m_lo:
+        if m > m_lo:  # subtract P2 * s * q^a for each term at m - 1
             for acc, terms in zip((x_lead, y_lead, z), parts):
-                _drop_leading(acc, terms(m - 1, order), p2_even)
+                for a, _, s in terms(m - 1, order):
+                    # P2 vanishes at odd powers: only acc[a], acc[a+2], ... change
+                    acc[a::2] = map(sub if s > 0 else add, acc[a::2], p2_even)
         yield (
             m,
             TruncatedSeries(order, tuple(map(add, x_lead, z))),
