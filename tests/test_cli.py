@@ -257,6 +257,19 @@ def test_conjecture_json_byte_identical_across_parallelism(run):
         assert run(*argv, "--parallel", parallel) == (0, golden, ""), parallel
 
 
+
+def test_window_checks_json_byte_identical_across_parallelism(run):
+    """The x-small-n check at m <= 17 and the finite window print their
+    golden bytes at every --parallel."""
+    golden = Path(__file__).resolve().parent / "golden"
+    for name, argv in (
+        ("x-small-n-m17", ["verify", "--check", "x-small-n", "--m-max", "17", "--json"]),
+        ("finite-window", ["finite-window", "--json"]),
+    ):
+        expected = (golden / f"{name}.json").read_text(encoding="utf-8")
+        for parallel in ("1", "2", "3"):
+            assert run(*argv, "--parallel", parallel) == (0, expected, ""), (name, parallel)
+
 def test_timing_flag_populates_elapsed(run):
     code, out, _ = run(
         "verify", "--check", "y-nonneg", "--m-max", "2", "--n-max", "30",

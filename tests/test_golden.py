@@ -29,6 +29,7 @@ INVOCATIONS = {
     "cross-check-m17": ["cross-check", "--m-max", "17", "--n-max", "300",
                         "--bivariate-order", "20"],
     "conjecture-m17": ["verify", "--check", "conjecture", "--m-max", "17", "--n-max", "300"],
+    "x-small-n-m17": ["verify", "--check", "x-small-n", "--m-max", "17"],
     "coeff-mc1": ["coeff", "--family", "mc1", "--m", "-2", "--n-max", "12"],
     "coeff-x": ["coeff", "--family", "x", "--m", "1", "--n-max", "12"],
     "coeff-mc5": ["coeff", "--family", "mc5", "--m", "2", "--n-max", "12"],
