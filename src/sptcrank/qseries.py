@@ -19,24 +19,28 @@ from Euler's pentagonal-number recurrence in O(N^1.5) and is cached per
 order N; each series is then a signed sum of O(sqrt N) shifted copies of
 P2 / (1 - q^b), each built in O(N), so a series costs O(N^1.5) additions.
 
-mc_sweep builds both families for a block of consecutive m.  Every term's
-exponent a grows by exactly its modulus b per unit of m, and
+The sweeps build a series for a block of consecutive m.  Every term
+s * q^a / (1 - q^b) of X^(m), Y^(m), Z^(m), T and the T-decomposition
+tables has an exponent a that grows by exactly its modulus b per unit of
+m, and
 
     q^(a+b) / (1 - q^b) = q^a / (1 - q^b) - q^a,
 
-so each step m -> m+1 subtracts P2 * sum s * q^a(m) over the terms with
-a(m) <= N: one shifted copy of P2 per term, with no division.  Terms only
-leave as m grows.  The block starts from the direct build, split into the
+so each step m -> m+1 subtracts s * q^a(m) for each term with a(m) <= N.
+Terms only leave as m grows.  A block starts from the direct build at its
+first m, and _sweep is the one stepping loop.  lambert_sweep steps the
+plain sums: one monomial per term, with no division.  mc_sweep steps their
+products with P2: one shifted copy of P2 per term.  It starts from the
 first sums of X^(m) and Y^(m) and the shared Z^(m), which both families add.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import accumulate, chain
+from functools import lru_cache, partial
+from itertools import accumulate, chain, islice, repeat
 from operator import add, sub
 
-from .series import TruncatedSeries, divide_by_one_minus_qk
+from .series import TruncatedSeries, divide_by_one_minus_qk, over_one_minus_qk
 
 
 def euler_product(offset: int, step: int, order: int) -> TruncatedSeries:
@@ -97,18 +101,22 @@ def _c5_terms(m: int, order: int):
     return chain(_y_lead_terms(m, order), _z_terms(m, order))
 
 
-def _lambert_series(terms, order: int) -> TruncatedSeries:
-    """sum of s * q^a / (1 - q^b) over the terms, truncated at `order`.
+def _lambert_list(terms, order: int) -> list:
+    """sum of s * q^a / (1 - q^b) over the terms, truncated at `order`, as
+    a coefficient list.
 
     The one loop that expands terms: X, Y, Z, T, the T-components and R2
-    all go through it.  A term whose step b exceeds the order is the
-    monomial s * q^a.
+    all go through it, directly or as a sweep's start.  A term whose step b
+    exceeds the order is the monomial s * q^a.
     """
     acc = [0] * (order + 1)
     for a, b, s in terms:
-        for e in range(a, order + 1, b):
-            acc[e] += s
-    return TruncatedSeries(order, tuple(acc))
+        acc[a::b] = map(add, acc[a::b], repeat(s))
+    return acc
+
+
+def _lambert_series(terms, order: int) -> TruncatedSeries:
+    return TruncatedSeries(order, tuple(_lambert_list(terms, order)))
 
 
 def y_series(m: int, order: int) -> TruncatedSeries:
@@ -191,23 +199,40 @@ def mc5_series(m: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(_times_p2(_c5_terms(abs(m), order), order)))
 
 
+def _sweep(sources, m_lo: int, m_hi: int, order: int, start, leave):
+    """Yield (m, lists) for each m_lo <= m <= m_hi, one coefficient list per
+    term source (m, order) -> terms.
+
+    The lists are start(terms, order) at m_lo.  Each later m is one step of
+    the identity in the module docstring: leave(acc, a, s) takes the term
+    s * q^a / (1 - q^b) at m - 1 down to the same term at m.  The next step
+    updates the lists in place.
+    """
+    if m_lo < 0:
+        raise ValueError("m must be non-negative")
+    accs = [start(terms(m_lo, order), order) for terms in sources]
+    for m in range(m_lo, m_hi + 1):
+        if m > m_lo:
+            for acc, terms in zip(accs, sources):
+                for a, _, s in terms(m - 1, order):
+                    leave(acc, a, s)
+        yield m, accs
+
+
 def mc_sweep(m_lo: int, m_hi: int, order: int):
     """Yield (m, M_C1 series, M_C5 series) for each m_lo <= m <= m_hi.
 
     The same series as mc1_series and mc5_series: m_lo is built directly,
     and each later m by one step of the identity in the module docstring.
     """
-    if m_lo < 0:
-        raise ValueError("m must be non-negative")
     p2_even = _p2_kernel(order)[::2]
-    parts = (_x_lead_terms, _y_lead_terms, _z_terms)
-    x_lead, y_lead, z = (_times_p2(terms(m_lo, order), order) for terms in parts)
-    for m in range(m_lo, m_hi + 1):
-        if m > m_lo:  # subtract P2 * s * q^a for each term at m - 1
-            for acc, terms in zip((x_lead, y_lead, z), parts):
-                for a, _, s in terms(m - 1, order):
-                    # P2 vanishes at odd powers: only acc[a], acc[a+2], ... change
-                    acc[a::2] = map(sub if s > 0 else add, acc[a::2], p2_even)
+
+    def leave(acc, a, s):  # subtract P2 * s * q^a
+        # P2 vanishes at odd powers: only acc[a], acc[a+2], ... change
+        acc[a::2] = map(sub if s > 0 else add, acc[a::2], p2_even)
+
+    sources = (_x_lead_terms, _y_lead_terms, _z_terms)
+    for m, (x_lead, y_lead, z) in _sweep(sources, m_lo, m_hi, order, _times_p2, leave):
         yield (
             m,
             TruncatedSeries(order, tuple(map(add, x_lead, z))),
@@ -239,15 +264,60 @@ T_ROWS = {
 }
 
 
+def _t_terms(m: int, order: int):
+    """T(q)'s numerator: the first 9 terms of X^(m)'s first sum and the first
+    19 of Z^(m)."""
+    return chain(islice(_x_lead_terms(m, order), 9), islice(_z_terms(m, order), 19))
+
+
+def _rows_terms(tables, m: int, order: int):
+    """Terms s * q^(alpha + beta*m) / (1 - q^b) of the named T_ROWS tables
+    whose exponent is at most the order."""
+    for name in tables:
+        for alpha, beta, b, s in T_ROWS[name]:
+            if (a := alpha + beta * m) <= order:
+                yield a, b, s
+
+
+# Term sources (m, order) -> terms (a, b, s), by name: the sums that
+# lambert_sweep steps and lambert_part builds.  X, T, the T-components and
+# R1 are numerators over (1 - q^2).
+LAMBERT_PARTS = {
+    "X": _c1_terms,
+    "Y": _c5_terms,
+    "Z": _z_terms,
+    "T": _t_terms,
+    "T-components": partial(_rows_terms, tuple(T_ROWS)),
+    "R1": partial(_rows_terms, ("T7", "T9", "Tprime")),
+}
+
+
+def lambert_part(name: str, m: int, order: int) -> list:
+    """The coefficient list of LAMBERT_PARTS[name] at m, built directly."""
+    return _lambert_list(LAMBERT_PARTS[name](m, order), order)
+
+
+def _drop_monomial(acc: list, a: int, s: int) -> None:
+    acc[a] -= s
+
+
+def lambert_sweep(parts, m_lo: int, m_hi: int, order: int):
+    """Yield (m, lists) for each m_lo <= m <= m_hi, lists[i] being
+    lambert_part(parts[i], m, order).
+
+    m_lo is built directly, and each later m by one step of the identity in
+    the module docstring, one monomial per term.  The next step updates the
+    lists in place.
+    """
+    sources = [LAMBERT_PARTS[name] for name in parts]
+    return _sweep(sources, m_lo, m_hi, order, _lambert_list, _drop_monomial)
+
+
 def t_series(m: int, order: int) -> TruncatedSeries:
     """The 9-term/19-term truncation of X^(m)'s defining double sum."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    terms = chain(
-        ((n * (3 * n + 1) + 2 * m * n, 2 * n, -1 if n % 2 else 1) for n in range(1, 10)),
-        ((n * (n + 1) // 2 + m * n, n, 1 if n % 2 else -1) for n in range(1, 20)),
-    )
-    return divide_by_one_minus_qk(_lambert_series(terms, order), 2)
+    return _over_q2(lambert_part("T", m, order))
 
 
 def _r2_extra(m: int) -> list:
@@ -262,51 +332,61 @@ def _r2_extra(m: int) -> list:
     ]
 
 
-def _table_series(rows, m: int, order: int, extra=()) -> TruncatedSeries:
-    """(sum of the rows at shift m, plus q^e for each e in extra) / (1 - q^2)."""
-    terms = chain(
-        ((alpha + beta * m, b, s) for alpha, beta, b, s in rows),
-        ((e, order + 1, 1) for e in extra),
-    )
-    return divide_by_one_minus_qk(_lambert_series(terms, order), 2)
+def r2_numerator(r1: list, m: int) -> list:
+    """R2's numerator from R1's coefficient list at the same m: a copy of it
+    plus q^e for each leftover exponent e within its order."""
+    out = list(r1)
+    for e in _r2_extra(m):
+        if e < len(out):
+            out[e] += 1
+    return out
+
+
+def _over_q2(coeffs: list) -> TruncatedSeries:
+    """coeffs / (1 - q^2), truncated where coeffs end."""
+    return TruncatedSeries(len(coeffs) - 1, over_one_minus_qk(coeffs, 2))
+
+
+def _table_series(tables, m: int, order: int) -> TruncatedSeries:
+    """(sum of the named T_ROWS tables at shift m) / (1 - q^2)."""
+    return _over_q2(_lambert_list(_rows_terms(tables, m, order), order))
 
 
 def t_components(m: int, order: int) -> TruncatedSeries:
     """T1 + T3 + T5 + T7 + T9 + T', built from all their rows at once."""
-    return _table_series(chain.from_iterable(T_ROWS.values()), m, order)
+    return _over_q2(lambert_part("T-components", m, order))
 
 
 def t1(m: int, order: int) -> TruncatedSeries:
-    return _table_series(T_ROWS["T1"], m, order)
+    return _table_series(("T1",), m, order)
 
 
 def t3(m: int, order: int) -> TruncatedSeries:
-    return _table_series(T_ROWS["T3"], m, order)
+    return _table_series(("T3",), m, order)
 
 
 def t5(m: int, order: int) -> TruncatedSeries:
-    return _table_series(T_ROWS["T5"], m, order)
+    return _table_series(("T5",), m, order)
 
 
 def t7(m: int, order: int) -> TruncatedSeries:
-    return _table_series(T_ROWS["T7"], m, order)
+    return _table_series(("T7",), m, order)
 
 
 def t9(m: int, order: int) -> TruncatedSeries:
-    return _table_series(T_ROWS["T9"], m, order)
+    return _table_series(("T9",), m, order)
 
 
 def tprime(m: int, order: int) -> TruncatedSeries:
-    return _table_series(T_ROWS["Tprime"], m, order)
+    return _table_series(("Tprime",), m, order)
 
 
 def r1(m: int, order: int) -> TruncatedSeries:
     """T7 + T9 + T'."""
-    return _table_series(T_ROWS["T7"] + T_ROWS["T9"] + T_ROWS["Tprime"], m, order)
+    return _over_q2(lambert_part("R1", m, order))
 
 
 def r2(m: int, order: int) -> TruncatedSeries:
     """R1 plus the leftover monomial groups from the T(q) rearrangement;
     nonnegative coefficient-wise for every m >= 0."""
-    rows = T_ROWS["T7"] + T_ROWS["T9"] + T_ROWS["Tprime"]
-    return _table_series(rows, m, order, _r2_extra(m))
+    return _over_q2(r2_numerator(lambert_part("R1", m, order), m))

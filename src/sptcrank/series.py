@@ -14,6 +14,7 @@ fabricate coefficients beyond its inputs' common valid prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 
@@ -104,18 +105,26 @@ def geometric_term(a: int, b: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(c))
 
 
-def divide_by_one_minus_qk(s: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Multiply by the geometric series 1/(1 - q^k) via an O(N) prefix recurrence.
+def over_one_minus_qk(coeffs, k: int) -> tuple:
+    """The coefficients coeffs[0..N] times 1/(1 - q^k), truncated at q^N.
 
-    Bit-identical to s * geometric_term(0, k, s.order); the identity is
-    out[n] = s[n] + out[n-k].
+    The one 1/(1 - q^k) pass: out[n] = coeffs[n] + out[n-k], a running sum
+    along each residue class mod k.
     """
     if k < 1:
         raise ValueError("geometric step must be positive")
-    out = list(s.coeffs)
-    for n in range(k, s.order + 1):
-        out[n] += out[n - k]
-    return TruncatedSeries(s.order, tuple(out))
+    out = list(coeffs)
+    for r in range(min(k, len(out))):
+        out[r::k] = accumulate(out[r::k])
+    return tuple(out)
+
+
+def divide_by_one_minus_qk(s: TruncatedSeries, k: int) -> TruncatedSeries:
+    """Multiply by the geometric series 1/(1 - q^k) via an O(N) prefix recurrence.
+
+    Bit-identical to s * geometric_term(0, k, s.order).
+    """
+    return TruncatedSeries(s.order, over_one_minus_qk(s.coeffs, k))
 
 
 def sum_series(terms: Iterable[TruncatedSeries], order: int) -> TruncatedSeries:

@@ -4,13 +4,15 @@ Each check sweeps a configured (m, n) grid, collects violations
 exhaustively (capped), and returns a deterministic report: identical
 configuration yields an identical violation list, sorted by (m, n),
 regardless of parallelism.  Each check splits its grid into parts, one
-worker call each.  x-small-n and finite-window take one m per part,
-because building one series per m and sharing it across all its n-checks
-dominates the cost.  y-nonneg's parts are blocks of n, because one
-divisor census sweep per n serves every m of the part.  conjecture's and
-cross's parts are blocks of M_BLOCK m: conjecture builds a block's
-M_C1/M_C5 series in one qseries.mc_sweep, and cross takes one census
-sweep per n for the whole block.
+worker call each.  y-nonneg's parts are blocks of n, because one divisor
+census sweep per n serves every m of the part.  The other checks' parts
+are blocks of M_BLOCK m, because building a series for a block of m in
+one sweep costs little more than building it for one m.  conjecture takes
+its M_C1/M_C5 series from one qseries.mc_sweep per block; x-small-n,
+finite-window and cross take theirs from one qseries.lambert_sweep, and
+cross takes one census sweep per n for the whole block.  x-small-n and
+finite-window compare the sweep's lists at each block's last m with a
+direct build of the same sums, so a wrong step cannot pass unseen.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import bivariate, bounds, divisors, lattice, qseries
+from .series import over_one_minus_qk
 
 TOOL_NAME = "sptcrank"
 TOOL_VERSION = "0.1.0"
@@ -32,7 +35,7 @@ CHECK_IDS = ("y-nonneg", "x-small-n", "finite-window", "conjecture", "cross")
 
 WINDOW_M = range(121)  # the finite window's fixed m range, 0 <= m <= 120
 Y_BLOCK = 256  # n per y-nonneg part
-M_BLOCK = 8  # m per conjecture and cross part
+M_BLOCK = 8  # m per part of the x-small-n, finite-window, conjecture and cross checks
 
 
 class ResourceGuardError(RuntimeError):
@@ -135,42 +138,63 @@ def _y_worker(args):
     return _capped(out), 0
 
 
+def _closure(parts: tuple, swept: list, m: int, order: int) -> list:
+    """A violation for each swept list at m that differs from lambert_part's
+    direct build of its part."""
+    return [
+        (m, 0, f"swept {name} series", "equals the direct build")
+        for name, acc in zip(parts, swept)
+        if acc != qseries.lambert_part(name, m, order)
+    ]
+
+
+_X_SMALL_PARTS = ("T", "X", "T-components", "R1")
+
+
 def _x_small_worker(args):
-    (m,) = args
+    """T == X, T == T1+T3+T5+T7+T9+T', R2 >= 0 and X >= 0 for
+    m_lo <= m <= m_hi and n <= 20m, from one sweep at order 20*m_hi."""
+    m_lo, m_hi = args
     out = []
-    order = 20 * m
-    if order < 1:
-        return out, 0
-    t = qseries.t_series(m, order)
-    x = qseries.x_series(m, order)
-    comp = qseries.t_components(m, order)
-    rem = qseries.r2(m, order)
-    for n in range(order + 1):
-        if t[n] != x[n]:
-            out.append((m, n, str(t[n]), f"T coefficient == X coefficient {x[n]}"))
-        if t[n] != comp[n]:
-            out.append(
-                (m, n, str(comp[n]), f"T1+T3+T5+T7+T9+T' == T coefficient {t[n]}")
-            )
-        if rem[n] < 0:
-            out.append((m, n, str(rem[n]), "R2 coefficient >= 0"))
-        if t[n] < 0:
-            out.append((m, n, str(t[n]), "X^(m)(n) >= 0 for n <= 20m"))
+    order = 20 * m_hi
+    for m, swept in qseries.lambert_sweep(_X_SMALL_PARTS, m_lo, m_hi, order):
+        k = 20 * m + 1
+        t, x, comp = (over_one_minus_qk(acc[:k], 2) for acc in swept[:3])
+        rem = over_one_minus_qk(qseries.r2_numerator(swept[3][:k], m), 2)
+        if t != x:
+            out += [(m, n, str(a), f"T coefficient == X coefficient {b}")
+                    for n, (a, b) in enumerate(zip(t, x)) if a != b]
+        if t != comp:
+            out += [(m, n, str(c), f"T1+T3+T5+T7+T9+T' == T coefficient {a}")
+                    for n, (a, c) in enumerate(zip(t, comp)) if a != c]
+        if min(rem) < 0:
+            out += [(m, n, str(c), "R2 coefficient >= 0") for n, c in enumerate(rem) if c < 0]
+        if min(t) < 0:
+            out += [(m, n, str(c), "X^(m)(n) >= 0 for n <= 20m")
+                    for n, c in enumerate(t) if c < 0]
+    out += _closure(_X_SMALL_PARTS, swept, m_hi, order)
     return _capped(out), 0
 
 
 def _finite_window_worker(args):
-    (m,) = args
+    """X >= 0 on 20m < n < f(m) for m_lo <= m <= m_hi, from one sweep of X
+    at the block's largest n; counts the values checked."""
+    m_lo, m_hi = args
     out = []
-    lo = 20 * m + 1
-    hi = math.ceil(bounds.f_of_m(m)) - 1  # the largest n < f(m)
-    if hi < lo:
-        return out, 0
-    x = qseries.x_series(m, hi)
-    for n in range(lo, hi + 1):
-        if x[n] < 0:
-            out.append((m, n, str(x[n]), "X^(m)(n) >= 0 on 20m < n < f(m)"))
-    return _capped(out), hi - lo + 1
+    his = [math.ceil(bounds.f_of_m(m)) - 1 for m in range(m_lo, m_hi + 1)]  # largest n < f(m)
+    order = max(his)
+    counted = 0
+    for (m, swept), hi in zip(qseries.lambert_sweep(("X",), m_lo, m_hi, order), his):
+        lo = 20 * m + 1
+        if hi < lo:
+            continue
+        counted += hi - lo + 1
+        x = over_one_minus_qk(swept[0][: hi + 1], 2)[lo:]
+        if min(x) < 0:
+            out += [(m, n, str(c), "X^(m)(n) >= 0 on 20m < n < f(m)")
+                    for n, c in enumerate(x, lo) if c < 0]
+    out += _closure(("X",), swept, m_hi, order)
+    return _capped(out), counted
 
 
 def _conjecture_worker(args):
@@ -198,8 +222,10 @@ def _cross_worker(args):
     m_lo, m_hi, n_max = args
     out = []
     ms = range(m_lo, m_hi + 1)
-    ys = [qseries.y_series(m, n_max).coeffs for m in ms]
-    zs = [qseries.z_series(m, n_max).coeffs for m in ms]
+    xs, ys, zs = zip(*(
+        (over_one_minus_qk(x, 2), tuple(y), tuple(z))
+        for _, (x, y, z) in qseries.lambert_sweep(("X", "Y", "Z"), m_lo, m_hi, n_max)
+    ))
     for n in range(1, n_max + 1):
         runs = divisors.census_sweep(divisors.OddPartDecomposition.of(n), m_hi)
         for lo, hi, c in runs:
@@ -216,18 +242,20 @@ def _cross_worker(args):
     terms = [lattice.sqrt_terms(n) for n in range(2, n_max + 1, 2)]
     t2_free = [bounds.theorem2_m_free(n, root) for n, root, *_ in terms]
     jarnik_skips = sum(
-        _cross_lattice(m, n_max, z, terms, t2_free, out) for m, z in zip(ms, zs)
+        _cross_lattice(m, n_max, x, z, terms, t2_free, out) for m, x, z in zip(ms, xs, zs)
     )
     return _capped(out), jarnik_skips
 
 
-def _cross_lattice(m: int, n_max: int, zs: tuple, terms: list, t2_free: list, out: list) -> int:
+def _cross_lattice(
+    m: int, n_max: int, xs: tuple, zs: tuple, terms: list, t2_free: list, out: list
+) -> int:
     """The odd-k Z partial sums, and the lattice and analytic bound checks,
-    at one m; appends violations to out and returns the Jarnik skips.  terms
-    and t2_free are the part's lattice.sqrt_terms and bounds.theorem2_m_free
-    at each even n.  A comparison is classified only when it fails."""
+    at one m; appends violations to out and returns the Jarnik skips.  xs
+    and zs are the coefficients of X^(m) and Z^(m) up to n_max; terms and
+    t2_free are the part's lattice.sqrt_terms and bounds.theorem2_m_free at
+    each even n.  A comparison is classified only when it fails."""
     jarnik_skips = 0
-    xs = qseries.x_series(m, n_max)
     z_acc_odd = 0
     for n in range(1, n_max + 1, 2):
         z_acc_odd += zs[n]
@@ -331,9 +359,9 @@ class _Check(NamedTuple):
     post: Callable | None = None  # (cfg, report) -> None, run after the sweep
 
 
-def _blocks(first: int, last: int, size: int, rest: int) -> list:
-    """(lo, hi, rest) for consecutive blocks lo..hi of size values from first to last."""
-    return [(lo, min(lo + size - 1, last), rest) for lo in range(first, last + 1, size)]
+def _blocks(first: int, last: int, size: int, *rest) -> list:
+    """(lo, hi, *rest) for consecutive blocks lo..hi of size values from first to last."""
+    return [(lo, min(lo + size - 1, last), *rest) for lo in range(first, last + 1, size)]
 
 
 def _m_blocks(cfg: SweepConfig) -> list:
@@ -351,12 +379,12 @@ _CHECKS = {
         post=_note_empty_n_range,
     ),
     "x-small-n": _Check(
-        _x_small_worker, lambda cfg: [(m,) for m in range(cfg.m_max + 1)],
+        _x_small_worker, lambda cfg: _blocks(0, cfg.m_max, M_BLOCK),
         "0<=m<={m_max}, n<=20m", lambda cfg: (cfg.m_max + 1) * (20 * cfg.m_max + 1),
     ),
     # The finite window's range is fixed, so no configuration can trip the guard.
     "finite-window": _Check(
-        _finite_window_worker, lambda cfg: [(m,) for m in WINDOW_M],
+        _finite_window_worker, lambda cfg: _blocks(WINDOW_M[0], WINDOW_M[-1], M_BLOCK),
         "0<=m<=120, 20m<n<f(m)", lambda cfg: 0,
         count_reason="values checked", post=_window_coverage,
     ),

@@ -24,8 +24,9 @@ INVOCATIONS = {
     "cross-check": ["cross-check"],
     "cross-check-n300": ["cross-check", "--m-max", "6", "--n-max", "300",
                          "--bivariate-order", "0"],
-    # m <= 17 spans three parts of verify.M_BLOCK = 8 m each, in cross and
-    # in conjecture; test_cli checks both at --parallel 1, 2 and 3
+    # m <= 17 spans three parts of verify.M_BLOCK = 8 m each, in cross, in
+    # conjecture and in x-small-n; test_cli checks all three, and the
+    # finite window's 16 blocks, at --parallel 1, 2 and 3
     "cross-check-m17": ["cross-check", "--m-max", "17", "--n-max", "300",
                         "--bivariate-order", "20"],
     "conjecture-m17": ["verify", "--check", "conjecture", "--m-max", "17", "--n-max", "300"],

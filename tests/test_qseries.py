@@ -357,3 +357,77 @@ def test_negative_m_rejected_by_builders():
     for fn in (x_series, y_series, z_series, x_inner_series, t_series):
         with pytest.raises(ValueError):
             fn(-1, 10)
+
+
+# -- lambert_sweep against the direct builds ---------------------------------
+
+
+def _over_q2(coeffs):
+    return divide_by_one_minus_qk(TruncatedSeries(len(coeffs) - 1, tuple(coeffs)), 2).coeffs
+
+
+SWEEP_DIRECT = {
+    "X": lambda m, order: x_series(m, order).coeffs,
+    "Y": lambda m, order: y_series(m, order).coeffs,
+    "Z": lambda m, order: z_series(m, order).coeffs,
+    "T": lambda m, order: t_series(m, order).coeffs,
+    "T-components": lambda m, order: qseries.t_components(m, order).coeffs,
+    "R1": lambda m, order: qseries.r1(m, order).coeffs,
+}
+
+
+@pytest.mark.parametrize("m_lo, m_hi, order", [
+    (0, 7, 60),
+    (8, 15, 160),
+    (5, 5, 40),
+    (0, 12, 200),  # T's and the tables' terms leave mid-block
+    (3, 40, 30),  # m_hi > order: every term has dropped out by the end
+    (0, 4, 0),
+    (0, 4, 1),
+    (2, 6, 1),
+])
+def test_lambert_sweep_matches_the_direct_builds(m_lo, m_hi, order):
+    parts = tuple(SWEEP_DIRECT)
+    swept = qseries.lambert_sweep(parts, m_lo, m_hi, order)
+    ms = []
+    for m, lists in swept:
+        ms.append(m)
+        for name, acc in zip(parts, lists):
+            assert len(acc) == order + 1
+            assert acc == qseries.lambert_part(name, m, order), (name, m)
+            got = acc if name in ("Y", "Z") else list(_over_q2(acc))
+            assert tuple(got) == SWEEP_DIRECT[name](m, order), (name, m)
+        r2 = _over_q2(qseries.r2_numerator(lists[parts.index("R1")], m))
+        assert r2 == qseries.r2(m, order).coeffs, m
+        assert r2 == ref_r2(m, order).coeffs, m
+    assert ms == list(range(m_lo, m_hi + 1))
+
+
+def test_lambert_sweep_terms_leave_mid_block():
+    """The (0, 12, 200) block above loses terms of T and of the tables at
+    some steps while it keeps others: it covers leaving terms."""
+    def count(name, m):
+        return sum(1 for _ in qseries.LAMBERT_PARTS[name](m, 200))
+
+    for name in ("T", "T-components", "R1", "X"):
+        counts = [count(name, m) for m in range(13)]
+        assert counts[0] > counts[-1] > 0, name
+
+
+def test_lambert_sweep_x_on_the_finite_window_scale():
+    for m, (acc,) in qseries.lambert_sweep(("X",), 0, 120, 2400):
+        assert _over_q2(acc) == x_series(m, 2400).coeffs, m
+
+
+def test_lambert_sweep_rejects_negative_m():
+    with pytest.raises(ValueError):
+        next(qseries.lambert_sweep(("X",), -1, 3, 10))
+
+
+def test_every_term_row_moves_by_its_modulus():
+    """lambert_sweep's step needs each row's exponent alpha + beta*m to grow
+    by exactly its modulus b per unit of m."""
+    broken = [
+        (name, row) for name, rows in qseries.T_ROWS.items() for row in rows if row[1] != row[2]
+    ]
+    assert broken == []

@@ -105,8 +105,10 @@ def test_worker_pool_capped_at_the_number_of_parts(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     checks = ("y-nonneg", "finite-window", "conjecture")
     pooled = run_checks(small_cfg(m_max=9, checks=checks, parallelism=5000))
-    # y-nonneg's one n-block runs without a pool; 121 window m's; 2 conjecture m-blocks
-    assert asked == [len(verify.WINDOW_M), 2]
+    # y-nonneg's one n-block runs without a pool; 16 window m-blocks; 2 conjecture m-blocks
+    window_blocks = len(range(0, len(verify.WINDOW_M), verify.M_BLOCK))
+    assert window_blocks == 16
+    assert asked == [window_blocks, 2]
     serial = run_checks(small_cfg(m_max=9, checks=checks))
     assert [report_key(r) for r in pooled] == [report_key(r) for r in serial]
 
@@ -264,6 +266,28 @@ def test_t_component_corruption_is_caught(monkeypatch):
     assert rep.status == "fail"
     assert any("T1+T3+T5" in v.expected for v in rep.violations)
 
+
+
+@pytest.mark.parametrize("check, part", [("x-small-n", "R1"), ("finite-window", "X")])
+def test_corrupted_sweep_is_caught_by_the_direct_build(monkeypatch, check, part):
+    """A sweep whose last list is off by one at its block's last m fails its
+    check with one violation per block, naming the part."""
+    real = qseries.lambert_sweep
+
+    def bad(parts, m_lo, m_hi, order):
+        for m, lists in real(parts, m_lo, m_hi, order):
+            if m == m_hi:
+                lists[-1][-1] += 1
+            yield m, lists
+
+    monkeypatch.setattr(qseries, "lambert_sweep", bad)
+    cfg = small_cfg(m_max=17, checks=(check,))
+    rep = run_checks(cfg)[0]
+    assert rep.status == "fail"
+    assert rep.violations == [
+        Violation(m_hi, 0, f"swept {part} series", "equals the direct build")
+        for _, m_hi in verify._CHECKS[check].args(cfg)
+    ]
 
 def test_bivariate_z_asymmetry_is_caught(monkeypatch):
     """An expansion whose z^-1 column differs from its z^1 column must fail
