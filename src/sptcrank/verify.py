@@ -138,7 +138,7 @@ def _y_worker(args):
     return _capped(out), 0
 
 
-def _closure(parts: tuple, swept: list, m: int, order: int) -> list:
+def _sweep_mismatches(parts: tuple, swept: list, m: int, order: int) -> list:
     """A violation for each swept list at m that differs from lambert_part's
     direct build of its part."""
     return [
@@ -172,7 +172,7 @@ def _x_small_worker(args):
         if min(t) < 0:
             out += [(m, n, str(c), "X^(m)(n) >= 0 for n <= 20m")
                     for n, c in enumerate(t) if c < 0]
-    out += _closure(_X_SMALL_PARTS, swept, m_hi, order)
+    out += _sweep_mismatches(_X_SMALL_PARTS, swept, m_hi, order)
     return _capped(out), 0
 
 
@@ -193,7 +193,7 @@ def _finite_window_worker(args):
         if min(x) < 0:
             out += [(m, n, str(c), "X^(m)(n) >= 0 on 20m < n < f(m)")
                     for n, c in enumerate(x, lo) if c < 0]
-    out += _closure(("X",), swept, m_hi, order)
+    out += _sweep_mismatches(("X",), swept, m_hi, order)
     return _capped(out), counted
 
 
