@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import sub
 
 LN2 = math.log(2.0)
 
@@ -33,6 +34,18 @@ class StrictOutcome(enum.Enum):
 def strictly_less(smaller: float, larger: float) -> bool:
     """smaller < larger by more than the near-tie margin: classify_strict's PASS."""
     return larger - smaller > NEAR_TIE_SLACK * max(1.0, abs(smaller), abs(larger))
+
+
+def all_strictly_less(smaller, larger) -> bool:
+    """all(map(strictly_less, smaller, larger)) for two lists, decided by
+    the least gap when it beats the margin of the largest magnitude, as
+    rounding keeps the order of products by NEAR_TIE_SLACK >= 0.  min may
+    skip a NaN gap, which fails its point; a NaN sum of the gaps catches it."""
+    gaps = list(map(sub, larger, smaller))
+    top = max(1.0, max(map(abs, smaller), default=0), max(map(abs, larger), default=0))
+    if min(gaps, default=1.0) > NEAR_TIE_SLACK * top and not math.isnan(sum(gaps)):
+        return True
+    return all(map(strictly_less, smaller, larger))
 
 
 def classify_strict(smaller: float, larger: float) -> StrictOutcome:

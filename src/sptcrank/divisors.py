@@ -6,15 +6,16 @@ parity/size conditions on linear combinations of the factors.  It is
 independent of the q-series path and is cross-checked against it.  The
 divisors of each odd part come by trial division to its square root; no
 table is kept.  One loop reads each divisor pair once: `census` counts
-the pairs for one (m, n), and `census_sweep` for one n and every m up to
-a bound.  The verifier's y-nonneg and cross checks read only
-`census_sweep`, one call per n for all the m of their part.
+the pairs for one (m, n), `census_sweep` for one n and every m up to a
+bound (the verifier's y-nonneg check), and `census_rows` for a block of m
+and every n up to a bound, one read per n (its cross check).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,31 @@ def census_sweep(dec: OddPartDecomposition, m_max: int) -> list:
         counts[key % 4] += 1
     runs.append((0, hi, DivisorPairCensus(*counts)))
     return runs[::-1]
+
+
+def census_rows(m_lo: int, m_hi: int, n_max: int) -> list:
+    """[(ys, zs), ...] for 0 <= m_lo <= m <= m_hi, with ys[n-1] ==
+    census(m, n).y and zs[n-1] == census(m, n).z for 1 <= n <= n_max.
+
+    One _tally per n at 2*m_hi+1 gives the row at m_hi.  A key at v // 2 == k
+    counts at every m <= k (see census_sweep), so the row at m is the row
+    at m+1 plus the keys at v // 2 == m."""
+    y_sign, z_sign = (1, -1, 1, -1), (0, -1, 1, 0)  # of #A1, #A2, #B1, #B2 in Y and Z
+    ys, zs = [], []
+    dys = [[0] * n_max for _ in range(m_lo, m_hi)]  # the keys' terms at m_lo..m_hi-1
+    dzs = [[0] * n_max for _ in range(m_lo, m_hi)]
+    for i in range(n_max):
+        (a1, a2, b1, b2), keys = _tally(OddPartDecomposition.of(i + 1), 2 * m_hi + 1)
+        ys.append(a1 + b1 - a2 - b2)
+        zs.append(b1 - a2)
+        for key in keys:
+            if key >> 2 >= m_lo:
+                dys[(key >> 2) - m_lo][i] += y_sign[key & 3]
+                dzs[(key >> 2) - m_lo][i] += z_sign[key & 3]
+    rows = [(ys, zs)]
+    for deltas in zip(reversed(dys), reversed(dzs)):
+        rows.append(tuple(list(map(add, row, d)) for row, d in zip(rows[-1], deltas)))
+    return rows[::-1]
 
 
 def containment_violation(c: DivisorPairCensus, e: int) -> str | None:

@@ -18,6 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import gt
 
 
 class RegionKind(enum.Enum):
@@ -121,100 +122,120 @@ def count_sweep(kind: RegionKind, m: int, n_max: int) -> tuple:
     return list(accumulate(total)), list(accumulate(odd))
 
 
-def _roots(m: int, n: int) -> tuple:
-    """s8 = sqrt(4m^2+8(n+1)) and s12 = sqrt(4m^2+12(n+1)), which every
-    vertex, area and ordering guard of the two regions reads from here.
+def _root_columns(m: int, ns) -> tuple:
+    """The columns of s8 = sqrt(4m^2+8(n+1)) and s12 = sqrt(4m^2+12(n+1))
+    over the n of ns, which every vertex, area and ordering guard of the two
+    regions reads from here.
 
     They satisfy (s8-2m)(s8+2m) = 8(n+1) and (s12-2m)(s12+2m) = 12(n+1).
     """
-    return math.sqrt(4 * m * m + 8 * (n + 1)), math.sqrt(4 * m * m + 12 * (n + 1))
+    return [math.sqrt(4 * m * m + 8 * (n + 1)) for n in ns], [
+        math.sqrt(4 * m * m + 12 * (n + 1)) for n in ns]
 
 
-def area_omega(m: int, n: int, roots: tuple | None = None) -> float:
-    """Closed-form area of Omega in the 2m-parameterization (no limit needed at m=0).
+def _omega_areas(m: int, ns, roots: tuple) -> list:
+    """Closed-form areas of Omega over the n of ns, from roots =
+    _root_columns(m, ns), in the 2m-parameterization (no limit needed at m=0).
 
     The triangle correction equals 2*x2^2 - 3*x3^2 =
     -(m/24)*(3*sqrt(4m^2+8(n+1)) - 2*sqrt(4m^2+12(n+1)) - 2m), which also
-    matches the t = (n+1)/m^2 form of the expression for m >= 1.  roots,
-    when the caller has them, is _roots(m, n).
+    matches the t = (n+1)/m^2 form of the expression for m >= 1.
     """
-    s8, s12 = roots or _roots(m, n)
-    return 0.5 * (n + 1) * math.log(3 * (s8 - 2 * m) / (2 * (s12 - 2 * m))) - (
-        m / 24.0
-    ) * (3 * s8 - 2 * s12 - 2 * m)
+    return [
+        0.5 * (n + 1) * math.log(3 * (s8 - 2 * m) / (2 * (s12 - 2 * m)))
+        - (m / 24.0) * (3 * s8 - 2 * s12 - 2 * m)
+        for n, s8, s12 in zip(ns, *roots)
+    ]
 
 
-def area_omega_prime(m: int, n: int, roots: tuple | None = None) -> float:
-    """Closed-form area of Omega' in the 2m-parameterization; roots, when
-    the caller has them, is _roots(m, n)."""
-    s8, s12 = roots or _roots(m, n)
-    return 0.5 * (n + 1) * (
-        2 * m / (s12 + 2 * m) - 2 * m / (s8 + 2 * m) + math.log(2 * (s12 + 2 * m) / (s8 + 2 * m))
-    )
-
-
-def _hyperbola_xs(kind: RegionKind, m: int, n: int, roots: tuple) -> tuple:
-    """The x of the region's two vertices on the hyperbola, (x2, x3) for
-    Omega and (x6, x7) for Omega', from roots = _roots(m, n).
-
-    Raises DegenerateRegionError when the floats give x3 > x2 or x7 < x6,
-    which exact arithmetic never does, before any vertex's y or the area
-    is computed.
-    """
-    s8, s12 = roots
-    if kind is RegionKind.OMEGA:
-        xs = (s8 - 2 * m) / 8, (s12 - 2 * m) / 12
-        if xs[1] > xs[0]:
-            raise DegenerateRegionError(f"vertex ordering collapsed for Omega at m={m}, n={n}")
-    else:
-        xs = (s8 + 2 * m) / 8, (s12 + 2 * m) / 4
-        if xs[1] < xs[0]:
-            raise DegenerateRegionError(f"vertex ordering collapsed for Omega' at m={m}, n={n}")
-    return xs
-
-
-def sqrt_terms(n: int) -> tuple:
-    """(n, sqrt(n+1), 3.6*sqrt(n+1), sqrt(2(n+1))/4, 5.5*sqrt(n+1),
-    sqrt(3(n+1))/2, 2.2*sqrt(n+1), 3.7*sqrt(n+1)): the m-free leading terms of
-    the figures and M1/M2 bounds; adding the m terms in order gives their floats."""
-    root = math.sqrt(n + 1)
-    return (
-        n, root, OMEGA_LENGTH * root, math.sqrt(2 * (n + 1)) / 4,
-        OMEGA_PRIME_LENGTH * root, math.sqrt(3 * (n + 1)) / 2, M1_SQRT * root, M2_SQRT * root,
-    )
-
-
-def figure_rows(m: int, terms):
-    """For each sqrt_terms(n) row of terms yield, after both ordering guards,
-    (n, area_o, length_o, extent_o, m1_bound, area_p, length_p, extent_p, m2_bound):
-    geometry_figures' numbers for Omega and Omega', and m1_upper_bound and
-    m2_lower_bound at those areas, as plain floats."""
-    omega, omega_p = RegionKind.OMEGA, RegionKind.OMEGA_PRIME
-    for n, _, length_o, extent_o, length_p, extent_p, m1_sqrt, m2_sqrt in terms:
-        roots = _roots(m, n)
-        _hyperbola_xs(omega, m, n, roots)
-        _hyperbola_xs(omega_p, m, n, roots)
-        area_o = area_omega(m, n, roots)
-        area_p = area_omega_prime(m, n, roots)
-        yield (
-            n, area_o, length_o, extent_o, area_o / 2 + m1_sqrt + 1,
-            area_p, length_p + m, extent_p + m / 2, area_p / 2 - m2_sqrt - m - 1,
+def _omega_prime_areas(m: int, ns, roots: tuple) -> list:
+    """Closed-form areas of Omega' over the n of ns, from roots =
+    _root_columns(m, ns), in the 2m-parameterization."""
+    return [
+        0.5 * (n + 1) * (
+            2 * m / (s12 + 2 * m) - 2 * m / (s8 + 2 * m)
+            + math.log(2 * (s12 + 2 * m) / (s8 + 2 * m))
         )
+        for n, s8, s12 in zip(ns, *roots)
+    ]
+
+
+def area_omega(m: int, n: int) -> float:
+    """Closed-form area of Omega."""
+    return _omega_areas(m, (n,), _root_columns(m, (n,)))[0]
+
+
+def area_omega_prime(m: int, n: int) -> float:
+    """Closed-form area of Omega'."""
+    return _omega_prime_areas(m, (n,), _root_columns(m, (n,)))[0]
+
+
+def _hyperbola_x_columns(kinds: tuple, m: int, ns, roots: tuple) -> list:
+    """For each kind of kinds, the columns over the n of ns of the x of the
+    region's two vertices on the hyperbola, (x2, x3) for Omega and (x6, x7)
+    for Omega', from roots = _root_columns(m, ns).  Raises
+    DegenerateRegionError when the floats give x3 > x2 or x7 < x6, which
+    exact arithmetic never does, at the first such n and at that n the
+    first such kind, before any vertex's y or area is computed."""
+    s8s, s12s = roots
+    cols = [
+        ([(s - 2 * m) / 8 for s in s8s], [(s - 2 * m) / 12 for s in s12s])
+        if kind is RegionKind.OMEGA
+        else ([(s + 2 * m) / 8 for s in s8s], [(s + 2 * m) / 4 for s in s12s])
+        for kind in kinds
+    ]
+    bad = [list(map(gt, *(c[::-1] if k is RegionKind.OMEGA else c))) for k, c in zip(kinds, cols)]
+    if any(map(any, bad)):
+        i = min(flags.index(True) for flags in bad if any(flags))
+        kind = next(k for k, flags in zip(kinds, bad) if flags[i])
+        name = "Omega" if kind is RegionKind.OMEGA else "Omega'"
+        raise DegenerateRegionError(f"vertex ordering collapsed for {name} at m={m}, n={ns[i]}")
+    return cols
+
+
+def sqrt_columns(ns) -> tuple:
+    """The columns over the n of ns of n, sqrt(n+1), 3.6*sqrt(n+1),
+    sqrt(2(n+1))/4, 5.5*sqrt(n+1), sqrt(3(n+1))/2, 2.2*sqrt(n+1) and
+    3.7*sqrt(n+1): the m-free leading terms of the figures and M1/M2 bounds;
+    adding the m terms in order gives their floats."""
+    roots = [math.sqrt(n + 1) for n in ns]
+    return (
+        ns, roots, [OMEGA_LENGTH * r for r in roots], [math.sqrt(2 * (n + 1)) / 4 for n in ns],
+        [OMEGA_PRIME_LENGTH * r for r in roots], [math.sqrt(3 * (n + 1)) / 2 for n in ns],
+        [M1_SQRT * r for r in roots], [M2_SQRT * r for r in roots],
+    )
+
+
+def figure_columns(m: int, terms: tuple) -> tuple:
+    """After both ordering guards, ((area, length, extent) of Omega, the same
+    of Omega', m1_bound, m2_bound): columns over the n of terms =
+    sqrt_columns(ns) of geometry_figures' numbers, and of m1_upper_bound and
+    m2_lower_bound at those areas, as plain floats."""
+    ns, _, length_o, extent_o, length_p, extent_p, m1_sqrt, m2_sqrt = terms
+    roots = _root_columns(m, ns)
+    _hyperbola_x_columns((RegionKind.OMEGA, RegionKind.OMEGA_PRIME), m, ns, roots)
+    area_o = _omega_areas(m, ns, roots)
+    area_p = _omega_prime_areas(m, ns, roots)
+    return (
+        (area_o, length_o, extent_o),
+        (area_p, [x + m for x in length_p], [x + m / 2 for x in extent_p]),
+        [a / 2 + s + 1 for a, s in zip(area_o, m1_sqrt)],
+        [a / 2 - s - m - 1 for a, s in zip(area_p, m2_sqrt)],
+    )
 
 
 def geometry_figures(spec: RegionSpec) -> GeometryFigures:
     """Area, boundary-length bound, x-extent bound, and vertex list."""
     m, n = spec.m, spec.n
-    roots = _roots(m, n)
-    xs = _hyperbola_xs(spec.kind, m, n, roots)
-    _, _, length_o, extent_o, length_p, extent_p, _, _ = sqrt_terms(n)
+    ((x_a,), (x_b,)), = _hyperbola_x_columns((spec.kind,), m, (n,), _root_columns(m, (n,)))
+    _, _, length_o, extent_o, length_p, extent_p, _, _ = (c[0] for c in sqrt_columns((n,)))
     if spec.kind is RegionKind.OMEGA:
-        fig = area_omega(m, n, roots), length_o, extent_o
+        fig = area_omega(m, n), length_o, extent_o
         corners = ((0.0, 2.0 * m),)
     else:
-        fig = area_omega_prime(m, n, roots), length_p + m, extent_p + m / 2
+        fig = area_omega_prime(m, n), length_p + m, extent_p + m / 2
         corners = ((m / 2, 0.0), (float(m), 0.0))
-    on_hyperbola = tuple((x, (n + 1) / (2 * x)) for x in xs)
+    on_hyperbola = tuple((x, (n + 1) / (2 * x)) for x in (x_a, x_b))
     return GeometryFigures(*fig, vertices=corners + on_hyperbola)
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, repeat
+from operator import le, lt, mul, not_, or_, sub, truediv
 from typing import Callable, NamedTuple
 
 from . import bivariate, bounds, divisors, lattice, qseries
@@ -213,85 +215,79 @@ def _conjecture_worker(args):
 def _cross_worker(args):
     """Series, divisor and lattice paths against each other for m_lo <= m <= m_hi.
 
-    Each n takes one divisor census sweep, which serves every m of the
-    block; each m takes one lattice count sweep per region and one figure
-    pass up to n_max, and the figures' and bounds' terms that do not depend
-    on m are computed once per even n for the whole block.  The lattice
-    path enumerates points and never reads the census.
+    Each check compares two columns over n at one m once, and words its
+    violations point by point only when the columns fail.  The census rows
+    come from one divisors.census_rows for the block, the lattice counts
+    from one count sweep per region and m, and the figures from one
+    lattice.figure_columns per m, whose m-free terms are computed once for
+    the block.  The lattice path enumerates points and never reads the
+    census.
     """
     m_lo, m_hi, n_max = args
     out = []
-    ms = range(m_lo, m_hi + 1)
-    xs, ys, zs = zip(*(
-        (over_one_minus_qk(x, 2), tuple(y), tuple(z))
-        for _, (x, y, z) in qseries.lambert_sweep(("X", "Y", "Z"), m_lo, m_hi, n_max)
-    ))
-    for n in range(1, n_max + 1):
-        runs = divisors.census_sweep(divisors.OddPartDecomposition.of(n), m_hi)
-        for lo, hi, c in runs:
-            yd, zd = c.y, c.z
-            for m in range(max(lo, m_lo), hi + 1):
-                y, z = ys[m - m_lo][n], zs[m - m_lo][n]
-                if yd != y:
-                    out.append((m, n, str(yd), f"divisor Y == series Y {y}"))
-                if zd != z:
-                    out.append((m, n, str(zd), f"divisor Z == series Z {z}"))
-                if zd < 0:
-                    out.append((m, n, str(zd), "Z^(m)(n) >= 0"))
-    del ys
-    terms = [lattice.sqrt_terms(n) for n in range(2, n_max + 1, 2)]
-    t2_free = [bounds.theorem2_m_free(n, root) for n, root, *_ in terms]
-    jarnik_skips = sum(
-        _cross_lattice(m, n_max, x, z, terms, t2_free, out) for m, x, z in zip(ms, xs, zs)
-    )
+    ns = range(1, n_max + 1)
+    terms = lattice.sqrt_columns(ns[1::2])
+    t2_free = list(map(bounds.theorem2_m_free, *terms[:2]))
+    jarnik_skips = 0
+    sweep = qseries.lambert_sweep(("X", "Y", "Z"), m_lo, m_hi, n_max)
+    for (m, (x, y, z)), (y_div, z_div) in zip(sweep, divisors.census_rows(m_lo, m_hi, n_max)):
+        xs = over_one_minus_qk(x, 2)
+        out += _unequal(m, ns, y_div, y[1:], "divisor Y == series Y")
+        out += _unequal(m, ns, z_div, z[1:], "divisor Z == series Z")
+        if min(z_div, default=0) < 0:
+            out += [(m, n, str(a), "Z^(m)(n) >= 0") for n, a in zip(ns, z_div) if a < 0]
+        z_odd = list(accumulate(z[1::2]))
+        out += _unequal(m, ns[::2], z_odd, list(xs[1::2]), "odd-k Z partial sum == series X")
+        jarnik_skips += _cross_lattice(m, n_max, xs, terms, t2_free, out)
     return _capped(out), jarnik_skips
 
 
-def _cross_lattice(
-    m: int, n_max: int, xs: tuple, zs: tuple, terms: list, t2_free: list, out: list
-) -> int:
-    """The odd-k Z partial sums, and the lattice and analytic bound checks,
-    at one m; appends violations to out and returns the Jarnik skips.  xs
-    and zs are the coefficients of X^(m) and Z^(m) up to n_max; terms and
-    t2_free are the part's lattice.sqrt_terms and bounds.theorem2_m_free at
-    each even n.  A comparison is classified only when it fails."""
+def _unequal(m: int, ns, got: list, want: list, text: str) -> list:
+    """A violation (m, n, got, "text want") at each n where the columns differ."""
+    if got == want:
+        return []
+    return [(m, n, str(a), f"{text} {b}") for n, a, b in zip(ns, got, want) if a != b]
+
+
+def _not_less(ns, smaller: list, larger: list) -> list:
+    """(n, smaller, larger) at each n where bounds.strictly_less fails."""
+    if bounds.all_strictly_less(smaller, larger):
+        return []
+    return [(n, a, b) for n, a, b in zip(ns, smaller, larger) if not bounds.strictly_less(a, b)]
+
+
+def _cross_lattice(m: int, n_max: int, xs: tuple, terms: tuple, t2_free: list, out: list) -> int:
+    """The lattice and analytic bound checks at one m and every even n, with
+    xs = X^(m) up to n_max and the part's columns terms = sqrt_columns and
+    t2_free = theorem2_m_free; appends to out, returns the Jarnik skips."""
+    ns = terms[0]
+    even = slice(2, n_max + 1, 2)
+    x = list(xs[even])
+    counts = [[c[even] for c in lattice.count_sweep(kind, m, n_max)] for kind in lattice.RegionKind]
+    (_, o_odds), (_, p_odds) = counts
+    *figures, m1_bound, m2_bound = lattice.figure_columns(m, terms)
+    out += _unequal(m, ns, list(map(sub, p_odds, o_odds)), x, "lattice M2-M1 == series X")
     jarnik_skips = 0
-    z_acc_odd = 0
-    for n in range(1, n_max + 1, 2):
-        z_acc_odd += zs[n]
-        if z_acc_odd != xs[n]:
-            out.append((m, n, str(z_acc_odd), f"odd-k Z partial sum == series X {xs[n]}"))
-    less = bounds.strictly_less
-    omega, omega_p = lattice.RegionKind.OMEGA, lattice.RegionKind.OMEGA_PRIME
-    o_totals, o_odds = lattice.count_sweep(omega, m, n_max)
-    p_totals, p_odds = lattice.count_sweep(omega_p, m, n_max)
-    for row, t2_n in zip(lattice.figure_rows(m, terms), t2_free):
-        n, area_o, length_o, extent_o, m1_bound, area_p, length_p, extent_p, m2_bound = row
-        mo, mp, x = o_odds[n], p_odds[n], xs[n]
-        if mp - mo != x:
-            out.append((m, n, str(mp - mo), f"lattice M2-M1 == series X {x}"))
-        for kind, total, odd, area, length, extent in (
-            (omega, o_totals[n], mo, area_o, length_o, extent_o),
-            (omega_p, p_totals[n], mp, area_p, length_p, extent_p),
-        ):
-            if total == 0 or length < 1:
-                jarnik_skips += 1
-            elif not less(abs(total - area), length):
-                o = bounds.classify_strict(abs(total - area), length)
-                out.append(
-                    (m, n, f"|N-A|={abs(total - area)!r}", f"Jarnik |N-A| < {length!r} [{o.value}]")
-                )
-            if not abs(total - 2 * odd) / 2 <= extent + 1:  # lattice.parity_lemma_check
-                out.append((m, n, kind.value, "parity bound |N/2-M| <= sup+1"))
-        t2 = t2_n - m - 2  # bounds.theorem2_lower_bound(m, n)
-        if not less(mo, m1_bound):
-            out.append((m, n, str(mo), "M1 < upper bound"))
-        if not less(m2_bound, mp):
-            out.append((m, n, str(mp), "M2 > lower bound"))
-        if not less(t2, x):
-            out.append((m, n, str(x), "X > (ln2/4)(n+1)-6sqrt(n+1)-m-2"))
-        if not less(t2, m2_bound - m1_bound):
-            out.append((m, n, "bound-combination", "M2bound-M1bound >= theorem bound"))
+    for kind, (totals, odds), (area, length, extent) in zip(lattice.RegionKind, counts, figures):
+        # Jarnik's bound needs a nonempty region and a length bound >= 1
+        met = list(map(not_, map(or_, map(not_, totals), map(lt, length, repeat(1)))))
+        jarnik_skips += len(met) - sum(met)
+        dev = list(map(abs, map(sub, totals, area)))
+        for n, d, bound in _not_less(*(list(compress(c, met)) for c in (ns, dev, length))):
+            o = bounds.classify_strict(d, bound)
+            out.append((m, n, f"|N-A|={d!r}", f"Jarnik |N-A| < {bound!r} [{o.value}]"))
+        # parity_lemma_check: abs(total - 2 * odd) / 2 <= extent + 1
+        gaps = list(map(truediv, map(abs, map(sub, totals, map(mul, odds, repeat(2)))), repeat(2)))
+        limits = [e + 1 for e in extent]
+        if not all(map(le, gaps, limits)):
+            out += [(m, n, kind.value, "parity bound |N/2-M| <= sup+1")
+                    for n, g, lim in zip(ns, gaps, limits) if not g <= lim]
+    t2 = [t - m - 2 for t in t2_free]  # bounds.theorem2_lower_bound(m, n)
+    out += [(m, n, str(a), "M1 < upper bound") for n, a, _ in _not_less(ns, o_odds, m1_bound)]
+    out += [(m, n, str(b), "M2 > lower bound") for n, _, b in _not_less(ns, m2_bound, p_odds)]
+    out += [(m, n, str(b), "X > (ln2/4)(n+1)-6sqrt(n+1)-m-2") for n, _, b in _not_less(ns, t2, x)]
+    for n, *_ in _not_less(ns, t2, list(map(sub, m2_bound, m1_bound))):
+        out.append((m, n, "bound-combination", "M2bound-M1bound >= theorem bound"))
     return jarnik_skips
 
 

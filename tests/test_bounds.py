@@ -11,6 +11,7 @@ from sptcrank.bounds import (
     LN2,
     NEAR_TIE_SLACK,
     StrictOutcome,
+    all_strictly_less,
     classify_strict,
     f_of_m,
     m2_minus_m1_bound_check,
@@ -148,6 +149,44 @@ def test_strictly_less_is_classify_strict_pass(pair):
     assert classify_strict(*pair).value == expected
     assert strictly_less(*pair) is (classify_strict(*pair) is StrictOutcome.PASS)
     assert strictly_less(*pair) is (expected == "pass")
+
+
+special = st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0))
+# smaller < larger with room to spare, so that whole columns pass
+wide = st.tuples(operand, st.floats(1e-6, 1e6)).map(
+    lambda p: (p[0], p[0] + p[1] * max(1.0, abs(p[0])))
+)
+odd_pair = st.one_of(
+    near_pairs(), st.tuples(operand, operand), st.tuples(special, operand),
+    st.tuples(operand, special), st.tuples(special, special),
+)
+
+
+@st.composite
+def column_pairs(draw):
+    """(smaller, larger) columns: mostly wide pairs, with NaN, infinities,
+    signed zeros, near-ties and arbitrary pairs at any position."""
+    pairs = draw(st.lists(wide, max_size=12))
+    for pair in draw(st.lists(odd_pair, max_size=3)):
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+@given(column_pairs())
+@settings(max_examples=800, deadline=None)
+def test_all_strictly_less_is_every_point_strictly_less(columns):
+    """The column predicate decides exactly as strictly_less at every point,
+    NaN anywhere in either column included."""
+    smaller, larger = columns
+    assert all_strictly_less(smaller, larger) is all(map(strictly_less, smaller, larger))
+
+
+def test_all_strictly_less_sees_a_nan_that_min_skips():
+    assert min([1.0, math.nan]) == 1.0
+    assert not all_strictly_less([0.0, 0.0], [1.0, math.nan])
+    assert not all_strictly_less([0.0, math.nan], [1.0, 2.0])
+    assert not all_strictly_less([0.0, -math.inf], [1.0, math.inf])
+    assert all_strictly_less([0.0, 1], [1.0, 2.5]) and all_strictly_less([], [])
 
 
 def derivation_holds() -> bool:

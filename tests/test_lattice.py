@@ -18,12 +18,12 @@ from sptcrank.lattice import (
     area_omega_prime,
     count_region,
     count_sweep,
-    figure_rows,
+    figure_columns,
     geometry_figures,
     m1_upper_bound,
     m2_lower_bound,
     parity_lemma_check,
-    sqrt_terms,
+    sqrt_columns,
 )
 
 REGIONS = (RegionKind.OMEGA, RegionKind.OMEGA_PRIME)
@@ -108,6 +108,49 @@ def test_area_difference_is_log2_band():
     for m, n in ((0, 50), (2, 300), (7, 1500)):
         diff = area_omega_prime(m, n) - area_omega(m, n)
         assert diff == pytest.approx((n + 1) * math.log(2) / 2, rel=1e-12)
+
+
+def recorded_radicands(monkeypatch, m, ns):
+    """The integers lattice._root_columns(m, ns) takes square roots of, as
+    (radicands of s8, radicands of s12), and the roots it returns."""
+    seen = []
+    real = math.sqrt
+    monkeypatch.setattr(math, "sqrt", lambda v: seen.append(v) or real(v))
+    roots = lattice._root_columns(m, ns)
+    monkeypatch.undo()
+    return (seen[:len(ns)], seen[len(ns):]), roots
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 30, 120, 1000])
+def test_area_identity_is_exact(monkeypatch, m):
+    """area_omega_prime - area_omega == (ln 2/2)(n+1) for every even n <= 2000.
+
+    The code's roots are square roots of integers R8 and R12 with
+    R8 - (2m)^2 = 8(n+1) and R12 - (2m)^2 = 12(n+1), so the conjugate
+    products (s8-2m)(s8+2m) and (s12-2m)(s12+2m) are 8(n+1) and 12(n+1):
+    the logs combine to ln 2 and the rational terms cancel.  A 50-digit
+    transcription of both areas satisfies the identity to 1e-40, and the
+    code's float areas equal it to 1e-9 (relative, at least 1 absolute),
+    so a changed coefficient in either area breaks the test.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    ns = range(2, 2001, 2)
+    (r8s, r12s), (s8s, s12s) = recorded_radicands(monkeypatch, m, ns)
+    for n, r8, r12, s8, s12 in zip(ns, r8s, r12s, s8s, s12s):
+        assert type(r8) is int and type(r12) is int
+        assert (r8 - (2 * m) ** 2, r12 - (2 * m) ** 2) == (8 * (n + 1), 12 * (n + 1)), n
+        assert (s8, s12) == (math.sqrt(r8), math.sqrt(r12)), n
+        t8, t12 = mp.sqrt(r8), mp.sqrt(r12)
+        a_o = (n + 1) * mp.log(3 * (t8 - 2 * m) / (2 * (t12 - 2 * m))) / 2 - (
+            mp.mpf(m) / 24 * (3 * t8 - 2 * t12 - 2 * m))
+        a_p = (n + 1) * (
+            2 * m / (t12 + 2 * m) - 2 * m / (t8 + 2 * m) + mp.log(2 * (t12 + 2 * m) / (t8 + 2 * m))
+        ) / 2
+        assert abs(a_p - a_o - mp.log(2) * (n + 1) / 2) < mp.mpf(10) ** -40 * (n + 1), n
+        for code, exact in ((area_omega(m, n), a_o), (area_omega_prime(m, n), a_p)):
+            assert abs(code - exact) <= 1e-9 * max(1, abs(exact)), n
 
 
 def test_vertices_lie_on_boundary():
@@ -205,55 +248,106 @@ def figures_reference(kind, m, n):
 
 
 def even_terms(n_max):
-    return [sqrt_terms(n) for n in range(2, n_max + 1, 2)]
+    return sqrt_columns(range(2, n_max + 1, 2))
 
 
 @pytest.mark.parametrize("kind", REGIONS)
 @pytest.mark.parametrize("m", [0, 1, 7, 30, 120])
 def test_figure_sweep_matches_geometry_figures(kind, m):
-    """The figure pass gives geometry_figures' floats bit for bit at every
+    """The figure columns give geometry_figures' floats bit for bit at every
     even n <= 2000, and both give the reference expressions' floats."""
-    rows = list(figure_rows(m, even_terms(2000)))
-    assert [row[0] for row in rows] == list(range(2, 2001, 2))
-    part = slice(1, 4) if kind is RegionKind.OMEGA else slice(5, 8)
-    for row in rows:
-        n, fig = row[0], row[part]
+    terms = even_terms(2000)
+    assert list(terms[0]) == list(range(2, 2001, 2))
+    cols = figure_columns(m, terms)[REGIONS.index(kind)]
+    for n, *fig in zip(terms[0], *cols):
         full = geometry_figures(RegionSpec(kind, m, n))
-        assert fig == (full.area, full.length_bound, full.x_extent_bound), n
+        assert tuple(fig) == (full.area, full.length_bound, full.x_extent_bound), n
         assert (*fig, full.vertices) == figures_reference(kind, m, n), n
 
 
 @pytest.mark.parametrize("m", [0, 1, 7, 30, 120])
 def test_hoisted_bounds_match_the_single_point_functions(m):
-    """The figure pass's M1 and M2 bounds, and theorem 2's bound from its
+    """The figure columns' M1 and M2 bounds, and theorem 2's bound from its
     m-free term, equal the single-point functions' floats at every even
     n <= 2000."""
     terms = even_terms(2000)
-    for (n, root, *_), row in zip(terms, figure_rows(m, terms)):
-        _, area_o, _, _, m1_bound, area_p, _, _, m2_bound = row
-        assert m1_bound == m1_upper_bound(m, n, area_omega(m, n)), n
-        assert m2_bound == m2_lower_bound(m, n, area_omega_prime(m, n)), n
-        assert (area_o, area_p) == (area_omega(m, n), area_omega_prime(m, n)), n
+    (area_o, _, _), (area_p, _, _), m1_bound, m2_bound = figure_columns(m, terms)
+    for n, root, a_o, m1, a_p, m2 in zip(*terms[:2], area_o, m1_bound, area_p, m2_bound):
+        assert m1 == m1_upper_bound(m, n, area_omega(m, n)), n
+        assert m2 == m2_lower_bound(m, n, area_omega_prime(m, n)), n
+        assert (a_o, a_p) == (area_omega(m, n), area_omega_prime(m, n)), n
         assert bounds.theorem2_m_free(n, root) - m - 2 == bounds.theorem2_lower_bound(m, n), n
 
 
 @pytest.mark.parametrize("kind, roots", [
     # x2 = 1/8 < x3 = 2: Omega's hyperbola vertices in the wrong order
-    (RegionKind.OMEGA, lambda m, n: (2 * m + 1.0, 2 * m + 24.0)),
+    (RegionKind.OMEGA, lambda m, ns: ([2 * m + 1.0] * len(ns), [2 * m + 24.0] * len(ns))),
     # x6 = 3 > x7 = 1/4: Omega''s hyperbola vertices in the wrong order
-    (RegionKind.OMEGA_PRIME, lambda m, n: (24.0 - 2 * m, 1.0 - 2 * m)),
+    (RegionKind.OMEGA_PRIME, lambda m, ns: ([24.0 - 2 * m] * len(ns), [1.0 - 2 * m] * len(ns))),
 ])
 def test_figure_sweep_applies_the_ordering_guard(monkeypatch, kind, roots):
     """Roots that put one region's hyperbola vertices out of order trip its
-    guard in the figure pass, which guards both regions, as in
+    guard in the figure columns, which guard both regions, as in
     geometry_figures.  Swapping the true s8 and s12 cannot do it: x3 < x2
     and x6 < x7 hold either way."""
-    monkeypatch.setattr(lattice, "_roots", roots)
+    monkeypatch.setattr(lattice, "_root_columns", roots)
     name = "Omega" if kind is RegionKind.OMEGA else "Omega'"
-    with pytest.raises(DegenerateRegionError, match=f"collapsed for {name} at m=1, n=2"):
-        next(figure_rows(1, even_terms(10)))
+    with pytest.raises(DegenerateRegionError, match=f"collapsed for {name} at m=1, n=2$"):
+        figure_columns(1, even_terms(10))
     with pytest.raises(DegenerateRegionError, match="vertex ordering collapsed"):
         geometry_figures(RegionSpec(kind, 1, 10))
+
+
+def test_figure_columns_guard_omega_first_at_each_n(monkeypatch):
+    """At m = 1, s8 = s12 = -8 puts both regions' vertices out of order at
+    every n; the columns name Omega at the first n."""
+    monkeypatch.setattr(lattice, "_root_columns", lambda m, ns: ([-8.0] * len(ns),) * 2)
+    with pytest.raises(DegenerateRegionError, match="collapsed for Omega at m=1, n=2$"):
+        figure_columns(1, even_terms(10))
+    with pytest.raises(DegenerateRegionError, match="collapsed for Omega' at m=1, n=10$"):
+        geometry_figures(RegionSpec(RegionKind.OMEGA_PRIME, 1, 10))
+
+
+def first_collapse_reference(m, ns, kinds=REGIONS):
+    """The degenerate-region text of the first (n, region) with n in ns and
+    region in kinds, in that order, whose float hyperbola vertices are out
+    of order, or None: the guards one point at a time."""
+    for n in ns:
+        s8 = math.sqrt(4 * m * m + 8 * (n + 1))
+        s12 = math.sqrt(4 * m * m + 12 * (n + 1))
+        for kind in kinds:
+            if kind is RegionKind.OMEGA and (s12 - 2 * m) / 12 > (s8 - 2 * m) / 8:
+                return f"vertex ordering collapsed for Omega at m={m}, n={n}"
+            if kind is RegionKind.OMEGA_PRIME and (s12 + 2 * m) / 4 < (s8 + 2 * m) / 8:
+                return f"vertex ordering collapsed for Omega' at m={m}, n={n}"
+    return None
+
+
+def raised(fn, *args):
+    """The DegenerateRegionError text fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except DegenerateRegionError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("m", [22000, 100000])
+def test_figure_columns_raise_at_the_first_collapse(m):
+    """At large m the floats put Omega's vertices out of order at some small
+    even n.  For every even n0 < 40, the columns over n0 <= n < 40 raise the
+    text of their first collapsed (n, region), as the guards one point at a
+    time do, and geometry_figures raises exactly at its region's collapses."""
+    texts = []
+    for n0 in range(2, 40, 2):
+        ns = range(n0, 40, 2)
+        texts.append(raised(figure_columns, m, sqrt_columns(ns)))
+        assert texts[-1] == first_collapse_reference(m, ns), n0
+        for kind in REGIONS:
+            assert raised(geometry_figures, RegionSpec(kind, m, n0)) == (
+                first_collapse_reference(m, [n0], (kind,))
+            ), (kind, n0)
+    assert any(texts) and not all(texts)
 
 
 def test_ordering_guard_fires_before_a_vertex_divides_by_zero():

@@ -125,21 +125,24 @@ def test_importing_the_cli_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
-def _poisoned(c):
-    return divisors.DivisorPairCensus(c.a1 + 1, c.a2, c.b1, c.b2)
+def _poisoned_rows(m_bad=None, n_bad=15):
+    """divisors.census_rows with #A1 one too large at n_bad, at every m or
+    at m_bad only, which raises Y^(m)(n_bad) by one."""
+    real = divisors.census_rows
+
+    def census_rows(m_lo, m_hi, n_max):
+        rows = real(m_lo, m_hi, n_max)
+        for m, (ys, _) in zip(range(m_lo, m_hi + 1), rows):
+            if m_bad in (None, m) and n_bad <= n_max:
+                ys[n_bad - 1] += 1
+        return rows
+
+    return census_rows
 
 
 def test_census_corruption_is_caught(monkeypatch):
     """Poisoning the divisor census must surface as cross-check violations."""
-    real = divisors.census_sweep
-
-    def bad(dec, m_max):
-        runs = real(dec, m_max)
-        if dec.n == 15:
-            return [(lo, hi, _poisoned(c)) for lo, hi, c in runs]
-        return runs
-
-    monkeypatch.setattr(divisors, "census_sweep", bad)
+    monkeypatch.setattr(divisors, "census_rows", _poisoned_rows())
     rep = run_checks(small_cfg(checks=("cross",)))[0]
     assert rep.status == "fail"
     assert any(v.n == 15 and "divisor Y" in v.expected for v in rep.violations)
@@ -148,19 +151,7 @@ def test_census_corruption_is_caught(monkeypatch):
 def test_census_corruption_in_the_second_block_names_its_m(monkeypatch):
     """A census poisoned at m = 9 only, an m of the second cross part, is
     reported at m = 9 and at no other m."""
-    real = divisors.census_sweep
-
-    def bad(dec, m_max):
-        runs = real(dec, m_max)
-        if dec.n != 15:
-            return runs
-        # one run per m, so that only m = 9's census is poisoned
-        return [
-            (m, m, _poisoned(c) if m == 9 else c)
-            for lo, hi, c in runs for m in range(lo, hi + 1)
-        ]
-
-    monkeypatch.setattr(divisors, "census_sweep", bad)
+    monkeypatch.setattr(divisors, "census_rows", _poisoned_rows(m_bad=9))
     cfg = small_cfg(m_max=17, checks=("cross",))
     second = verify._m_blocks(cfg)[1]
     assert second[0] <= 9 <= second[1]
@@ -171,10 +162,10 @@ def test_census_corruption_in_the_second_block_names_its_m(monkeypatch):
 
 
 def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
-    """Each cross part reads each n's censuses from one sweep for its whole
-    block of m, never from census, and takes its lattice counts from the
-    count sweep, never from count_region."""
-    calls = {"census": 0, "census_sweep": 0, "count_region": 0}
+    """Each cross part reads each n's divisor pairs once, by one _tally for
+    its whole block of m, never by census or census_sweep, and takes its
+    lattice counts from the count sweep, never from count_region."""
+    calls = {"census": 0, "census_sweep": 0, "_tally": 0, "count_region": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -187,33 +178,34 @@ def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
 
     counting(divisors, "census")
     counting(divisors, "census_sweep")
+    counting(divisors, "_tally")
     counting(lattice, "count_region")
     cfg = small_cfg(m_max=17, n_max=120, checks=("cross",), bivariate_order=0)
     assert len(verify._m_blocks(cfg)) == 3
     rep = run_checks(cfg)[0]
     assert rep.status == "pass" and rep.skips
-    assert calls == {"census": 0, "census_sweep": 3 * cfg.n_max, "count_region": 0}
+    assert calls == {"census": 0, "census_sweep": 0, "_tally": 3 * cfg.n_max, "count_region": 0}
 
 
 def test_cross_worker_computes_each_area_once_per_even_n(monkeypatch):
     """Figures, M1/M2 bounds and the bound combination share one area per
     region and even n."""
-    calls = {"area_omega": 0, "area_omega_prime": 0}
+    calls = {"_omega_areas": 0, "_omega_prime_areas": 0}
 
     def counting(name):
         real = getattr(lattice, name)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
+        def wrapper(m, ns, roots):
+            calls[name] += len(ns)
+            return real(m, ns, roots)
 
         monkeypatch.setattr(lattice, name, wrapper)
 
-    counting("area_omega")
-    counting("area_omega_prime")
+    counting("_omega_areas")
+    counting("_omega_prime_areas")
     violations, skips = verify._cross_worker((3, 3, 120))
     assert violations == [] and skips > 0
-    assert calls == {"area_omega": 60, "area_omega_prime": 60}
+    assert calls == {"_omega_areas": 60, "_omega_prime_areas": 60}
 
 
 def test_lattice_corruption_in_the_second_block_names_its_m_and_n(monkeypatch):
@@ -246,12 +238,14 @@ def test_jarnik_near_tie_is_reported_as_a_near_tie(monkeypatch):
     total = lattice.count_region(lattice.RegionSpec(lattice.RegionKind.OMEGA, m, n)).total
     length = lattice.OMEGA_LENGTH * (n + 1) ** 0.5
     assert total > 0 and length >= 1
-    real = lattice.area_omega
+    real = lattice._omega_areas
 
-    def tied(m_, n_, roots=None):
-        return total - length * (1 + 1e-12) if (m_, n_) == (m, n) else real(m_, n_, roots)
+    def tied(m_, ns, roots):
+        areas = real(m_, ns, roots)
+        return [total - length * (1 + 1e-12) if (m_, n_) == (m, n) else a
+                for n_, a in zip(ns, areas)]
 
-    monkeypatch.setattr(lattice, "area_omega", tied)
+    monkeypatch.setattr(lattice, "_omega_areas", tied)
     violations, _ = verify._cross_worker((0, 7, 60))
     jarnik = [v for v in violations if v[3].startswith("Jarnik")]
     assert [(v[0], v[1]) for v in jarnik] == [(m, n)]
