@@ -129,8 +129,10 @@ def _root_columns(m: int, ns) -> tuple:
 
     They satisfy (s8-2m)(s8+2m) = 8(n+1) and (s12-2m)(s12+2m) = 12(n+1).
     """
-    return [math.sqrt(4 * m * m + 8 * (n + 1)) for n in ns], [
-        math.sqrt(4 * m * m + 12 * (n + 1)) for n in ns]
+    return (
+        [math.sqrt(4 * m * m + 8 * (n + 1)) for n in ns],
+        [math.sqrt(4 * m * m + 12 * (n + 1)) for n in ns],
+    )
 
 
 def _omega_areas(m: int, ns, roots: tuple) -> list:
@@ -194,10 +196,9 @@ def _hyperbola_x_columns(kinds: tuple, m: int, ns, roots: tuple) -> list:
 
 
 def sqrt_columns(ns) -> tuple:
-    """The columns over the n of ns of n, sqrt(n+1), 3.6*sqrt(n+1),
-    sqrt(2(n+1))/4, 5.5*sqrt(n+1), sqrt(3(n+1))/2, 2.2*sqrt(n+1) and
-    3.7*sqrt(n+1): the m-free leading terms of the figures and M1/M2 bounds;
-    adding the m terms in order gives their floats."""
+    """Columns over the n of ns of n, sqrt(n+1), 3.6*sqrt(n+1), sqrt(2(n+1))/4,
+    5.5*sqrt(n+1), sqrt(3(n+1))/2, 2.2*sqrt(n+1) and 3.7*sqrt(n+1): the m-free
+    terms of the figures and M1/M2 bounds; adding the m terms in order gives their floats."""
     roots = [math.sqrt(n + 1) for n in ns]
     return (
         ns, roots, [OMEGA_LENGTH * r for r in roots], [math.sqrt(2 * (n + 1)) / 4 for n in ns],
@@ -227,7 +228,7 @@ def figure_columns(m: int, terms: tuple) -> tuple:
 def geometry_figures(spec: RegionSpec) -> GeometryFigures:
     """Area, boundary-length bound, x-extent bound, and vertex list."""
     m, n = spec.m, spec.n
-    ((x_a,), (x_b,)), = _hyperbola_x_columns((spec.kind,), m, (n,), _root_columns(m, (n,)))
+    (xs,) = _hyperbola_x_columns((spec.kind,), m, (n,), _root_columns(m, (n,)))
     _, _, length_o, extent_o, length_p, extent_p, _, _ = (c[0] for c in sqrt_columns((n,)))
     if spec.kind is RegionKind.OMEGA:
         fig = area_omega(m, n), length_o, extent_o
@@ -235,7 +236,7 @@ def geometry_figures(spec: RegionSpec) -> GeometryFigures:
     else:
         fig = area_omega_prime(m, n), length_p + m, extent_p + m / 2
         corners = ((m / 2, 0.0), (float(m), 0.0))
-    on_hyperbola = tuple((x, (n + 1) / (2 * x)) for x in (x_a, x_b))
+    on_hyperbola = tuple((x, (n + 1) / (2 * x)) for (x,) in xs)
     return GeometryFigures(*fig, vertices=corners + on_hyperbola)
 
 

@@ -10,9 +10,12 @@ are blocks of M_BLOCK m, because building a series for a block of m in
 one sweep costs little more than building it for one m.  conjecture takes
 its M_C1/M_C5 series from one qseries.mc_sweep per block; x-small-n,
 finite-window and cross take theirs from one qseries.lambert_sweep, and
-cross takes one census sweep per n for the whole block.  x-small-n and
-finite-window compare the sweep's lists at each block's last m with a
-direct build of the same sums, so a wrong step cannot pass unseen.
+cross takes its divisor census from one divisors.census_rows per block.
+x-small-n and finite-window compare the sweep's lists at each block's
+last m with a direct build of the same sums, so a wrong step cannot pass
+unseen.  A check reads columns over n at one m and is decided by one
+comparison of two columns; only a failing column is read point by point,
+to word its violations.
 """
 
 from __future__ import annotations
