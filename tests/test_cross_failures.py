@@ -100,8 +100,11 @@ SCENARIOS = {
     "m2": [(lattice, "M2_SQRT", -1.0)],
     "odd-divisors": [(divisors, "_odd_divisors", _dropped_divisor(105, 3))],
     "tally": [(divisors, "_tally", _extra_a2(2))],
+    # a +1 on an odd count breaks M2 - M1 == X; a total set to 0, and a +1
+    # on an empty region's total, move the Jarnik skips
     "counts": [(lattice, "count_sweep", _bumped_counts(
         (OMEGA_P, 10, 40, 1, _plus_one), (OMEGA, 12, 100, 0, _zero),
+        (OMEGA, 8, 2, 0, _plus_one),
     ))],
     "parity": [(lattice, "count_sweep", _bumped_counts((OMEGA_P, 9, 240, 1, _zero)))],
     "series": [(qseries, "lambert_sweep", _bumped_lambert(
