@@ -37,13 +37,13 @@ def strictly_less(smaller: float, larger: float) -> bool:
 
 
 def all_strictly_less(smaller, larger) -> bool:
-    """all(map(strictly_less, smaller, larger)) for two lists, decided by
-    the least gap when it beats the margin of the largest magnitude, as
-    rounding keeps the order of products by NEAR_TIE_SLACK >= 0.  min may
-    skip a NaN gap, which fails its point; a NaN sum of the gaps catches it."""
+    """all(map(strictly_less, smaller, larger)) for two lists, decided by the
+    least gap when it beats the largest magnitude's margin, which, while >= 0,
+    bounds each point's margin (rounding is monotone).  min may skip a NaN
+    gap, which fails its point; a NaN sum of the gaps catches it."""
     gaps = list(map(sub, larger, smaller))
     top = max(1.0, max(map(abs, smaller), default=0), max(map(abs, larger), default=0))
-    if min(gaps, default=1.0) > NEAR_TIE_SLACK * top and not math.isnan(sum(gaps)):
+    if 0 <= NEAR_TIE_SLACK * top < min(gaps, default=1.0) and not math.isnan(sum(gaps)):
         return True
     return all(map(strictly_less, smaller, larger))
 

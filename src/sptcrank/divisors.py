@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 
 
 @dataclass(frozen=True)
@@ -159,20 +159,19 @@ def census_sweep(dec: OddPartDecomposition, m_max: int) -> list:
 
 
 def census_rows(m_lo: int, m_hi: int, n_max: int) -> list:
-    """[(ys, zs), ...] for 0 <= m_lo <= m <= m_hi, with ys[n-1] ==
-    census(m, n).y and zs[n-1] == census(m, n).z for 1 <= n <= n_max.
-
-    One _tally per n at 2*m_hi+1 gives the row at m_hi.  A key at v // 2 == k
-    counts at every m <= k (see census_sweep), so the row at m is the row
-    at m+1 plus the keys at v // 2 == m."""
-    y_sign, z_sign = (1, -1, 1, -1), (0, -1, 1, 0)  # of #A1, #A2, #B1, #B2 in Y and Z
+    """[(ys, zs), ...] for 0 <= m_lo <= m <= m_hi, with ys[n-1], zs[n-1] ==
+    census(m, n).y, .z for 1 <= n <= n_max.  One _tally per n at 2*m_hi+1
+    gives the row at m_hi.  A key at v // 2 == k counts at every m <= k (see
+    census_sweep), so the row at m is the row at m+1 plus the keys at v // 2 == m."""
+    units = [DivisorPairCensus(*(int(i == j) for j in range(4))) for i in range(4)]
+    y_sign, z_sign = [u.y for u in units], [u.z for u in units]  # of #A1, #A2, #B1, #B2
     ys, zs = [], []
     dys = [[0] * n_max for _ in range(m_lo, m_hi)]  # the keys' terms at m_lo..m_hi-1
     dzs = [[0] * n_max for _ in range(m_lo, m_hi)]
     for i in range(n_max):
-        (a1, a2, b1, b2), keys = _tally(OddPartDecomposition.of(i + 1), 2 * m_hi + 1)
-        ys.append(a1 + b1 - a2 - b2)
-        zs.append(b1 - a2)
+        counts, keys = _tally(OddPartDecomposition.of(i + 1), 2 * m_hi + 1)
+        ys.append(sum(map(mul, y_sign, counts)))
+        zs.append(sum(map(mul, z_sign, counts)))
         for key in keys:
             if key >> 2 >= m_lo:
                 dys[(key >> 2) - m_lo][i] += y_sign[key & 3]

@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, repeat
-from operator import le, lt, mul, not_, or_, sub, truediv
+from itertools import accumulate, compress
+from operator import le, sub
 from typing import Callable, NamedTuple
 
 from . import bivariate, bounds, divisors, lattice, qseries
@@ -273,14 +273,14 @@ def _cross_lattice(m: int, n_max: int, xs: tuple, terms: tuple, t2_free: list, o
     jarnik_skips = 0
     for kind, (totals, odds), (area, length, extent) in zip(lattice.RegionKind, counts, figures):
         # Jarnik's bound needs a nonempty region and a length bound >= 1
-        met = list(map(not_, map(or_, map(not_, totals), map(lt, length, repeat(1)))))
+        met = [total != 0 and not bound < 1 for total, bound in zip(totals, length)]
         jarnik_skips += len(met) - sum(met)
         dev = list(map(abs, map(sub, totals, area)))
         for n, d, bound in _not_less(*(list(compress(c, met)) for c in (ns, dev, length))):
             o = bounds.classify_strict(d, bound)
             out.append((m, n, f"|N-A|={d!r}", f"Jarnik |N-A| < {bound!r} [{o.value}]"))
         # parity_lemma_check: abs(total - 2 * odd) / 2 <= extent + 1
-        gaps = list(map(truediv, map(abs, map(sub, totals, map(mul, odds, repeat(2)))), repeat(2)))
+        gaps = [abs(total - 2 * odd) / 2 for total, odd in zip(totals, odds)]
         limits = [e + 1 for e in extent]
         if not all(map(le, gaps, limits)):
             out += [(m, n, kind.value, "parity bound |N/2-M| <= sup+1")

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,13 +173,15 @@ def column_pairs(draw):
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
-@given(column_pairs())
+@given(column_pairs(), st.sampled_from((NEAR_TIE_SLACK, 0.0, 0.01, -NEAR_TIE_SLACK, -0.5)))
 @settings(max_examples=800, deadline=None)
-def test_all_strictly_less_is_every_point_strictly_less(columns):
+def test_all_strictly_less_is_every_point_strictly_less(columns, slack):
     """The column predicate decides exactly as strictly_less at every point,
-    NaN anywhere in either column included."""
+    NaN anywhere in either column included, at the policy's margin and at
+    patched ones, negative ones included."""
     smaller, larger = columns
-    assert all_strictly_less(smaller, larger) is all(map(strictly_less, smaller, larger))
+    with mock.patch.object(bounds, "NEAR_TIE_SLACK", slack):
+        assert all_strictly_less(smaller, larger) is all(map(strictly_less, smaller, larger))
 
 
 def test_all_strictly_less_sees_a_nan_that_min_skips():
