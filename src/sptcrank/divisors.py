@@ -3,12 +3,16 @@
 This is the combinatorial computation path: each coefficient is obtained
 by enumerating factorizations (d1, d2) of the odd part of n and testing
 parity/size conditions on linear combinations of the factors.  It is
-independent of the q-series path and is cross-checked against it.  The
-divisors of each odd part come by trial division to its square root; no
-table is kept.  One loop reads each divisor pair once: `census` counts
-the pairs for one (m, n), `census_sweep` for one n and every m up to a
-bound (the verifier's y-nonneg check), and `census_rows` for a block of m
-and every n up to a bound, one read per n (its cross check).
+independent of the q-series path and is cross-checked against it.  One
+block reader, `_tallies`, reads each divisor pair once for a block of n:
+for each power of two 2^e it runs the smaller factor over the odd numbers
+up to the square root of the block's largest odd part and takes its odd
+multiples in the block, so no n is factored by trial division and no
+table is kept.  `census` is the reader on a one-n block; `census_runs`
+gives, for a block of n, the census of every m up to a bound in runs of
+equal censuses (the verifier's y-nonneg check); `census_rows` gives the
+Y and Z rows over every n up to a bound for a block of m (its cross
+check).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add, mul
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -39,15 +44,11 @@ class OddPartDecomposition:
     def of(cls, n: int) -> "OddPartDecomposition":
         if n < 1:
             raise ValueError("n must be a positive integer")
-        e = 0
-        while n % 2 == 0:
-            n //= 2
-            e += 1
-        return cls(e, n)
+        e = (n & -n).bit_length() - 1
+        return cls(e, n >> e)
 
 
-@dataclass(frozen=True)
-class DivisorPairCensus:
+class DivisorPairCensus(NamedTuple):
     """Cardinalities of the four divisor-pair sets A1, A2, B1, B2."""
 
     a1: int
@@ -66,52 +67,53 @@ class DivisorPairCensus:
         return self.b1 - self.a2
 
 
-def _odd_divisors(n: int) -> list:
-    """The divisors of the odd n, ascending: the d <= sqrt(n) by trial
-    division, then their cofactors n // d in reverse, a square's root once."""
-    small = [d for d in range(1, math.isqrt(n) + 1, 2) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
-
-
-def _tally(dec: OddPartDecomposition, top: int) -> tuple:
-    """Read each divisor pair (d1, d2) of dec.odd_part once, classifying its
-    four values v, one per set of census, against top >= 1.
-
-    Returns ((#A1, #A2, #B1, #B2), keys): each set's number of odd v >= top,
-    and the key 4*(v//2) + i for each odd positive v < top of the i-th set.
-    """
-    divs = _odd_divisors(dec.odd_part)
-    p = 1 << dec.e
-    q = 2 * p
-    a1 = a2 = b1 = b2 = 0
-    keys = []
-    # The divisors ascend, so read backwards they are the cofactors d2 = N / d1.
-    for d1, d2 in zip(divs, reversed(divs)):
-        v = d2 - p * d1  # A1
-        if v & 1:
-            if v >= top:
-                a1 += 1
-            elif v > 0:
-                keys.append(4 * (v // 2))
-        v = d2 - q * d1  # A2
-        if v & 1:
-            if v >= top:
-                a2 += 1
-            elif v > 0:
-                keys.append(4 * (v // 2) + 1)
-        v = q * d2 - d1  # B1
-        if v & 1:
-            if v >= top:
-                b1 += 1
-            elif v > 0:
-                keys.append(4 * (v // 2) + 2)
-        v = p * d2 - d1  # B2
-        if v & 1:
-            if v >= top:
-                b2 += 1
-            elif v > 0:
-                keys.append(4 * (v // 2) + 3)
-    return (a1, a2, b1, b2), keys
+def _tallies(n_lo: int, n_hi: int, top: int) -> list:
+    """[(e, counts, keys), ...] for n_lo <= n <= n_hi = 2^e * N, N odd: each
+    divisor pair (d1, d2) of N read once, its four values v, one per set of
+    census, classified against top >= 1.  counts = [#A1, #A2, #B1, #B2] of
+    the odd v >= top; keys holds 4*(v//2) + i for each odd positive v < top
+    of the i-th set, in no fixed order.  For each p = 2^e, the odd N in
+    [ceil(n_lo/p), n_hi // p] are read together: the smaller factor s runs
+    over the odd s <= sqrt(N) with a multiple in the range, and the cofactor
+    t >= s over the odd t with s*t in it."""
+    rows = [None] * (n_hi - n_lo + 1)
+    for e in range(n_hi.bit_length()):
+        p, q = 1 << e, 2 << e
+        lo, hi = -(-n_lo // p) | 1, n_hi // p  # the odd N of this e
+        if lo > hi:
+            continue
+        tallies = [[0, 0, 0, 0, []] for _ in range(lo, hi + 1, 2)]  # per odd N
+        for s in [s for s in range(1, math.isqrt(hi) + 1, 2) if hi % s <= hi - lo]:
+            for t in range(max(s, -(-lo // s)) | 1, hi // s + 1, 2):
+                tally = tallies[(s * t - lo) >> 1]
+                keys = tally[4]
+                for d1, d2 in ((s, t), (t, s)) if s != t else ((s, t),):
+                    v = d2 - p * d1  # A1
+                    if v & 1:
+                        if v >= top:
+                            tally[0] += 1
+                        elif v > 0:
+                            keys.append(4 * (v >> 1))
+                    v = d2 - q * d1  # A2
+                    if v & 1:
+                        if v >= top:
+                            tally[1] += 1
+                        elif v > 0:
+                            keys.append(4 * (v >> 1) + 1)
+                    v = q * d2 - d1  # B1
+                    if v & 1:
+                        if v >= top:
+                            tally[2] += 1
+                        elif v > 0:
+                            keys.append(4 * (v >> 1) + 2)
+                    v = p * d2 - d1  # B2
+                    if v & 1:
+                        if v >= top:
+                            tally[3] += 1
+                        elif v > 0:
+                            keys.append(4 * (v >> 1) + 3)
+        rows[p * lo - n_lo :: 2 * p] = [(e, t[:4], t[4]) for t in tallies]
+    return rows
 
 
 def census(m: int, n: int) -> DivisorPairCensus:
@@ -126,50 +128,46 @@ def census(m: int, n: int) -> DivisorPairCensus:
         raise ValueError("m must be non-negative")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    counts, _ = _tally(OddPartDecomposition.of(n), 2 * m + 1)
-    return DivisorPairCensus(*counts)
+    _, counts, _ = _tallies(n, n, 2 * m + 1)[0]
+    return DivisorPairCensus._make(counts)
 
 
-def census_sweep(dec: OddPartDecomposition, m_max: int) -> list:
-    """census(m, dec.n) for every 0 <= m <= m_max, in runs of equal censuses.
-
-    Returns [(m_lo, m_hi, c), ...] ascending and covering 0..m_max, with
-    c == census(m, dec.n) for m_lo <= m <= m_hi.  In census, m enters only
-    through the threshold 2m+1, and an odd v is >= 2m+1 exactly when
-    v // 2 >= m.  So each divisor pair is read once: the counts at m_max
-    come with a key for each odd positive v below 2*m_max+1, and a set's
-    count at m < m_max adds its keys at v // 2 >= m.
-    """
+def census_runs(n_lo: int, n_hi: int, m_max: int) -> list:
+    """[(e, runs), ...] for n_lo <= n <= n_hi = 2^e * odd, with runs =
+    [(m_lo, m_hi, c), ...] ascending, covering 0..m_max, c == census(m, n)
+    for m_lo <= m <= m_hi.  In census, m enters only through the threshold
+    2m+1, and an odd v is >= 2m+1 exactly when v // 2 >= m.  So one _tallies
+    at 2*m_max+1 serves every m: a set's count at m adds its keys at v // 2 >= m."""
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
-    counts, keys = _tally(dec, 2 * m_max + 1)
-    counts = list(counts)
-    # Walk the keys from the highest v down, adding each to its set's count.
-    keys.sort(reverse=True)
-    runs = []
-    hi = m_max
-    for key in keys:
-        k = key // 4
-        if k < hi:
-            runs.append((k + 1, hi, DivisorPairCensus(*counts)))
-            hi = k
-        counts[key % 4] += 1
-    runs.append((0, hi, DivisorPairCensus(*counts)))
-    return runs[::-1]
+    out = []
+    for e, counts, keys in _tallies(n_lo, n_hi, 2 * m_max + 1):
+        # Walk the keys from the highest v down, adding each to its set's count.
+        keys.sort(reverse=True)
+        runs = []
+        hi = m_max
+        for key in keys:
+            k = key >> 2
+            if k < hi:
+                runs.append((k + 1, hi, DivisorPairCensus._make(counts)))
+                hi = k
+            counts[key & 3] += 1
+        runs.append((0, hi, DivisorPairCensus._make(counts)))
+        out.append((e, runs[::-1]))
+    return out
 
 
 def census_rows(m_lo: int, m_hi: int, n_max: int) -> list:
     """[(ys, zs), ...] for 0 <= m_lo <= m <= m_hi, with ys[n-1], zs[n-1] ==
-    census(m, n).y, .z for 1 <= n <= n_max.  One _tally per n at 2*m_hi+1
-    gives the row at m_hi.  A key at v // 2 == k counts at every m <= k (see
-    census_sweep), so the row at m is the row at m+1 plus the keys at v // 2 == m."""
+    census(m, n).y, .z for 1 <= n <= n_max.  One _tallies at 2*m_hi+1 gives
+    the row at m_hi.  A key at v // 2 == k counts at every m <= k (see
+    census_runs), so the row at m is the row at m+1 plus the keys at v // 2 == m."""
     units = [DivisorPairCensus(*(int(i == j) for j in range(4))) for i in range(4)]
     y_sign, z_sign = [u.y for u in units], [u.z for u in units]  # of #A1, #A2, #B1, #B2
     ys, zs = [], []
     dys = [[0] * n_max for _ in range(m_lo, m_hi)]  # the keys' terms at m_lo..m_hi-1
     dzs = [[0] * n_max for _ in range(m_lo, m_hi)]
-    for i in range(n_max):
-        counts, keys = _tally(OddPartDecomposition.of(i + 1), 2 * m_hi + 1)
+    for i, (_, counts, keys) in enumerate(_tallies(1, n_max, 2 * m_hi + 1)):
         ys.append(sum(map(mul, y_sign, counts)))
         zs.append(sum(map(mul, z_sign, counts)))
         for key in keys:

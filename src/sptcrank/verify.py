@@ -4,18 +4,19 @@ Each check sweeps a configured (m, n) grid, collects violations
 exhaustively (capped), and returns a deterministic report: identical
 configuration yields an identical violation list, sorted by (m, n),
 regardless of parallelism.  Each check splits its grid into parts, one
-worker call each.  y-nonneg's parts are blocks of n, because one divisor
-census sweep per n serves every m of the part.  The other checks' parts
-are blocks of M_BLOCK m, because building a series for a block of m in
-one sweep costs little more than building it for one m.  conjecture takes
-its M_C1/M_C5 series from one qseries.mc_sweep per block; x-small-n,
-finite-window and cross take theirs from one qseries.lambert_sweep, and
-cross takes its divisor census from one divisors.census_rows per block.
-x-small-n and finite-window compare the sweep's lists at each block's
-last m with a direct build of the same sums, so a wrong step cannot pass
-unseen.  A check reads columns over n at one m and is decided by one
-comparison of two columns; only a failing column is read point by point,
-to word its violations.
+worker call each.  y-nonneg's parts are blocks of n, because one
+divisors.census_runs per block reads each n's divisor pairs once, for
+every m of the part.  The other checks' parts are blocks of M_BLOCK m,
+because building a series for a block of m in one sweep costs little
+more than building it for one m.  conjecture takes its M_C1/M_C5 series
+from one qseries.mc_sweep per block; x-small-n, finite-window and cross
+take theirs from one qseries.lambert_sweep, and cross takes its divisor
+census from one divisors.census_rows per block.  x-small-n and
+finite-window compare the sweep's lists at each block's last m with a
+direct build of the same sums, so a wrong step cannot pass unseen.  A
+check reads columns over n at one m and is decided by one comparison of
+two columns; only a failing column is read point by point, to word its
+violations.
 """
 
 from __future__ import annotations
@@ -131,11 +132,10 @@ def _y_worker(args):
     """Containments and Y >= 0 for every m <= m_max and n_lo <= n <= n_hi."""
     n_lo, n_hi, m_max = args
     out = []
-    for n in range(n_lo, n_hi + 1):
-        dec = divisors.OddPartDecomposition.of(n)
-        for m_lo, m_hi, c in divisors.census_sweep(dec, m_max):
+    for n, (e, runs) in enumerate(divisors.census_runs(n_lo, n_hi, m_max), n_lo):
+        for m_lo, m_hi, c in runs:
             ms = range(m_lo, m_hi + 1)
-            bad = divisors.containment_violation(c, dec.e)
+            bad = divisors.containment_violation(c, e)
             if bad is not None:
                 out += ((m, n, f"{c}", bad) for m in ms)
             if c.y < 0:

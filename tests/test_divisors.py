@@ -1,6 +1,8 @@
 """Divisor-pair census path and its agreement with the series path."""
 
+import math
 import tracemalloc
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,10 @@ from sptcrank import lattice, qseries, verify
 from sptcrank.divisors import (
     DivisorPairCensus,
     OddPartDecomposition,
-    _odd_divisors,
+    _tallies,
     census,
     census_rows,
-    census_sweep,
+    census_runs,
     containment_violation,
     y_direct,
     z_direct,
@@ -64,6 +66,49 @@ def census_by_trial_division(m: int, n: int) -> DivisorPairCensus:
     return DivisorPairCensus(*counts)
 
 
+def odd_divisors(n: int) -> list:
+    """The divisors of the odd n, ascending: the d <= sqrt(n) by trial
+    division, then their cofactors n // d in reverse, a square's root once."""
+    small = [d for d in range(1, math.isqrt(n) + 1, 2) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def pair_tally(d1: int, d2: int, e: int, top: int) -> tuple:
+    """(counts, keys) of the one ordered pair (d1, d2) at 2-adic valuation e:
+    per set, its value if odd and >= top, or the key 4*(v//2) + i of its odd
+    positive value v < top in the i-th set, by the four set definitions."""
+    p = 2**e
+    counts, keys = [0, 0, 0, 0], []
+    for i, v in enumerate((d2 - p * d1, d2 - 2 * p * d1, 2 * p * d2 - d1, p * d2 - d1)):
+        if v % 2 == 1 and v >= top:
+            counts[i] += 1
+        elif v % 2 == 1 and v > 0:
+            keys.append(4 * (v // 2) + i)
+    return counts, keys
+
+
+def tally_by_trial_division(n: int, top: int) -> tuple:
+    """(e, counts, sorted keys) of n = 2^e * N at top, as the block reader
+    gives them: pair_tally summed over the divisor pairs of N."""
+    dec = OddPartDecomposition.of(n)
+    counts, keys = [0, 0, 0, 0], []
+    divs = odd_divisors(dec.odd_part)
+    for d1, d2 in zip(divs, reversed(divs)):
+        c, k = pair_tally(d1, d2, dec.e, top)
+        counts = list(map(add, counts, c))
+        keys += k
+    return dec.e, counts, sorted(keys)
+
+
+def read_by_blocks(edges: list, top: int) -> list:
+    """The reader's (e, counts, sorted keys) for every n in [edges[0], edges[-1]),
+    one _tallies call per block [edges[i], edges[i+1] - 1]."""
+    out = []
+    for lo, end in zip(edges, edges[1:]):
+        out += [(e, list(c), sorted(k)) for e, c, k in _tallies(lo, end - 1, top)]
+    return out
+
+
 def test_odd_part_decomposition():
     d = OddPartDecomposition.of(48)
     assert (d.e, d.odd_part, d.n) == (4, 3, 48)
@@ -102,7 +147,7 @@ P, Q = 999983, 1000003  # the primes either side of 10^6
 
 def test_odd_divisors_match_brute_force():
     for n in range(1, 5000, 2):
-        assert _odd_divisors(n) == [d for d in range(1, n + 1, 2) if n % d == 0], n
+        assert odd_divisors(n) == [d for d in range(1, n + 1, 2) if n % d == 0], n
 
 
 @pytest.mark.parametrize("n, expected", [
@@ -114,7 +159,37 @@ def test_odd_divisors_match_brute_force():
 ])
 def test_odd_divisors_of_squares_and_a_large_semiprime(n, expected):
     # ascending, and a square's root appears once
-    assert _odd_divisors(n) == expected
+    assert odd_divisors(n) == expected
+
+
+@pytest.mark.parametrize("width", [1, 7, 256])
+@pytest.mark.parametrize("top", [1, 3, 241])
+def test_reader_matches_trial_division_tally(width, top):
+    """Every n <= 5000, read in blocks of the width with an edge at each
+    power of two, gives the per-n trial division tally."""
+    edges = sorted(set(range(1, 5001, width)) | {2**k for k in range(13)} | {5001})
+    assert read_by_blocks(edges, top) == [
+        tally_by_trial_division(n, top) for n in range(1, 5001)
+    ]
+
+
+@pytest.mark.parametrize("top", [1, 241])
+def test_reader_matches_trial_division_tally_at_2_to_17(top):
+    n_lo = 2**17
+    assert read_by_blocks([n_lo, n_lo + 256], top) == [
+        tally_by_trial_division(n, top) for n in range(n_lo, n_lo + 256)
+    ]
+
+
+@pytest.mark.parametrize("n", [P * Q, 2 * P * Q, P * P, 2**5 * 3**10])
+@pytest.mark.parametrize("top", [1, 241, 2 * Q - P])
+def test_reader_matches_trial_division_tally_at_one_n(n, top):
+    assert read_by_blocks([n, n + 1], top) == [tally_by_trial_division(n, top)]
+
+
+def test_reader_rows_cover_the_block():
+    assert _tallies(1, 0, 1) == []
+    assert [e for e, _, _ in _tallies(96, 100, 1)] == [5, 0, 1, 0, 2]
 
 
 def test_census_far_beyond_any_table():
@@ -136,22 +211,36 @@ def test_y_worker_holds_no_divisor_state():
     assert peak < 1 << 20
 
 
-def census_by_m(n: int, m_max: int) -> list:
-    """census_sweep's runs for n, expanded to one census per m <= m_max."""
+def expand_runs(runs: list, m_max: int) -> list:
+    """One n's census_runs runs, expanded to one census per m <= m_max."""
     out = []
-    for m_lo, m_hi, c in census_sweep(OddPartDecomposition.of(n), m_max):
+    for m_lo, m_hi, c in runs:
         assert m_lo == len(out) and m_hi >= m_lo
         out += [c] * (m_hi - m_lo + 1)
     assert len(out) == m_max + 1
     return out
 
 
+def census_by_m(n: int, m_max: int) -> list:
+    """census_runs' runs for the one-n block n, one census per m <= m_max."""
+    [(e, runs)] = census_runs(n, n, m_max)
+    assert e == OddPartDecomposition.of(n).e
+    return expand_runs(runs, m_max)
+
+
 def test_census_sweep_matches_trial_division():
-    for n in range(1, 2401):
-        by_m = [census_by_trial_division(m, n) for m in range(126)]
-        assert census_by_m(n, 125) == by_m, n
-        for m_max in (0, 1, 6):
-            assert census_by_m(n, m_max) == by_m[: m_max + 1], (n, m_max)
+    """census_runs, block by block as y-nonneg reads it, equals the trial
+    division census at every m <= 125 and n <= 2400."""
+    by_n = [[census_by_trial_division(m, n) for m in range(126)] for n in range(1, 2401)]
+    for m_max in (125, 0, 1, 6):
+        for n_lo in range(1, 2401, verify.Y_BLOCK):
+            n_hi = min(n_lo + verify.Y_BLOCK - 1, 2400)
+            block = census_runs(n_lo, n_hi, m_max)
+            assert [e for e, _ in block] == [
+                OddPartDecomposition.of(n).e for n in range(n_lo, n_hi + 1)
+            ]
+            for n, (_, runs) in enumerate(block, n_lo):
+                assert expand_runs(runs, m_max) == by_n[n - 1][: m_max + 1], (n, m_max)
 
 
 @pytest.mark.parametrize("n", [4097, 4099, 9999, 3 * 5 * 7 * 11 * 13, 65535, 3**10])
@@ -186,12 +275,23 @@ def test_census_vanishes_once_m_reaches_n():
 
 def test_census_sweep_rejects_negative_m_max():
     with pytest.raises(ValueError):
-        census_sweep(OddPartDecomposition.of(5), -1)
+        census_runs(5, 5, -1)
 
 
 def test_census_y_and_z():
     c = DivisorPairCensus(a1=5, a2=2, b1=7, b2=3)
     assert (c.y, c.z) == (5 + 7 - 2 - 3, 7 - 2)
+
+
+def test_census_type_is_an_immutable_named_tuple():
+    c = DivisorPairCensus(0, 1, 2, 3)
+    assert repr(c) == "DivisorPairCensus(a1=0, a2=1, b1=2, b2=3)"
+    assert f"{c}" == repr(c)  # the violation text of y-nonneg
+    for name in ("a1", "a2", "b1", "b2", "y", "z", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, 7)
+    assert (c.y, c.z) == (0 + 2 - 1 - 3, 2 - 1)
+    assert c == (0, 1, 2, 3)  # a census compares equal to a plain 4-tuple
 
 
 def test_census_worked_examples():

@@ -162,29 +162,33 @@ def test_census_corruption_in_the_second_block_names_its_m(monkeypatch):
 
 
 def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
-    """Each cross part reads each n's divisor pairs once, by one _tally for
-    its whole block of m, never by census or census_sweep, and takes its
-    lattice counts from the count sweep, never from count_region."""
-    calls = {"census": 0, "census_sweep": 0, "_tally": 0, "count_region": 0}
+    """Each cross part reads each n's divisor pairs once, by one _tallies
+    over 1..n_max for its whole block of m, never by census or census_runs,
+    and takes its lattice counts from the count sweep, never from count_region."""
+    calls = {"census": [], "census_runs": [], "_tallies": [], "count_region": []}
 
     def counting(module, name):
         real = getattr(module, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[name].append(args)
             return real(*args)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counting(divisors, "census")
-    counting(divisors, "census_sweep")
-    counting(divisors, "_tally")
+    counting(divisors, "census_runs")
+    counting(divisors, "_tallies")
     counting(lattice, "count_region")
     cfg = small_cfg(m_max=17, n_max=120, checks=("cross",), bivariate_order=0)
-    assert len(verify._m_blocks(cfg)) == 3
+    blocks = verify._m_blocks(cfg)
+    assert len(blocks) == 3
     rep = run_checks(cfg)[0]
     assert rep.status == "pass" and rep.skips
-    assert calls == {"census": 0, "census_sweep": 0, "_tally": 3 * cfg.n_max, "count_region": 0}
+    assert calls == {
+        "census": [], "census_runs": [], "count_region": [],
+        "_tallies": [(1, cfg.n_max, 2 * m_hi + 1) for _, m_hi, _ in blocks],
+    }
 
 
 def test_cross_worker_computes_each_area_once_per_even_n(monkeypatch):
