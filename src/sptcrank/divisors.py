@@ -1,24 +1,18 @@
 """Divisor-pair evaluation of Y^(m) and Z^(m).
 
-This is the combinatorial computation path: each coefficient is obtained
-by enumerating factorizations (d1, d2) of the odd part of n and testing
-parity/size conditions on linear combinations of the factors.  It is
-independent of the q-series path and is cross-checked against it.  One
-block reader, `_tallies`, reads each divisor pair once for a block of n:
-for each power of two 2^e it runs the smaller factor over the odd numbers
-up to the square root of the block's largest odd part and takes its odd
-multiples in the block, so no n is factored by trial division and no
-table is kept.  `census` is the reader on a one-n block; `census_runs`
-gives, for a block of n, the census of every m up to a bound in runs of
-equal censuses (the verifier's y-nonneg check); `census_rows` gives the
-Y and Z rows over every n up to a bound for a block of m (its cross
-check).
+The combinatorial computation path, independent of the q-series path and
+cross-checked against it: a coefficient counts the factorizations (d1, d2)
+of the odd part of n that meet parity and size conditions.  One block
+reader, `_tallies`, finds the pairs of every n of a block together, with
+no trial division of each n and no table; `census`, `census_runs`
+(y-nonneg) and `census_rows` (cross) read through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import add, mul
 from typing import NamedTuple
 
@@ -67,15 +61,17 @@ class DivisorPairCensus(NamedTuple):
         return self.b1 - self.a2
 
 
+_census = partial(tuple.__new__, DivisorPairCensus)  # DivisorPairCensus(*c) in one C call
+
+
 def _tallies(n_lo: int, n_hi: int, top: int) -> list:
     """[(e, counts, keys), ...] for n_lo <= n <= n_hi = 2^e * N, N odd: each
-    divisor pair (d1, d2) of N read once, its four values v, one per set of
-    census, classified against top >= 1.  counts = [#A1, #A2, #B1, #B2] of
-    the odd v >= top; keys holds 4*(v//2) + i for each odd positive v < top
-    of the i-th set, in no fixed order.  For each p = 2^e, the odd N in
-    [ceil(n_lo/p), n_hi // p] are read together: the smaller factor s runs
-    over the odd s <= sqrt(N) with a multiple in the range, and the cofactor
-    t >= s over the odd t with s*t in it."""
+    divisor pair (d1, d2) of N read once, its value v in each set of census
+    classified against top >= 1.  counts = [#A1, #A2, #B1, #B2] of the odd
+    v >= top; keys holds 4*(v//2) + i for each odd positive v < top of the
+    i-th set, in any order.  For each p = 2^e, the smaller factor s runs over
+    the odd s <= sqrt(n_hi // p), and the cofactor t >= s over the odd t with
+    p*s*t in the block."""
     rows = [None] * (n_hi - n_lo + 1)
     for e in range(n_hi.bit_length()):
         p, q = 1 << e, 2 << e
@@ -86,32 +82,43 @@ def _tallies(n_lo: int, n_hi: int, top: int) -> list:
         for s in [s for s in range(1, math.isqrt(hi) + 1, 2) if hi % s <= hi - lo]:
             for t in range(max(s, -(-lo // s)) | 1, hi // s + 1, 2):
                 tally = tallies[(s * t - lo) >> 1]
-                keys = tally[4]
-                for d1, d2 in ((s, t), (t, s)) if s != t else ((s, t),):
-                    v = d2 - p * d1  # A1
-                    if v & 1:
-                        if v >= top:
-                            tally[0] += 1
-                        elif v > 0:
-                            keys.append(4 * (v >> 1))
-                    v = d2 - q * d1  # A2
-                    if v & 1:
-                        if v >= top:
-                            tally[1] += 1
-                        elif v > 0:
-                            keys.append(4 * (v >> 1) + 1)
-                    v = q * d2 - d1  # B1
+                v = t - p * s  # A1 of (d1, d2) = (s, t)
+                if v & 1:
+                    if v >= top:
+                        tally[0] += 1
+                    elif v > 0:
+                        tally[4].append(4 * (v >> 1))
+                v = t - q * s  # A2
+                if v & 1:
+                    if v >= top:
+                        tally[1] += 1
+                    elif v > 0:
+                        tally[4].append(4 * (v >> 1) + 1)
+                v = q * t - s  # B1
+                if v & 1:
+                    if v >= top:
+                        tally[2] += 1
+                    elif v > 0:
+                        tally[4].append(4 * (v >> 1) + 2)
+                v = p * t - s  # B2
+                if v & 1:
+                    if v >= top:
+                        tally[3] += 1
+                    elif v > 0:
+                        tally[4].append(4 * (v >> 1) + 3)
+                if t > s:  # (d1, d2) = (t, s): its A1, A2 values s - p*t, s - q*t are < 0
+                    v = q * s - t  # B1
                     if v & 1:
                         if v >= top:
                             tally[2] += 1
                         elif v > 0:
-                            keys.append(4 * (v >> 1) + 2)
-                    v = p * d2 - d1  # B2
+                            tally[4].append(4 * (v >> 1) + 2)
+                    v = p * s - t  # B2
                     if v & 1:
                         if v >= top:
                             tally[3] += 1
                         elif v > 0:
-                            keys.append(4 * (v >> 1) + 3)
+                            tally[4].append(4 * (v >> 1) + 3)
         rows[p * lo - n_lo :: 2 * p] = [(e, t[:4], t[4]) for t in tallies]
     return rows
 
@@ -128,31 +135,27 @@ def census(m: int, n: int) -> DivisorPairCensus:
         raise ValueError("m must be non-negative")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    _, counts, _ = _tallies(n, n, 2 * m + 1)[0]
-    return DivisorPairCensus._make(counts)
+    return _census(_tallies(n, n, 2 * m + 1)[0][1])
 
 
 def census_runs(n_lo: int, n_hi: int, m_max: int) -> list:
-    """[(e, runs), ...] for n_lo <= n <= n_hi = 2^e * odd, with runs =
-    [(m_lo, m_hi, c), ...] ascending, covering 0..m_max, c == census(m, n)
-    for m_lo <= m <= m_hi.  In census, m enters only through the threshold
-    2m+1, and an odd v is >= 2m+1 exactly when v // 2 >= m.  So one _tallies
-    at 2*m_max+1 serves every m: a set's count at m adds its keys at v // 2 >= m."""
+    """[(e, runs), ...] for n_lo <= n <= n_hi = 2^e * odd: runs = [(m_lo, m_hi, c), ...]
+    ascending over 0..m_max, c == census(m, n) for m_lo <= m <= m_hi.  An odd v is >= 2m+1
+    exactly when v // 2 >= m, so a set's count at m adds its keys at v // 2 >= m."""
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     out = []
     for e, counts, keys in _tallies(n_lo, n_hi, 2 * m_max + 1):
         # Walk the keys from the highest v down, adding each to its set's count.
         keys.sort(reverse=True)
-        runs = []
-        hi = m_max
+        runs, hi = [], m_max
         for key in keys:
             k = key >> 2
             if k < hi:
-                runs.append((k + 1, hi, DivisorPairCensus._make(counts)))
+                runs.append((k + 1, hi, _census(counts)))
                 hi = k
             counts[key & 3] += 1
-        runs.append((0, hi, DivisorPairCensus._make(counts)))
+        runs.append((0, hi, _census(counts)))
         out.append((e, runs[::-1]))
     return out
 

@@ -134,12 +134,11 @@ def _y_worker(args):
     out = []
     for n, (e, runs) in enumerate(divisors.census_runs(n_lo, n_hi, m_max), n_lo):
         for m_lo, m_hi, c in runs:
-            ms = range(m_lo, m_hi + 1)
             bad = divisors.containment_violation(c, e)
             if bad is not None:
-                out += ((m, n, f"{c}", bad) for m in ms)
+                out += ((m, n, f"{c}", bad) for m in range(m_lo, m_hi + 1))
             if c.y < 0:
-                out += ((m, n, str(c.y), "Y^(m)(n) >= 0") for m in ms)
+                out += ((m, n, str(c.y), "Y^(m)(n) >= 0") for m in range(m_lo, m_hi + 1))
     return _capped(out), 0
 
 
