@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from operator import add, mul
 from typing import NamedTuple
 
@@ -38,8 +37,11 @@ class OddPartDecomposition:
     def of(cls, n: int) -> "OddPartDecomposition":
         if n < 1:
             raise ValueError("n must be a positive integer")
-        e = (n & -n).bit_length() - 1
-        return cls(e, n >> e)
+        e = 0
+        while n % 2 == 0:
+            n //= 2
+            e += 1
+        return cls(e, n)
 
 
 class DivisorPairCensus(NamedTuple):
@@ -59,9 +61,6 @@ class DivisorPairCensus(NamedTuple):
     def z(self) -> int:
         """Z^(m)(n) = #B1 - #A2."""
         return self.b1 - self.a2
-
-
-_census = partial(tuple.__new__, DivisorPairCensus)  # DivisorPairCensus(*c) in one C call
 
 
 def _tallies(n_lo: int, n_hi: int, top: int) -> list:
@@ -135,7 +134,7 @@ def census(m: int, n: int) -> DivisorPairCensus:
         raise ValueError("m must be non-negative")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return _census(_tallies(n, n, 2 * m + 1)[0][1])
+    return DivisorPairCensus._make(_tallies(n, n, 2 * m + 1)[0][1])
 
 
 def census_runs(n_lo: int, n_hi: int, m_max: int) -> list:
@@ -148,14 +147,15 @@ def census_runs(n_lo: int, n_hi: int, m_max: int) -> list:
     for e, counts, keys in _tallies(n_lo, n_hi, 2 * m_max + 1):
         # Walk the keys from the highest v down, adding each to its set's count.
         keys.sort(reverse=True)
-        runs, hi = [], m_max
+        runs = []
+        hi = m_max
         for key in keys:
             k = key >> 2
             if k < hi:
-                runs.append((k + 1, hi, _census(counts)))
+                runs.append((k + 1, hi, DivisorPairCensus._make(counts)))
                 hi = k
             counts[key & 3] += 1
-        runs.append((0, hi, _census(counts)))
+        runs.append((0, hi, DivisorPairCensus._make(counts)))
         out.append((e, runs[::-1]))
     return out
 

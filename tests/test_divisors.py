@@ -187,11 +187,6 @@ def test_reader_matches_trial_division_tally_at_one_n(n, top):
     assert read_by_blocks([n, n + 1], top) == [tally_by_trial_division(n, top)]
 
 
-def test_reader_rows_cover_the_block():
-    assert _tallies(1, 0, 1) == []
-    assert [e for e, _, _ in _tallies(96, 100, 1)] == [5, 0, 1, 0, 2]
-
-
 def test_census_far_beyond_any_table():
     # a table of every odd N up to P * Q would hold ~5 * 10^11 rows
     for n in (P * Q, 2 * P * Q):
