@@ -141,8 +141,8 @@ def census_runs(n_lo: int, n_hi: int, m_max: int) -> list:
     """[(e, runs), ...] for n_lo <= n <= n_hi = 2^e * odd: runs = [(m_lo, m_hi, c), ...]
     ascending over 0..m_max, c == census(m, n) for m_lo <= m <= m_hi.  An odd v is >= 2m+1
     exactly when v // 2 >= m, so a set's count at m adds its keys at v // 2 >= m."""
-    if m_max < 0:
-        raise ValueError("m_max must be non-negative")
+    if m_max < 0 or n_lo < 1:
+        raise ValueError("m_max must be non-negative and n_lo positive")
     out = []
     for e, counts, keys in _tallies(n_lo, n_hi, 2 * m_max + 1):
         # Walk the keys from the highest v down, adding each to its set's count.

@@ -271,6 +271,8 @@ def test_census_vanishes_once_m_reaches_n():
 def test_census_sweep_rejects_negative_m_max():
     with pytest.raises(ValueError):
         census_runs(5, 5, -1)
+    with pytest.raises(ValueError):  # n = 0 has no odd part
+        census_runs(0, 5, 3)
 
 
 def test_census_y_and_z():
