@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 
@@ -160,27 +160,30 @@ def census_runs(n_lo: int, n_hi: int, m_max: int) -> list:
     return out
 
 
-def census_rows(m_lo: int, m_hi: int, n_max: int) -> list:
-    """[(ys, zs), ...] for 0 <= m_lo <= m <= m_hi, with ys[n-1], zs[n-1] ==
-    census(m, n).y, .z for 1 <= n <= n_max.  One _tallies at 2*m_hi+1 gives
-    the row at m_hi.  A key at v // 2 == k counts at every m <= k (see
-    census_runs), so the row at m is the row at m+1 plus the keys at v // 2 == m."""
+def census_rows(m_lo: int, m_hi: int, n_max: int):
+    """Yield (ys, zs) for each 0 <= m_lo <= m <= m_hi in ascending order, with
+    ys[n-1], zs[n-1] == census(m, n).y, .z for 1 <= n <= n_max.  One _tallies
+    at 2*m_hi+1 reads every pair.  A key at v // 2 == k counts at every m <= k
+    (see census_runs), so the row at m_lo adds every key at v // 2 >= m_lo,
+    and each step m -> m+1 subtracts the keys at v // 2 == m, kept per m.  The
+    next step updates the lists in place."""
     units = [DivisorPairCensus(*(int(i == j) for j in range(4))) for i in range(4)]
     y_sign, z_sign = [u.y for u in units], [u.z for u in units]  # of #A1, #A2, #B1, #B2
     ys, zs = [], []
-    dys = [[0] * n_max for _ in range(m_lo, m_hi)]  # the keys' terms at m_lo..m_hi-1
-    dzs = [[0] * n_max for _ in range(m_lo, m_hi)]
+    steps = [[] for _ in range(m_lo, m_hi)]  # 4*(n-1) + set of each key at v // 2 == m
     for i, (_, counts, keys) in enumerate(_tallies(1, n_max, 2 * m_hi + 1)):
-        ys.append(sum(map(mul, y_sign, counts)))
-        zs.append(sum(map(mul, z_sign, counts)))
         for key in keys:
             if key >> 2 >= m_lo:
-                dys[(key >> 2) - m_lo][i] += y_sign[key & 3]
-                dzs[(key >> 2) - m_lo][i] += z_sign[key & 3]
-    rows = [(ys, zs)]
-    for deltas in zip(reversed(dys), reversed(dzs)):
-        rows.append(tuple(list(map(add, row, d)) for row, d in zip(rows[-1], deltas)))
-    return rows[::-1]
+                counts[key & 3] += 1
+                steps[(key >> 2) - m_lo].append(4 * i + (key & 3))
+        ys.append(sum(map(mul, y_sign, counts)))
+        zs.append(sum(map(mul, z_sign, counts)))
+    yield ys, zs
+    for step in steps:
+        for code in step:
+            ys[code >> 2] -= y_sign[code & 3]
+            zs[code >> 2] -= z_sign[code & 3]
+        yield ys, zs
 
 
 def containment_violation(c: DivisorPairCensus, e: int) -> str | None:

@@ -19,7 +19,7 @@ from Euler's pentagonal-number recurrence in O(N^1.5) and is cached per
 order N; each series is then a signed sum of O(sqrt N) shifted copies of
 P2 / (1 - q^b), each built in O(N), so a series costs O(N^1.5) additions.
 
-The sweeps build a series for a block of consecutive m.  Every term
+The sweeps build a series for a run of consecutive m.  Every term
 s * q^a / (1 - q^b) of X^(m), Y^(m), Z^(m), T and the T-decomposition
 tables has an exponent a that grows by exactly its modulus b per unit of
 m, and
@@ -27,7 +27,7 @@ m, and
     q^(a+b) / (1 - q^b) = q^a / (1 - q^b) - q^a,
 
 so each step m -> m+1 subtracts s * q^a(m) for each term with a(m) <= N.
-Terms only leave as m grows.  A block starts from the direct build at its
+Terms only leave as m grows.  A run starts from the direct build at its
 first m, and _sweep is the one stepping loop.  lambert_sweep steps the
 plain sums: one monomial per term, with no division.  mc_sweep steps their
 products with P2: one shifted copy of P2 per term.  It starts from the

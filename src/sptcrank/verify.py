@@ -6,23 +6,27 @@ configuration yields an identical violation list, sorted by (m, n),
 regardless of parallelism.  Each check splits its grid into parts, one
 worker call each.  y-nonneg's parts are blocks of n, because one
 divisors.census_runs per block reads each n's divisor pairs once, for
-every m of the part.  The other checks' parts are blocks of M_BLOCK m,
-because building a series for a block of m in one sweep costs little
-more than building it for one m.  conjecture takes its M_C1/M_C5 series
-from one qseries.mc_sweep per block; x-small-n, finite-window and cross
-take theirs from one qseries.lambert_sweep, and cross takes its divisor
-census from one divisors.census_rows per block.  x-small-n and
-finite-window compare the sweep's lists at each block's last m with a
-direct build of the same sums, so a wrong step cannot pass unseen.  A
-check reads columns over n at one m and is decided by one comparison of
-two columns; only a failing column is read point by point, to word its
-violations.
+every m of the part.  The other checks' parts are contiguous runs of m,
+at most one per worker: a run pays for one direct build at its first m,
+and each later m costs one sweep step, less than a build, so at
+parallelism 1 each check is one sweep from m = 0.  The runs take equal
+shares of the m range, except x-small-n's, which take equal shares of
+its work, 20m + 1 values at each m.  conjecture takes its M_C1/M_C5
+series from one qseries.mc_sweep per run; x-small-n, finite-window and
+cross take theirs from one qseries.lambert_sweep, and cross takes its
+divisor census from one divisors.census_rows per run.  x-small-n and
+finite-window compare the sweep's lists at each run's last m with a
+direct build of the same sums; a wrong step changes every later list of
+its run, so it cannot pass unseen.  A check reads columns over n at one
+m and is decided by one comparison of two columns; only a failing column
+is read point by point, to word its violations.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from operator import le, sub
@@ -41,7 +45,6 @@ CHECK_IDS = ("y-nonneg", "x-small-n", "finite-window", "conjecture", "cross")
 
 WINDOW_M = range(121)  # the finite window's fixed m range, 0 <= m <= 120
 Y_BLOCK = 256  # n per y-nonneg part
-M_BLOCK = 8  # m per part of the x-small-n, finite-window, conjecture and cross checks
 
 
 class ResourceGuardError(RuntimeError):
@@ -182,7 +185,7 @@ def _x_small_worker(args):
 
 def _finite_window_worker(args):
     """X >= 0 on 20m < n < f(m) for m_lo <= m <= m_hi, from one sweep of X
-    at the block's largest n; counts the values checked."""
+    at the run's largest n; counts the values checked."""
     m_lo, m_hi = args
     out = []
     his = [math.ceil(bounds.f_of_m(m)) - 1 for m in range(m_lo, m_hi + 1)]  # largest n < f(m)
@@ -219,10 +222,10 @@ def _cross_worker(args):
 
     Each check compares two columns over n at one m once, and words its
     violations point by point only when the columns fail.  The census rows
-    come from one divisors.census_rows for the block, the lattice counts
+    come from one divisors.census_rows for the run, the lattice counts
     from one count sweep per region and m, and the figures from one
     lattice.figure_columns per m, whose m-free terms are computed once for
-    the block.  The lattice path enumerates points and never reads the
+    the run.  The lattice path enumerates points and never reads the
     census.
     """
     m_lo, m_hi, n_max = args
@@ -357,17 +360,37 @@ class _Check(NamedTuple):
     post: Callable | None = None  # (cfg, report) -> None, run after the sweep
 
 
-def _blocks(first: int, last: int, size: int, *rest) -> list:
-    """(lo, hi, *rest) for consecutive blocks lo..hi of size values from first to last."""
-    return [(lo, min(lo + size - 1, last), *rest) for lo in range(first, last + 1, size)]
-
-
-def _m_blocks(cfg: SweepConfig) -> list:
-    return _blocks(0, cfg.m_max, M_BLOCK, cfg.n_max)
-
-
 def _n_blocks(cfg: SweepConfig) -> list:
-    return _blocks(1, cfg.n_max, Y_BLOCK, cfg.m_max)
+    """(lo, hi, m_max) for consecutive blocks lo..hi of Y_BLOCK n from 1 to n_max."""
+    return [(lo, min(lo + Y_BLOCK - 1, cfg.n_max), cfg.m_max)
+            for lo in range(1, cfg.n_max + 1, Y_BLOCK)]
+
+
+def _m_runs(ms: range, parts: int, weight=lambda m: 1) -> list:
+    """(lo, hi) for k = min(parts, len(ms)) nonempty contiguous runs lo..hi
+    that cover ms in ascending order.  The j-th run ends at the first m where
+    the weight summed from ms[0] reaches j/k of the total, moved only as far
+    as keeps every run nonempty."""
+    k = min(parts, len(ms))
+    cum = list(accumulate(map(weight, ms)))
+    ends = []  # the index in ms of each run's last m
+    for j in range(1, k):
+        i = bisect_left(cum, -(-j * cum[-1] // k))
+        ends.append(min(max(i, ends[-1] + 1 if ends else 0), len(ms) - 1 - k + j))
+    ends.append(len(ms) - 1)
+    return [(ms[a], ms[b]) for a, b in zip([0] + [e + 1 for e in ends[:-1]], ends)]
+
+
+def _x_small_runs(cfg: SweepConfig) -> list:
+    return _m_runs(range(cfg.m_max + 1), cfg.parallelism, lambda m: 20 * m + 1)
+
+
+def _window_runs(cfg: SweepConfig) -> list:
+    return _m_runs(WINDOW_M, cfg.parallelism)
+
+
+def _grid_runs(cfg: SweepConfig) -> list:
+    return [(lo, hi, cfg.n_max) for lo, hi in _m_runs(range(cfg.m_max + 1), cfg.parallelism)]
 
 
 _CHECKS = {
@@ -377,24 +400,24 @@ _CHECKS = {
         post=_note_empty_n_range,
     ),
     "x-small-n": _Check(
-        _x_small_worker, lambda cfg: _blocks(0, cfg.m_max, M_BLOCK),
+        _x_small_worker, _x_small_runs,
         "0<=m<={m_max}, n<=20m", lambda cfg: (cfg.m_max + 1) * (20 * cfg.m_max + 1),
     ),
     # The finite window's range is fixed, so no configuration can trip the guard.
     "finite-window": _Check(
-        _finite_window_worker, lambda cfg: _blocks(WINDOW_M[0], WINDOW_M[-1], M_BLOCK),
+        _finite_window_worker, _window_runs,
         "0<=m<=120, 20m<n<f(m)", lambda cfg: 0,
         count_reason="values checked", post=_window_coverage,
     ),
     # Only m >= 0 is built: negative m rest on M(-m,n) = M(m,n), which only
     # the cross check's bivariate checks test, for n <= --bivariate-order.
     "conjecture": _Check(
-        _conjecture_worker, _m_blocks, "|m|<={m_max}, 1<=n<={n_max}",
+        _conjecture_worker, _grid_runs, "|m|<={m_max}, 1<=n<={n_max}",
         lambda cfg: 2 * (cfg.m_max + 1) * (cfg.n_max + 1),
         post=_note_empty_n_range,
     ),
     "cross": _Check(
-        _cross_worker, _m_blocks,
+        _cross_worker, _grid_runs,
         "0<=m<={m_max}, 1<=n<={n_max}; bivariate order {bivariate_order}",
         lambda cfg: 3 * (cfg.m_max + 1) * (cfg.n_max + 1)
         + (2 * cfg.bivariate_order + 1) * (cfg.bivariate_order + 1),

@@ -237,7 +237,7 @@ def test_verify_json_byte_identical_across_parallelism(run):
 
 
 def test_cross_json_byte_identical_across_parallelism(run):
-    """m <= 17 spans three cross parts; every --parallel gives the golden bytes."""
+    """--parallel p splits m <= 17 into p cross parts; every p gives the golden bytes."""
     argv = ["cross-check", "--m-max", "17", "--n-max", "300",
             "--bivariate-order", "20", "--json"]
     golden = (Path(__file__).resolve().parent / "golden" / "cross-check-m17.json").read_text(
@@ -248,7 +248,7 @@ def test_cross_json_byte_identical_across_parallelism(run):
 
 
 def test_conjecture_json_byte_identical_across_parallelism(run):
-    """m <= 17 spans three conjecture parts; every --parallel gives the golden bytes."""
+    """--parallel p splits m <= 17 into p conjecture parts; every p gives the golden bytes."""
     argv = ["verify", "--check", "conjecture", "--m-max", "17", "--n-max", "300", "--json"]
     golden = (Path(__file__).resolve().parent / "golden" / "conjecture-m17.json").read_text(
         encoding="utf-8"

@@ -251,9 +251,10 @@ def test_census_sweep_beyond_the_smallest_table(n):
     (0, 0, 300), (0, 7, 1200), (8, 15, 1200), (24, 30, 600), (5, 5, 40), (3, 9, 0), (120, 125, 700),
 ])
 def test_census_rows_match_trial_division(m_lo, m_hi, n_max):
-    """census_rows' Y and Z rows at every m of the block equal the trial
-    division census at every n <= n_max."""
-    rows = census_rows(m_lo, m_hi, n_max)
+    """census_rows' Y and Z rows at every m of the run equal the trial
+    division census at every n <= n_max.  The generator updates its rows in
+    place, so each is copied as it comes."""
+    rows = [(list(ys), list(zs)) for ys, zs in census_rows(m_lo, m_hi, n_max)]
     assert len(rows) == m_hi - m_lo + 1
     for m, (ys, zs) in zip(range(m_lo, m_hi + 1), rows):
         expected = [census_by_trial_division(m, n) for n in range(1, n_max + 1)]

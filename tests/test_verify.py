@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sptcrank
-from sptcrank import bivariate, divisors, lattice, qseries, verify
+from sptcrank import bivariate, bounds, divisors, lattice, qseries, verify
 from sptcrank.series import TruncatedSeries
 from sptcrank.verify import (
     CHECK_IDS,
@@ -85,8 +86,10 @@ def test_conjecture_notes_an_empty_n_range():
     assert run_checks(small_cfg(checks=("conjecture",), n_max=1))[0].skips == []
 
 
-def test_worker_pool_capped_at_the_number_of_parts(monkeypatch):
-    """The pool is asked for at most one worker per part; its map runs serially."""
+def serial_pool(monkeypatch) -> list:
+    """Replace the process pool by one whose map runs in this process, so
+    patches and call records hold in every part; returns the list that
+    records each pool's max_workers."""
     asked = []
 
     class SerialPool:
@@ -103,14 +106,69 @@ def test_worker_pool_capped_at_the_number_of_parts(monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return asked
+
+
+def test_worker_pool_capped_at_the_number_of_parts(monkeypatch):
+    """The pool is asked for at most one worker per part; its map runs serially."""
+    asked = serial_pool(monkeypatch)
     checks = ("y-nonneg", "finite-window", "conjecture")
     pooled = run_checks(small_cfg(m_max=9, checks=checks, parallelism=5000))
-    # y-nonneg's one n-block runs without a pool; 16 window m-blocks; 2 conjecture m-blocks
-    window_blocks = len(range(0, len(verify.WINDOW_M), verify.M_BLOCK))
-    assert window_blocks == 16
-    assert asked == [window_blocks, 2]
+    # y-nonneg's one n-block runs without a pool; the window and conjecture
+    # split into one run per m, 121 and 10, far fewer than the 5000 asked for
+    assert len(verify.WINDOW_M) == 121
+    assert asked == [121, 10]
     serial = run_checks(small_cfg(m_max=9, checks=checks))
     assert [report_key(r) for r in pooled] == [report_key(r) for r in serial]
+
+
+WEIGHTS = {
+    "unit": lambda m: 1,
+    "x-small-n": lambda m: 20 * m + 1,
+    "steep": lambda m: 4**m,  # the last m outweighs all before it
+    "spikes": lambda m: 1000 if m % 7 == 3 else 1,  # one m can hold several shares
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=st.integers(0, 130), count=st.integers(1, 160), parts=st.integers(1, 200),
+       weight=st.sampled_from(sorted(WEIGHTS)))
+def test_m_runs_cover_the_range_contiguously(first, count, parts, weight):
+    """min(parts, #m) nonempty runs, ascending, each starting just after the
+    last one ends, from the first m to the last."""
+    ms = range(first, first + count)
+    runs = verify._m_runs(ms, parts, WEIGHTS[weight])
+    assert len(runs) == min(parts, count)
+    assert all(lo <= hi for lo, hi in runs)
+    assert [m for lo, hi in runs for m in range(lo, hi + 1)] == list(ms)
+
+
+def test_each_m_check_splits_into_one_run_per_worker():
+    """At parallelism 1 each m-check is one run from m = 0; at parallelism 2
+    the grid checks and the window split their m evenly, and x-small-n its
+    work: 20m + 1 values at each m put the boundary near m = 212 of 300."""
+    def parts(check, **kw):
+        return verify._CHECKS[check].args(SweepConfig(checks=(check,), **kw))
+
+    for check in ("conjecture", "cross"):
+        assert parts(check, m_max=300, n_max=9) == [(0, 300, 9)]
+        assert parts(check, m_max=300, n_max=9, parallelism=2) == [(0, 150, 9), (151, 300, 9)]
+    assert parts("finite-window") == [(0, 120)]
+    assert parts("finite-window", parallelism=2) == [(0, 60), (61, 120)]
+    assert parts("x-small-n", m_max=300) == [(0, 300)]
+    runs = parts("x-small-n", m_max=300, parallelism=2)
+    assert runs == [(0, 212), (213, 300)]
+    work = [sum(20 * m + 1 for m in range(lo, hi + 1)) for lo, hi in runs]
+    assert abs(work[0] - work[1]) <= 20 * 212 + 1  # within one m's work of equal
+
+
+def test_window_m_ends_where_f_stops_exceeding_20m():
+    """The finite window's m range is exactly where f(m) > 20m: it holds at
+    every m of WINDOW_M and at no m after it (f(m) - 20m decreases)."""
+    assert verify.WINDOW_M == range(121)
+    assert all(bounds.threshold_profile(m).f_exceeds_20m for m in verify.WINDOW_M)
+    after = range(verify.WINDOW_M[-1] + 1, 400)
+    assert not any(bounds.threshold_profile(m).f_exceeds_20m for m in after)
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -131,11 +189,11 @@ def _poisoned_rows(m_bad=None, n_bad=15):
     real = divisors.census_rows
 
     def census_rows(m_lo, m_hi, n_max):
-        rows = real(m_lo, m_hi, n_max)
-        for m, (ys, _) in zip(range(m_lo, m_hi + 1), rows):
+        for m, (ys, zs) in zip(range(m_lo, m_hi + 1), real(m_lo, m_hi, n_max)):
             if m_bad in (None, m) and n_bad <= n_max:
+                ys = list(ys)  # a copy: the real rows carry to the next m
                 ys[n_bad - 1] += 1
-        return rows
+            yield ys, zs
 
     return census_rows
 
@@ -152,8 +210,9 @@ def test_census_corruption_in_the_second_block_names_its_m(monkeypatch):
     """A census poisoned at m = 9 only, an m of the second cross part, is
     reported at m = 9 and at no other m."""
     monkeypatch.setattr(divisors, "census_rows", _poisoned_rows(m_bad=9))
-    cfg = small_cfg(m_max=17, checks=("cross",))
-    second = verify._m_blocks(cfg)[1]
+    serial_pool(monkeypatch)
+    cfg = small_cfg(m_max=17, checks=("cross",), parallelism=3)
+    second = verify._CHECKS["cross"].args(cfg)[1]
     assert second[0] <= 9 <= second[1]
     rep = run_checks(cfg)[0]
     assert rep.status == "fail"
@@ -163,7 +222,7 @@ def test_census_corruption_in_the_second_block_names_its_m(monkeypatch):
 
 def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
     """Each cross part reads each n's divisor pairs once, by one _tallies
-    over 1..n_max for its whole block of m, never by census or census_runs,
+    over 1..n_max for its whole run of m, never by census or census_runs,
     and takes its lattice counts from the count sweep, never from count_region."""
     calls = {"census": [], "census_runs": [], "_tallies": [], "count_region": []}
 
@@ -180,15 +239,20 @@ def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
     counting(divisors, "census_runs")
     counting(divisors, "_tallies")
     counting(lattice, "count_region")
-    cfg = small_cfg(m_max=17, n_max=120, checks=("cross",), bivariate_order=0)
-    blocks = verify._m_blocks(cfg)
-    assert len(blocks) == 3
-    rep = run_checks(cfg)[0]
-    assert rep.status == "pass" and rep.skips
-    assert calls == {
-        "census": [], "census_runs": [], "count_region": [],
-        "_tallies": [(1, cfg.n_max, 2 * m_hi + 1) for _, m_hi, _ in blocks],
-    }
+    serial_pool(monkeypatch)
+    shapes = {1: [(0, 17, 120)], 3: [(0, 5, 120), (6, 11, 120), (12, 17, 120)]}
+    for parallelism, parts in shapes.items():
+        cfg = small_cfg(m_max=17, n_max=120, checks=("cross",), bivariate_order=0,
+                        parallelism=parallelism)
+        assert verify._CHECKS["cross"].args(cfg) == parts
+        for found in calls.values():
+            found.clear()
+        rep = run_checks(cfg)[0]
+        assert rep.status == "pass" and rep.skips
+        assert calls == {
+            "census": [], "census_runs": [], "count_region": [],
+            "_tallies": [(1, cfg.n_max, 2 * m_hi + 1) for _, m_hi, _ in parts],
+        }
 
 
 def test_cross_worker_computes_each_area_once_per_even_n(monkeypatch):
@@ -225,8 +289,9 @@ def test_lattice_corruption_in_the_second_block_names_its_m_and_n(monkeypatch):
         return totals, odds
 
     monkeypatch.setattr(lattice, "count_sweep", bad)
-    cfg = small_cfg(m_max=17, n_max=60, checks=("cross",), bivariate_order=0)
-    second = verify._m_blocks(cfg)[1]
+    serial_pool(monkeypatch)
+    cfg = small_cfg(m_max=17, n_max=60, checks=("cross",), bivariate_order=0, parallelism=3)
+    second = verify._CHECKS["cross"].args(cfg)[1]
     assert second[0] <= m_bad <= second[1]
     rep = run_checks(cfg)[0]
     assert rep.status == "fail"
@@ -268,8 +333,8 @@ def test_t_component_corruption_is_caught(monkeypatch):
 
 @pytest.mark.parametrize("check, part", [("x-small-n", "R1"), ("finite-window", "X")])
 def test_corrupted_sweep_is_caught_by_the_direct_build(monkeypatch, check, part):
-    """A sweep whose last list is off by one at its block's last m fails its
-    check with one violation per block, naming the part."""
+    """A sweep whose last list is off by one at its run's last m fails its
+    check with one violation per run, naming the part."""
     real = qseries.lambert_sweep
 
     def bad(parts, m_lo, m_hi, order):
@@ -279,13 +344,42 @@ def test_corrupted_sweep_is_caught_by_the_direct_build(monkeypatch, check, part)
             yield m, lists
 
     monkeypatch.setattr(qseries, "lambert_sweep", bad)
-    cfg = small_cfg(m_max=17, checks=(check,))
-    rep = run_checks(cfg)[0]
-    assert rep.status == "fail"
-    assert rep.violations == [
-        Violation(m_hi, 0, f"swept {part} series", "equals the direct build")
-        for _, m_hi in verify._CHECKS[check].args(cfg)
-    ]
+    serial_pool(monkeypatch)
+    for parallelism in (1, 3):
+        cfg = small_cfg(m_max=17, checks=(check,), parallelism=parallelism)
+        rep = run_checks(cfg)[0]
+        assert rep.status == "fail"
+        assert rep.violations == [
+            Violation(m_hi, 0, f"swept {part} series", "equals the direct build")
+            for _, m_hi in verify._CHECKS[check].args(cfg)
+        ]
+        assert len(rep.violations) == parallelism
+
+def test_a_wrong_first_step_is_caught_at_the_end_of_its_run(monkeypatch):
+    """A sweep that misses one monomial in its m = 0 -> 1 step, the first
+    _drop_monomial call, is wrong at every later m of its run, so the one
+    direct build at the run's last m sees it.  Each check runs as one sweep
+    from m = 0 at parallelism 1; finite-window's X stays nonnegative, so only
+    that comparison, at m = 120, reports the step."""
+    real = qseries._drop_monomial
+    missed = []
+
+    def drop(acc, a, s):
+        if missed:
+            real(acc, a, s)
+        else:
+            missed.append((a, s))
+
+    monkeypatch.setattr(qseries, "_drop_monomial", drop)
+    x_small = run_checks(small_cfg(checks=("x-small-n",)))[0]
+    assert missed == [(4, -1)]  # T's first term, -q^4/(1-q^2) at m = 0
+    assert x_small.status == "fail"
+    assert Violation(3, 0, "swept T series", "equals the direct build") in x_small.violations
+    missed.clear()
+    window = run_checks(small_cfg(checks=("finite-window",)))[0]
+    assert missed == [(4, -1)]  # X's first term
+    assert window.violations == [Violation(120, 0, "swept X series", "equals the direct build")]
+
 
 def test_bivariate_z_asymmetry_is_caught(monkeypatch):
     """An expansion whose z^-1 column differs from its z^1 column must fail
