@@ -156,8 +156,8 @@ def _add_parallel_flag(p: argparse.ArgumentParser) -> None:
         # argparse converts a string default with `type`, so a malformed
         # environment value is a usage error like a malformed flag.
         default=_env("PARALLEL") or 1,
-        help="number of worker processes: y-nonneg hands them blocks of n; "
-        "every other check splits its m range into one run per worker",
+        help="number of worker processes, at most the CPU count: y-nonneg hands "
+        "them blocks of n; every other check splits its m range into one run per worker",
     )
 
 

@@ -27,11 +27,13 @@ m, and
     q^(a+b) / (1 - q^b) = q^a / (1 - q^b) - q^a,
 
 so each step m -> m+1 subtracts s * q^a(m) for each term with a(m) <= N.
-Terms only leave as m grows.  A run starts from the direct build at its
-first m, and _sweep is the one stepping loop.  lambert_sweep steps the
-plain sums: one monomial per term, with no division.  mc_sweep steps their
-products with P2: one shifted copy of P2 per term.  It starts from the
-first sums of X^(m) and Y^(m) and the shared Z^(m), which both families add.
+Terms only leave as m grows.  A run generates its terms once, for the
+direct build at its first m, and each step carries every live term
+(a, b, s) on to (a + b, b, s); _sweep is the one stepping loop.
+lambert_sweep steps the plain sums: one monomial per term, with no
+division.  mc_sweep steps their products with P2: one shifted copy of P2
+per term.  It starts from the first sums of X^(m) and Y^(m) and the
+shared Z^(m), which both families add.
 """
 
 from __future__ import annotations
@@ -203,19 +205,22 @@ def _sweep(sources, m_lo: int, m_hi: int, order: int, start, leave):
     """Yield (m, lists) for each m_lo <= m <= m_hi, one coefficient list per
     term source (m, order) -> terms.
 
-    The lists are start(terms, order) at m_lo.  Each later m is one step of
-    the identity in the module docstring: leave(acc, a, s) takes the term
-    s * q^a / (1 - q^b) at m - 1 down to the same term at m.  The next step
-    updates the lists in place.
+    Each source is called once, at m_lo, where the lists are start(terms,
+    order).  Each later m is one step of the identity in the module
+    docstring: leave(acc, a, s) takes each term s * q^a / (1 - q^b) at m - 1
+    down to the same term at m, carried on as (a + b, b, s) while a + b is
+    at most the order.  The next step updates the lists in place.
     """
     if m_lo < 0:
         raise ValueError("m must be non-negative")
-    accs = [start(terms(m_lo, order), order) for terms in sources]
+    live = [list(terms(m_lo, order)) for terms in sources]
+    accs = [start(terms, order) for terms in live]
     for m in range(m_lo, m_hi + 1):
         if m > m_lo:
-            for acc, terms in zip(accs, sources):
-                for a, _, s in terms(m - 1, order):
+            for acc, terms in zip(accs, live):
+                for a, _, s in terms:
                     leave(acc, a, s)
+            live = [[(a + b, b, s) for a, b, s in terms if a + b <= order] for terms in live]
         yield m, accs
 
 

@@ -14,7 +14,7 @@ fabricate coefficients beyond its inputs' common valid prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterable
 
 
@@ -117,6 +117,16 @@ def over_one_minus_qk(coeffs, k: int) -> tuple:
     for r in range(min(k, len(out))):
         out[r::k] = accumulate(out[r::k])
     return tuple(out)
+
+
+def negative_over_one_minus_q2(coeffs, lo: int = 0) -> bool:
+    """Whether some coefficient n >= lo of coeffs / (1 - q^2) is negative,
+    that is min(over_one_minus_qk(coeffs, 2)[lo:]) < 0, decided on the
+    running sums of each parity class without building the quotient."""
+    return any(
+        min(islice(accumulate(islice(coeffs, r, None, 2)), (lo - r + 1) // 2, None), default=0) < 0
+        for r in (0, 1)
+    )
 
 
 def divide_by_one_minus_qk(s: TruncatedSeries, k: int) -> TruncatedSeries:

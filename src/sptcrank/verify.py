@@ -19,12 +19,17 @@ finite-window compare the sweep's lists at each run's last m with a
 direct build of the same sums; a wrong step changes every later list of
 its run, so it cannot pass unseen.  A check reads columns over n at one
 m and is decided by one comparison of two columns; only a failing column
-is read point by point, to word its violations.
+is read point by point, to word its violations.  x-small-n and
+finite-window decide on the swept numerators over 1 - q^2, since dividing
+a prefix by 1 - q^2 is invertible: T == X and T == T1+...+T' compare the
+numerators, and series.negative_over_one_minus_q2 decides R2 >= 0 and
+X >= 0.  Only a failing m is divided, to word its violations.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -33,7 +38,7 @@ from operator import le, sub
 from typing import Callable, NamedTuple
 
 from . import bivariate, bounds, divisors, lattice, qseries
-from .series import over_one_minus_qk
+from .series import negative_over_one_minus_q2, over_one_minus_qk
 
 TOOL_NAME = "sptcrank"
 TOOL_VERSION = "0.1.0"
@@ -110,11 +115,12 @@ def guard(slots: int, override: bool) -> None:
 
 
 def _map_parts(worker, args, parallelism: int):
-    if parallelism <= 1 or len(args) <= 1:
+    workers = min(parallelism, len(args), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(a) for a in args]
     from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
 
-    with ProcessPoolExecutor(max_workers=min(parallelism, len(args))) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(worker, args))
 
 
@@ -166,8 +172,12 @@ def _x_small_worker(args):
     order = 20 * m_hi
     for m, swept in qseries.lambert_sweep(_X_SMALL_PARTS, m_lo, m_hi, order):
         k = 20 * m + 1
-        t, x, comp = (over_one_minus_qk(acc[:k], 2) for acc in swept[:3])
-        rem = over_one_minus_qk(qseries.r2_numerator(swept[3][:k], m), 2)
+        t, x, comp, r1 = (acc[:k] for acc in swept)
+        rem = qseries.r2_numerator(r1, m)
+        if t == x == comp and not (negative_over_one_minus_q2(rem)
+                                   or negative_over_one_minus_q2(t)):
+            continue
+        t, x, comp, rem = (over_one_minus_qk(c, 2) for c in (t, x, comp, rem))
         if t != x:
             out += [(m, n, str(a), f"T coefficient == X coefficient {b}")
                     for n, (a, b) in enumerate(zip(t, x)) if a != b]
@@ -196,8 +206,8 @@ def _finite_window_worker(args):
         if hi < lo:
             continue
         counted += hi - lo + 1
-        x = over_one_minus_qk(swept[0][: hi + 1], 2)[lo:]
-        if min(x) < 0:
+        if negative_over_one_minus_q2(swept[0][: hi + 1], lo):
+            x = over_one_minus_qk(swept[0][: hi + 1], 2)[lo:]
             out += [(m, n, str(c), "X^(m)(n) >= 0 on 20m < n < f(m)")
                     for n, c in enumerate(x, lo) if c < 0]
     out += _sweep_mismatches(("X",), swept, m_hi, order)

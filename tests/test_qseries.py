@@ -414,6 +414,35 @@ def test_lambert_sweep_terms_leave_mid_block():
         assert counts[0] > counts[-1] > 0, name
 
 
+@pytest.mark.parametrize("order", (0, 1, 60, 2400))
+@pytest.mark.parametrize("m_lo", (0, 5))
+@pytest.mark.parametrize("name", sorted(qseries.LAMBERT_PARTS))
+def test_lambert_sweep_steps_by_the_terms_at_the_previous_m(monkeypatch, name, m_lo, order):
+    """The step to m drops the leading monomial of each term at m - 1, in
+    the order the term source gives them, though the sweep generates the
+    terms only at m_lo and carries them forward.  Over the 150 steps terms
+    of every source leave from m = 0 at order 60, and of T, the
+    T-components and R1 at order 2400."""
+    calls, lengths = [], []
+    real = qseries._drop_monomial
+
+    def drop(acc, a, s):
+        calls.append((a, s))
+        real(acc, a, s)
+
+    monkeypatch.setattr(qseries, "_drop_monomial", drop)
+    terms = qseries.LAMBERT_PARTS[name]
+    m_hi = m_lo + 150
+    for m, _ in qseries.lambert_sweep((name,), m_lo, m_hi, order):
+        want = [] if m == m_lo else [(a, s) for a, _, s in terms(m - 1, order)]
+        assert calls == want, m
+        calls.clear()
+        lengths.append(len(want))
+    assert m == m_hi
+    if (order, m_lo) == (60, 0) or order == 2400 and name in ("T", "T-components", "R1"):
+        assert lengths[1] > lengths[-1], "no term leaves mid-run"
+
+
 def test_lambert_sweep_x_on_the_finite_window_scale():
     for m, (acc,) in qseries.lambert_sweep(("X",), 0, 120, 2400):
         assert _over_q2(acc) == x_series(m, 2400).coeffs, m

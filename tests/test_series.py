@@ -7,6 +7,8 @@ from sptcrank.series import (
     TruncatedSeries,
     divide_by_one_minus_qk,
     geometric_term,
+    negative_over_one_minus_q2,
+    over_one_minus_qk,
     sum_series,
 )
 
@@ -176,6 +178,25 @@ def test_fast_division_is_bit_identical_to_mul(a, k):
     fast = divide_by_one_minus_qk(a, k)
     slow = a * geometric_term(0, k, a.order)
     assert fast.coeffs == slow.coeffs
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_negative_over_one_minus_q2_reads_the_quotient(coeffs):
+    """The sign test agrees with the quotient's minimum from every lo on,
+    including lo = len - 1, where one parity class has no n >= lo."""
+    quotient = over_one_minus_qk(coeffs, 2)
+    for lo in range(len(coeffs)):
+        assert negative_over_one_minus_q2(coeffs, lo) == (min(quotient[lo:]) < 0), lo
+    assert negative_over_one_minus_q2(coeffs) == negative_over_one_minus_q2(coeffs, 0)
+
+
+def test_negative_over_one_minus_q2_reads_each_parity_class():
+    assert negative_over_one_minus_q2([0, 1, 0, -2])  # -1 at q^3
+    assert not negative_over_one_minus_q2([0, 1, 0, -1])
+    assert not negative_over_one_minus_q2([-1, 0, 1], 1)  # -1 at q^0 only
+    assert negative_over_one_minus_q2([-1, 0, 0], 1)  # -1 at q^2
+    assert not negative_over_one_minus_q2([], 0)
 
 
 def test_sum_series():

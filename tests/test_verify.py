@@ -112,12 +112,27 @@ def serial_pool(monkeypatch) -> list:
 def test_worker_pool_capped_at_the_number_of_parts(monkeypatch):
     """The pool is asked for at most one worker per part; its map runs serially."""
     asked = serial_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 10**6)  # far above every part count
     checks = ("y-nonneg", "finite-window", "conjecture")
     pooled = run_checks(small_cfg(m_max=9, checks=checks, parallelism=5000))
     # y-nonneg's one n-block runs without a pool; the window and conjecture
     # split into one run per m, 121 and 10, far fewer than the 5000 asked for
     assert len(verify.WINDOW_M) == 121
     assert asked == [121, 10]
+    serial = run_checks(small_cfg(m_max=9, checks=checks))
+    assert [report_key(r) for r in pooled] == [report_key(r) for r in serial]
+
+
+@pytest.mark.parametrize("cpus, pools", [(4, [4, 4]), (1, []), (None, [])])
+def test_worker_pool_capped_at_the_cpu_count(monkeypatch, cpus, pools):
+    """--parallel above the CPU count asks the pool for one worker per CPU;
+    with one CPU, or an unknown count, the parts run in this process and
+    no pool starts.  The reports keep their bytes."""
+    asked = serial_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    checks = ("finite-window", "conjecture")
+    pooled = run_checks(small_cfg(m_max=9, checks=checks, parallelism=1000))
+    assert asked == pools
     serial = run_checks(small_cfg(m_max=9, checks=checks))
     assert [report_key(r) for r in pooled] == [report_key(r) for r in serial]
 

@@ -5,7 +5,7 @@ report bytes pinned elsewhere cannot show a change to it.  Each scenario
 here corrupts a term table or the lists of `qseries.lambert_sweep`, runs
 the checks x-small-n at m <= 17 and finite-window, and their reports'
 violations and skips must equal tests/data/window_failure_golden.json at
-every parallelism.  Together the scenarios produce every violation text
+parallelism 1, 2 and 3.  Together the scenarios produce every violation text
 the two checks' workers word from their columns.
 
 Re-record (only for a change meant to alter the wording):
