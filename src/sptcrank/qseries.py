@@ -33,14 +33,18 @@ direct build at its first m, and each step carries every live term
 lambert_sweep steps the plain sums: one monomial per term, with no
 division.  mc_sweep steps their products with P2: one shifted copy of P2
 per term.  It starts from the first sums of X^(m) and Y^(m) and the
-shared Z^(m), which both families add.
+shared Z^(m), which both families add.  Its series are PackedSeries, two
+ints of fixed-width fields each, so a step costs one shift and one
+subtraction of whole ints per term, and one AND tells whether a series
+has a negative coefficient.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, sub
+from typing import NamedTuple
 
 from .series import TruncatedSeries, divide_by_one_minus_qk, over_one_minus_qk
 
@@ -172,49 +176,160 @@ def _p2_kernel(order: int) -> tuple:
     return tuple(out)
 
 
-def _times_p2(terms, order: int) -> list:
-    """P2 times the sum of s * q^a / (1 - q^b) over the terms, truncated at
-    `order`, as a coefficient list.
+# -- packed series: P2 times Lambert sums in fixed-width integer fields -------
+#
+# A series c_0..c_N is held as two ints, one per parity of the power of q:
+# c_(2i+p) is the signed field i, width bits wide, of the int for parity p,
+# which is sum_i c_(2i+p) << (width*i) reduced modulo 2^(width*fields).
+# The reduction respects +, - and left shifts, so the sums and steps of the
+# sweep are whole-int additions, shifts and one AND; decoding is exact
+# while every |c| < 2^(width-1), and the width is chosen to make it so.
+# P2 vanishes at odd powers, so each s * q^a * P2/(1 - q^b) with even b
+# lies in one parity's int, and with odd b it is split as
+# (1 + q^b) * P2/(1 - q^(2b)), one copy per parity.
 
-    Each term adds s * q^a * P2/(1 - q^b): the kernel prefix of length
-    order+1-a, summed cumulatively along each residue class mod b, shifted
-    up by a.  P2 vanishes at odd powers, so for even b the odd residue
-    classes stay zero and are skipped.
+
+def _parity_fields(order: int) -> tuple:
+    """How many coefficients of each parity, even then odd, a series of the
+    order has: the fields of its two ints."""
+    return order // 2 + 1, (order + 1) // 2
+
+
+def _masks(width: int, order: int) -> list:
+    """The masks of all fields of the even and the odd int of a series."""
+    return [(1 << width * k) - 1 for k in _parity_fields(order)]
+
+
+@lru_cache(maxsize=8)
+def _top_bits(width: int, fields: int) -> int:
+    """The top bit of each of `fields` width-bit fields."""
+    return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * fields, "little")
+
+
+def _pack(coeffs, width: int) -> int:
+    """The coefficients as one int of signed width-bit fields, the first
+    lowest; each must lie strictly between -2^(width-1) and 2^(width-1)."""
+    half = 1 << (width - 1)
+    raw = b"".join((c + half).to_bytes(width // 8, "little") for c in coeffs)
+    return (int.from_bytes(raw, "little") - _top_bits(width, len(coeffs))) & ((1 << len(raw) * 8) - 1)
+
+
+def _unpack(v: int, width: int, fields: int) -> list:
+    """The `fields` signed width-bit fields of v, the first lowest."""
+    step = width // 8
+    half = 1 << (width - 1)
+    top = _top_bits(width, fields)
+    # biased by half, every field is in 0..2^width - 1, so no field borrows
+    raw = ((v + top) & ((1 << width * fields) - 1)).to_bytes(step * fields, "little")
+    return [int.from_bytes(raw[i:i + step], "little") - half for i in range(0, len(raw), step)]
+
+
+class PackedSeries(NamedTuple):
+    """The coefficients c_0..c_order of a series as two ints of signed
+    width-bit fields: `even` holds c_0, c_2, ..., `odd` holds c_1, c_3, ...
+    (see the comment above _parity_fields)."""
+
+    order: int
+    width: int
+    even: int
+    odd: int
+
+    def has_negative(self) -> bool:
+        """Whether some coefficient is negative, by one AND per int.
+
+        The lowest negative field has only nonnegative fields below it, so
+        it borrows nothing and its top bit is set; with no negative field
+        no field borrows, and every top bit is clear.
+        """
+        e, o = _parity_fields(self.order)
+        return bool(self.even & _top_bits(self.width, e) or self.odd & _top_bits(self.width, o))
+
+    @property
+    def coeffs(self) -> tuple:
+        e, o = _parity_fields(self.order)
+        out = [0] * (self.order + 1)
+        out[::2] = _unpack(self.even, self.width, e)
+        out[1::2] = _unpack(self.odd, self.width, o)
+        return tuple(out)
+
+
+def _field_width(terms: int, order: int) -> int:
+    """Bits per field for P2 times a sum of `terms` Lambert terms up to
+    q^order: the least multiple of 8 with 2^(width-1) > 2 * max(terms, 1) * S,
+    S = sum_k |P2_k|.
+
+    Each coefficient of P2/(1 - q^b) is a partial sum of P2, at most S in
+    absolute value, so terms * S bounds every coefficient of such a sum,
+    and of the sum of two such sums of `terms` terms between them; S bounds
+    P2's own.  The absolute values keep the bound whatever the signs of P2.
     """
-    p2 = _p2_kernel(order)
-    acc = [0] * (order + 1)
-    for a, b, s in terms:
-        g = list(p2[: order + 1 - a])
-        for r in range(0, b, 2 - b % 2):
-            g[r::b] = accumulate(g[r::b])
-        acc[a:] = map(add if s > 0 else sub, acc[a:], g)
-    return acc
+    bound = 2 * max(terms, 1) * sum(map(abs, _p2_kernel(order)))
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _times_p2(live, order: int, width: int) -> list:
+    """For each term list, P2 times the sum of s * q^a / (1 - q^b) over its
+    terms, truncated at `order`, as [even, odd] packed ints.
+
+    Each copy s * q^a * P2/(1 - q^(2c)) is P2/(1 - q^(2c)) shifted up a//2
+    fields in the int of a's parity.  P2/(1 - q^(2c)) is built once for all
+    copies that share c, by doubling: P2 (1 + q^(2c)) (1 + q^(4c)) ...
+    """
+    masks = _masks(width, order)
+    p2 = _pack(_p2_kernel(order)[::2], width)
+    accs = [[0, 0] for _ in live]
+    copies = {}  # c -> (acc, a, s) of each copy of P2/(1 - q^(2c))
+    for acc, terms in zip(accs, live):
+        for a, b, s in terms:
+            if b % 2:
+                copies.setdefault(b, []).extend(((acc, a, s), (acc, a + b, s)))
+            else:
+                copies.setdefault(b // 2, []).append((acc, a, s))
+    for c, hits in copies.items():
+        g, shift = p2, c
+        while 2 * shift <= order:
+            g = (g + (g << width * shift)) & masks[0]
+            shift *= 2
+        for acc, a, s in hits:
+            if a <= order:
+                acc[a & 1] = (add if s > 0 else sub)(acc[a & 1], g << width * (a >> 1))
+    return [[v & mask for v, mask in zip(acc, masks)] for acc in accs]
+
+
+def _mc_series(terms, m: int, order: int) -> TruncatedSeries:
+    live = [list(terms(abs(m), order))]
+    width = _field_width(len(live[0]), order)
+    (acc,) = _times_p2(live, order, width)
+    return TruncatedSeries(order, PackedSeries(order, width, *acc).coeffs)
 
 
 def mc1_series(m: int, order: int) -> TruncatedSeries:
     """Generating function of M_C1(m, .); symmetric in m, so |m| is used."""
-    return TruncatedSeries(order, tuple(_times_p2(_c1_terms(abs(m), order), order)))
+    return _mc_series(_c1_terms, m, order)
 
 
 def mc5_series(m: int, order: int) -> TruncatedSeries:
     """Generating function of M_C5(m, .); symmetric in m, so |m| is used."""
-    return TruncatedSeries(order, tuple(_times_p2(_c5_terms(abs(m), order), order)))
+    return _mc_series(_c5_terms, m, order)
 
 
-def _sweep(sources, m_lo: int, m_hi: int, order: int, start, leave):
-    """Yield (m, lists) for each m_lo <= m <= m_hi, one coefficient list per
-    term source (m, order) -> terms.
-
-    Each source is called once, at m_lo, where the lists are start(terms,
-    order).  Each later m is one step of the identity in the module
-    docstring: leave(acc, a, s) takes each term s * q^a / (1 - q^b) at m - 1
-    down to the same term at m, carried on as (a + b, b, s) while a + b is
-    at most the order.  The next step updates the lists in place.
-    """
+def _first_terms(sources, m_lo: int, order: int) -> list:
+    """The terms of each source (m, order) -> terms at m_lo, as lists."""
     if m_lo < 0:
         raise ValueError("m must be non-negative")
-    live = [list(terms(m_lo, order)) for terms in sources]
-    accs = [start(terms, order) for terms in live]
+    return [list(terms(m_lo, order)) for terms in sources]
+
+
+def _sweep(live, accs, m_lo: int, m_hi: int, order: int, leave):
+    """Yield (m, accs) for each m_lo <= m <= m_hi, accs[i] accumulating the
+    terms live[i] at m.
+
+    The caller gives the terms at m_lo and their accumulators, built there.
+    Each later m is one step of the identity in the module docstring:
+    leave(acc, a, s) takes each term s * q^a / (1 - q^b) at m - 1 down to
+    the same term at m, carried on as (a + b, b, s) while a + b is at most
+    the order.  The next step updates the accumulators in place.
+    """
     for m in range(m_lo, m_hi + 1):
         if m > m_lo:
             for acc, terms in zip(accs, live):
@@ -225,23 +340,30 @@ def _sweep(sources, m_lo: int, m_hi: int, order: int, start, leave):
 
 
 def mc_sweep(m_lo: int, m_hi: int, order: int):
-    """Yield (m, M_C1 series, M_C5 series) for each m_lo <= m <= m_hi.
+    """Yield (m, M_C1 series, M_C5 series) for each m_lo <= m <= m_hi, as
+    PackedSeries.
 
     The same series as mc1_series and mc5_series: m_lo is built directly,
-    and each later m by one step of the identity in the module docstring.
+    and each later m by one step of the identity in the module docstring,
+    one shifted P2 per term.  The width fits the terms at m_lo, the most
+    that any m of the run has.
     """
-    p2_even = _p2_kernel(order)[::2]
+    live = _first_terms((_x_lead_terms, _y_lead_terms, _z_terms), m_lo, order)
+    width = _field_width(sum(map(len, live)), order)
+    masks = _masks(width, order)
+    p2 = _pack(_p2_kernel(order)[::2], width)
 
-    def leave(acc, a, s):  # subtract P2 * s * q^a
-        # P2 vanishes at odd powers: only acc[a], acc[a+2], ... change
-        acc[a::2] = map(sub if s > 0 else add, acc[a::2], p2_even)
+    def leave(acc, a, s):  # subtract P2 * s * q^a, which lies in a's parity
+        acc[a & 1] = (sub if s > 0 else add)(acc[a & 1], p2 << width * (a >> 1))
 
-    sources = (_x_lead_terms, _y_lead_terms, _z_terms)
-    for m, (x_lead, y_lead, z) in _sweep(sources, m_lo, m_hi, order, _times_p2, leave):
+    accs = _times_p2(live, order, width)
+    for m, (x_lead, y_lead, z) in _sweep(live, accs, m_lo, m_hi, order, leave):
+        for acc in accs:
+            acc[:] = [v & mask for v, mask in zip(acc, masks)]
         yield (
             m,
-            TruncatedSeries(order, tuple(map(add, x_lead, z))),
-            TruncatedSeries(order, tuple(map(add, y_lead, z))),
+            PackedSeries(order, width, *((a + b) & mask for a, b, mask in zip(x_lead, z, masks))),
+            PackedSeries(order, width, *((a + b) & mask for a, b, mask in zip(y_lead, z, masks))),
         )
 
 
@@ -314,8 +436,9 @@ def lambert_sweep(parts, m_lo: int, m_hi: int, order: int):
     the module docstring, one monomial per term.  The next step updates the
     lists in place.
     """
-    sources = [LAMBERT_PARTS[name] for name in parts]
-    return _sweep(sources, m_lo, m_hi, order, _lambert_list, _drop_monomial)
+    live = _first_terms([LAMBERT_PARTS[name] for name in parts], m_lo, order)
+    accs = [_lambert_list(terms, order) for terms in live]
+    return _sweep(live, accs, m_lo, m_hi, order, _drop_monomial)
 
 
 def t_series(m: int, order: int) -> TruncatedSeries:
@@ -325,25 +448,27 @@ def t_series(m: int, order: int) -> TruncatedSeries:
     return _over_q2(lambert_part("T", m, order))
 
 
-def _r2_extra(m: int) -> list:
-    """Exponents of R2's leftover monomial groups, each with coefficient +1."""
-    skip3 = {2 + 2 * m, 4 + 2 * m, 6 + 2 * m}
-    skip5 = {2 + 2 * m, 4 + 2 * m, 6 + 2 * m, 8 + 2 * m}
-    return [
-        70 + 10 * m,
-        *range(1 + m, 2 * m + 2),
-        *(3 * k for k in range(2 + m, 6 + 2 * m + 1) if k not in skip3),
-        *(5 * k for k in range(3 + m, 10 + 2 * m + 1) if k not in skip5),
-    ]
+def _r2_progressions(m: int) -> tuple:
+    """R2's leftover monomial groups, each with coefficient +1, as
+    (start, stop, step) slices: 1+m..2m+1; 3k for 2+m <= k <= 6+2m and 5k
+    for 3+m <= k <= 10+2m, without the k in 2+2m, 4+2m, ... (to 6+2m for 3k,
+    8+2m for 5k); and 70+10m."""
+    return (
+        (1 + m, 2 * m + 2, 1),
+        (3 * (2 + m), 3 * (2 * m + 1) + 1, 3),  # 3k, k = 2+m..2m+1
+        (3 * (3 + 2 * m), 3 * (5 + 2 * m) + 1, 6),  # 3k, k = 2m+3, 2m+5
+        (5 * (3 + m), 5 * (2 * m + 1) + 1, 5),  # 5k, k = 3+m..2m+1
+        (5 * (3 + 2 * m), 5 * (9 + 2 * m) + 1, 10),  # 5k, k = 2m+3, 2m+5, 2m+7, 2m+9
+        (5 * (10 + 2 * m), 70 + 10 * m + 1, 20),  # 5k at k = 2m+10, then 70+10m
+    )
 
 
 def r2_numerator(r1: list, m: int) -> list:
     """R2's numerator from R1's coefficient list at the same m: a copy of it
     plus q^e for each leftover exponent e within its order."""
     out = list(r1)
-    for e in _r2_extra(m):
-        if e < len(out):
-            out[e] += 1
+    for start, stop, step in _r2_progressions(m):
+        out[start:stop:step] = map(add, out[start:stop:step], repeat(1))
     return out
 
 

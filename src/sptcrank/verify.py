@@ -23,7 +23,9 @@ is read point by point, to word its violations.  x-small-n and
 finite-window decide on the swept numerators over 1 - q^2, since dividing
 a prefix by 1 - q^2 is invertible: T == X and T == T1+...+T' compare the
 numerators, and series.negative_over_one_minus_q2 decides R2 >= 0 and
-X >= 0.  Only a failing m is divided, to word its violations.
+X >= 0.  Only a failing m is divided, to word its violations.  conjecture
+decides each M_C1/M_C5 series of its sweep with one has_negative, an AND
+over the packed series, and decodes only a failing m's.
 """
 
 from __future__ import annotations
@@ -215,10 +217,13 @@ def _finite_window_worker(args):
 
 
 def _conjecture_worker(args):
-    """M_C1(m, n) >= 0 and M_C5(m, n) >= 0 for m_lo <= m <= m_hi, 1 <= n <= n_max."""
+    """M_C1(m, n) >= 0 and M_C5(m, n) >= 0 for m_lo <= m <= m_hi, 1 <= n <= n_max;
+    only an m where a series has a negative coefficient is decoded."""
     m_lo, m_hi, n_max = args
     out = []
     for m, c1, c5 in qseries.mc_sweep(m_lo, m_hi, n_max):
+        if not (c1.has_negative() or c5.has_negative()):
+            continue
         for n, v1, v5 in zip(range(1, n_max + 1), c1.coeffs[1:], c5.coeffs[1:]):
             if v1 < 0:
                 out.append((m, n, str(v1), "M_C1(m,n) >= 0"))

@@ -13,7 +13,7 @@ import pytest
 import sptcrank
 from sptcrank import bounds, qseries, verify
 from sptcrank.cli import run_cli
-from sptcrank.series import TruncatedSeries
+from test_qseries import packed
 
 
 @pytest.fixture
@@ -380,7 +380,7 @@ def test_unexpected_error_exits_four(run, monkeypatch, module, name, exc, argv):
 def test_corrupted_series_is_verification_failure(run, monkeypatch):
     def negative(m_lo, m_hi, order):
         for m in range(m_lo, m_hi + 1):
-            yield m, TruncatedSeries(order, (-1,) * (order + 1)), qseries.mc5_series(m, order)
+            yield m, packed((-1,) * (order + 1)), packed(qseries.mc5_series(m, order).coeffs)
 
     monkeypatch.setattr(qseries, "mc_sweep", negative)
     code, out, _ = run("verify", "--check", "conjecture", "--m-max", "1", "--n-max", "5")

@@ -1,5 +1,8 @@
 """Named q-series builders: product prefixes, X/Y/Z, M_C1/M_C5, T-decomposition."""
 
+from itertools import accumulate
+from operator import add, sub
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,6 +169,28 @@ def test_mc_slices_vanish_below_their_shift():
         assert all(s5[n] == 0 for n in range(min(m + 1, 31)))
 
 
+def times_p2_reference(terms, order):
+    """Slow reference for P2 times a sum of terms s * q^a / (1 - q^b), as a
+    coefficient list: the kernel prefix of length order+1-a per term,
+    summed cumulatively along each residue class mod b (the odd classes stay
+    zero for even b), shifted up by a."""
+    p2 = qseries._p2_kernel(order)
+    acc = [0] * (order + 1)
+    for a, b, s in terms:
+        g = list(p2[: order + 1 - a])
+        for r in range(0, b, 2 - b % 2):
+            g[r::b] = accumulate(g[r::b])
+        acc[a:] = map(add if s > 0 else sub, acc[a:], g)
+    return acc
+
+
+@pytest.mark.parametrize("m", (0, 3, 20))
+@pytest.mark.parametrize("order", (0, 1, 2, 41, 300))
+def test_mc_series_match_the_list_reference(m, order):
+    assert mc1_series(m, order).coeffs == tuple(times_p2_reference(qseries._c1_terms(m, order), order))
+    assert mc5_series(m, order).coeffs == tuple(times_p2_reference(qseries._c5_terms(m, order), order))
+
+
 @pytest.mark.parametrize("m_lo, m_hi, order", [
     (0, 7, 60),
     (8, 15, 60),
@@ -183,6 +208,10 @@ def test_mc_sweep_matches_the_direct_builds(m_lo, m_hi, order):
         assert (c1.order, c5.order) == (order, order)
         assert c1.coeffs == mc1_series(m, order).coeffs, (m, order)
         assert c5.coeffs == mc5_series(m, order).coeffs, (m, order)
+        assert c1.coeffs == tuple(times_p2_reference(qseries._c1_terms(m, order), order))
+        assert c5.coeffs == tuple(times_p2_reference(qseries._c5_terms(m, order), order))
+        assert c1.has_negative() == (min(c1.coeffs) < 0)
+        assert c5.has_negative() == (min(c5.coeffs) < 0)
         if m >= order:  # M(m, n) = 0 for n <= m
             assert c1.coeffs == c5.coeffs == (0,) * (order + 1)
 
@@ -190,6 +219,80 @@ def test_mc_sweep_matches_the_direct_builds(m_lo, m_hi, order):
 def test_mc_sweep_rejects_negative_m():
     with pytest.raises(ValueError):
         next(qseries.mc_sweep(-1, 3, 10))
+
+
+# -- the packed format of mc_sweep's series ----------------------------------
+
+
+def packed(coeffs, width=None):
+    """coeffs as a qseries.PackedSeries, by default at the least width
+    (a multiple of 8) that holds them."""
+    if width is None:
+        width = (max(map(abs, coeffs)).bit_length() + 8) // 8 * 8
+    even, odd = (qseries._pack(coeffs[p::2], width) for p in (0, 1))
+    return qseries.PackedSeries(len(coeffs) - 1, width, even, odd)
+
+
+@st.composite
+def field_lists(draw, min_size=0):
+    """(width, coefficients): 0..80 coefficients of absolute value below
+    2^(width-1), the extremes and zeros drawn often."""
+    width = draw(st.sampled_from((8, 16, 24, 64, 200)))
+    limit = 2 ** (width - 1) - 1
+    value = st.one_of(st.sampled_from((0, -1, 1, limit, -limit)), st.integers(-limit, limit))
+    return width, draw(st.lists(value, min_size=min_size, max_size=80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_lists())
+def test_pack_then_unpack_is_the_identity(case):
+    width, coeffs = case
+    v = qseries._pack(coeffs, width)
+    assert 0 <= v < 2 ** (width * len(coeffs))
+    assert qseries._unpack(v, width, len(coeffs)) == coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_lists(min_size=1))
+def test_packed_series_decodes_and_finds_a_negative(case):
+    width, coeffs = case
+    s = packed(coeffs, width)
+    assert s.coeffs == tuple(coeffs)
+    assert s.has_negative() == any(c < 0 for c in coeffs)
+
+
+@pytest.mark.parametrize("width", (8, 64, 200))
+@pytest.mark.parametrize("size", (1, 2, 3, 4, 80, 81))
+def test_has_negative_sees_the_first_and_last_field(width, size):
+    """A negative alone in the first or the last field of either parity,
+    among the largest positives, is seen; all zeros and all largest
+    positives are not."""
+    top = 2 ** (width - 1) - 1
+    for fill in (0, top):
+        assert not packed([fill] * size, width).has_negative()
+        for n in {0, 1, size - 2, size - 1} & set(range(size)):
+            coeffs = [fill] * size
+            coeffs[n] = -1 if fill == 0 else -top
+            assert packed(coeffs, width).has_negative(), (fill, n)
+
+
+MC_SOURCES = (qseries._x_lead_terms, qseries._y_lead_terms, qseries._z_terms)
+
+
+@pytest.mark.parametrize("m", (0, 1, 7, 20))
+@pytest.mark.parametrize("order", (0, 1, 2, 3, 60, 1001, 2000))
+def test_field_width_holds_every_sum(m, order):
+    """mc_sweep's width at a run's first m exceeds every coefficient of its
+    three accumulators, of M_C1 and of M_C5 there: |c| < 2^(width-1)."""
+    live = [list(terms(m, order)) for terms in MC_SOURCES]
+    width = qseries._field_width(sum(map(len, live)), order)
+    assert width % 8 == 0
+    x_lead, y_lead, z = (times_p2_reference(terms, order) for terms in live)
+    sums = [x_lead, y_lead, z, list(map(add, x_lead, z)), list(map(add, y_lead, z)),
+            list(qseries._p2_kernel(order))]
+    assert max(abs(c) for coeffs in sums for c in coeffs) < 2 ** (width - 1)
+    (_, c1, c5), = qseries.mc_sweep(m, m, order)
+    assert c1.width == c5.width == width
 
 
 # -- per-term reference for the T-components and R2 -------------------------
@@ -292,6 +395,33 @@ def ref_r2(m, order):
             put(5 * k)
     extra_series = divide_by_one_minus_qk(TruncatedSeries(order, tuple(extra)), 2)
     return ref_r1(m, order) + extra_series
+
+
+def r2_numerator_reference(r1, m):
+    """Slow reference for qseries.r2_numerator: R1's list plus q^e for each
+    leftover exponent e of R2 within its length, one exponent at a time."""
+    skip3 = {2 + 2 * m, 4 + 2 * m, 6 + 2 * m}
+    skip5 = {2 + 2 * m, 4 + 2 * m, 6 + 2 * m, 8 + 2 * m}
+    extra = [
+        70 + 10 * m,
+        *range(1 + m, 2 * m + 2),
+        *(3 * k for k in range(2 + m, 6 + 2 * m + 1) if k not in skip3),
+        *(5 * k for k in range(3 + m, 10 + 2 * m + 1) if k not in skip5),
+    ]
+    out = list(r1)
+    for e in extra:
+        if e < len(out):
+            out[e] += 1
+    return out
+
+
+def test_r2_numerator_matches_the_exponent_loop():
+    """Every m <= 300, at prefixes that cut the leftover groups at their
+    first exponents, at 20m, and just below, at and above 70 + 10m."""
+    for m in range(301):
+        for size in (1, 2, 20 * m + 1, 70 + 10 * m, 70 + 10 * m + 1):
+            r1 = [(7 * i) % 5 - 2 for i in range(size)]
+            assert qseries.r2_numerator(r1, m) == r2_numerator_reference(r1, m), (m, size)
 
 
 TABLE_SHIFTS = sorted(set(range(11)) | set(range(0, 121, 7)))

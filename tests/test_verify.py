@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import sptcrank
 from sptcrank import bivariate, bounds, divisors, lattice, qseries, verify
-from sptcrank.series import TruncatedSeries
 from sptcrank.verify import (
     CHECK_IDS,
     ResourceGuardError,
@@ -21,6 +20,7 @@ from sptcrank.verify import (
     run_checks,
 )
 from sptcrank.cli import run_cli
+from test_qseries import packed
 
 
 def small_cfg(**kw):
@@ -454,7 +454,7 @@ def test_worker_violations_capped_report_unchanged(monkeypatch):
 
     def failing(m_lo, m_hi, order):
         for m in range(m_lo, m_hi + 1):
-            s = TruncatedSeries(order, (-1,) * (order + 1))
+            s = packed((-1,) * (order + 1))
             yield m, s, s
 
     monkeypatch.setattr(qseries, "mc_sweep", failing)
