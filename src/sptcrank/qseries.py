@@ -358,7 +358,7 @@ def mc_sweep(m_lo: int, m_hi: int, order: int):
 
     accs = _times_p2(live, order, width)
     for m, (x_lead, y_lead, z) in _sweep(live, accs, m_lo, m_hi, order, leave):
-        for acc in accs:
+        for acc in accs:  # reduce the step's sums to their fields
             acc[:] = [v & mask for v, mask in zip(acc, masks)]
         yield (
             m,
@@ -449,17 +449,18 @@ def t_series(m: int, order: int) -> TruncatedSeries:
 
 
 def _r2_progressions(m: int) -> tuple:
-    """R2's leftover monomial groups, each with coefficient +1, as
-    (start, stop, step) slices: 1+m..2m+1; 3k for 2+m <= k <= 6+2m and 5k
-    for 3+m <= k <= 10+2m, without the k in 2+2m, 4+2m, ... (to 6+2m for 3k,
-    8+2m for 5k); and 70+10m."""
+    """R2's leftover monomials q^e, each with coefficient +1, as slices
+    (start, stop, step) of the exponents e: 1+m..2m+1; 3k for
+    2+m <= k <= 6+2m without k = 2+2m, 4+2m, 6+2m; 5k for 3+m <= k <= 10+2m
+    without k = 2+2m, 4+2m, 6+2m, 8+2m; and 70+10m."""
     return (
         (1 + m, 2 * m + 2, 1),
-        (3 * (2 + m), 3 * (2 * m + 1) + 1, 3),  # 3k, k = 2+m..2m+1
-        (3 * (3 + 2 * m), 3 * (5 + 2 * m) + 1, 6),  # 3k, k = 2m+3, 2m+5
-        (5 * (3 + m), 5 * (2 * m + 1) + 1, 5),  # 5k, k = 3+m..2m+1
-        (5 * (3 + 2 * m), 5 * (9 + 2 * m) + 1, 10),  # 5k, k = 2m+3, 2m+5, 2m+7, 2m+9
-        (5 * (10 + 2 * m), 70 + 10 * m + 1, 20),  # 5k at k = 2m+10, then 70+10m
+        (3 * (2 + m), 3 * (2 * m + 2), 3),  # 3k, k = 2+m..2m+1
+        (3 * (3 + 2 * m), 3 * (6 + 2 * m), 6),  # 3k, k = 2m+3, 2m+5
+        (5 * (3 + m), 5 * (2 * m + 2), 5),  # 5k, k = 3+m..2m+1
+        (5 * (3 + 2 * m), 5 * (10 + 2 * m), 10),  # 5k, k = 2m+3, 2m+5, 2m+7, 2m+9
+        (5 * (10 + 2 * m), 5 * (11 + 2 * m), 5),  # 5k, k = 2m+10
+        (70 + 10 * m, 71 + 10 * m, 1),
     )
 
 

@@ -184,13 +184,6 @@ def times_p2_reference(terms, order):
     return acc
 
 
-@pytest.mark.parametrize("m", (0, 3, 20))
-@pytest.mark.parametrize("order", (0, 1, 2, 41, 300))
-def test_mc_series_match_the_list_reference(m, order):
-    assert mc1_series(m, order).coeffs == tuple(times_p2_reference(qseries._c1_terms(m, order), order))
-    assert mc5_series(m, order).coeffs == tuple(times_p2_reference(qseries._c5_terms(m, order), order))
-
-
 @pytest.mark.parametrize("m_lo, m_hi, order", [
     (0, 7, 60),
     (8, 15, 60),
