@@ -258,8 +258,8 @@ def test_packed_series_decodes_and_finds_a_negative(case):
 @pytest.mark.parametrize("size", (1, 2, 3, 4, 80, 81))
 def test_has_negative_sees_the_first_and_last_field(width, size):
     """A negative alone in the first or the last field of either parity,
-    among the largest positives, is seen; all zeros and all largest
-    positives are not."""
+    among zeros or among the largest positives, is seen; all zeros and all
+    largest positives are not."""
     top = 2 ** (width - 1) - 1
     for fill in (0, top):
         assert not packed([fill] * size, width).has_negative()
