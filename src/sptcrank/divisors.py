@@ -70,54 +70,31 @@ def _tallies(n_lo: int, n_hi: int, top: int) -> list:
     v >= top; keys holds 4*(v//2) + i for each odd positive v < top of the
     i-th set, in any order.  For each p = 2^e, the smaller factor s runs over
     the odd s <= sqrt(n_hi // p), and the cofactor t >= s over the odd t with
-    p*s*t in the block."""
+    p*s*t in the block.
+
+    Each set's value is a linear form v = a*t + b*s of the pair: the table
+    below gives (a, b, i) for (d1, d2) = (s, t), then for (t, s) when t > s,
+    whose A1 and A2 values s - p*t, s - q*t are < 0.  s and t are odd, so v
+    is odd exactly when a + b is, and the forms of even v are dropped."""
     rows = [None] * (n_hi - n_lo + 1)
     for e in range(n_hi.bit_length()):
         p, q = 1 << e, 2 << e
         lo, hi = -(-n_lo // p) | 1, n_hi // p  # the odd N of this e
         if lo > hi:
             continue
+        table = ((1, -p, 0), (1, -q, 1), (q, -1, 2), (p, -1, 3), (-1, q, 2), (-1, p, 3))
+        both = [(a, b, i) for a, b, i in table if (a + b) & 1]  # the forms of odd v
+        same = [(a, b, i) for a, b, i in both if a > 0]  # of (s, t) alone, for t == s
         tallies = [[0, 0, 0, 0, []] for _ in range(lo, hi + 1, 2)]  # per odd N
         for s in [s for s in range(1, math.isqrt(hi) + 1, 2) if hi % s <= hi - lo]:
             for t in range(max(s, -(-lo // s)) | 1, hi // s + 1, 2):
                 tally = tallies[(s * t - lo) >> 1]
-                v = t - p * s  # A1 of (d1, d2) = (s, t)
-                if v & 1:
+                for a, b, i in both if t > s else same:
+                    v = a * t + b * s
                     if v >= top:
-                        tally[0] += 1
+                        tally[i] += 1
                     elif v > 0:
-                        tally[4].append(4 * (v >> 1))
-                v = t - q * s  # A2
-                if v & 1:
-                    if v >= top:
-                        tally[1] += 1
-                    elif v > 0:
-                        tally[4].append(4 * (v >> 1) + 1)
-                v = q * t - s  # B1
-                if v & 1:
-                    if v >= top:
-                        tally[2] += 1
-                    elif v > 0:
-                        tally[4].append(4 * (v >> 1) + 2)
-                v = p * t - s  # B2
-                if v & 1:
-                    if v >= top:
-                        tally[3] += 1
-                    elif v > 0:
-                        tally[4].append(4 * (v >> 1) + 3)
-                if t > s:  # (d1, d2) = (t, s): its A1, A2 values s - p*t, s - q*t are < 0
-                    v = q * s - t  # B1
-                    if v & 1:
-                        if v >= top:
-                            tally[2] += 1
-                        elif v > 0:
-                            tally[4].append(4 * (v >> 1) + 2)
-                    v = p * s - t  # B2
-                    if v & 1:
-                        if v >= top:
-                            tally[3] += 1
-                        elif v > 0:
-                            tally[4].append(4 * (v >> 1) + 3)
+                        tally[4].append(4 * (v >> 1) + i)
         rows[p * lo - n_lo :: 2 * p] = [(e, t[:4], t[4]) for t in tallies]
     return rows
 

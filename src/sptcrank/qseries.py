@@ -296,21 +296,35 @@ def _times_p2(live, order: int, width: int) -> list:
     return [[v & mask for v, mask in zip(acc, masks)] for acc in accs]
 
 
-def _mc_series(terms, m: int, order: int) -> TruncatedSeries:
-    live = [list(terms(abs(m), order))]
-    width = _field_width(len(live[0]), order)
-    (acc,) = _times_p2(live, order, width)
-    return TruncatedSeries(order, PackedSeries(order, width, *acc).coeffs)
+def _families(x_lead, y_lead, z, width: int, order: int) -> tuple:
+    """The M_C1 and M_C5 series from the packed P2 products of X's and Y's
+    first sums and of Z^(m), which both families add."""
+    masks = _masks(width, order)
+    return tuple(
+        PackedSeries(order, width, *((a + b) & mask for a, b, mask in zip(lead, z, masks)))
+        for lead in (x_lead, y_lead)
+    )
+
+
+def mc_packed(m: int, order: int, width: int | None = None) -> tuple:
+    """(M_C1 series, M_C5 series) of |m| as PackedSeries, built directly.
+
+    The width defaults to the least that fits; a sweep passes its own, so
+    that its series at m and these are equal as whole ints.
+    """
+    live = _first_terms((_x_lead_terms, _y_lead_terms, _z_terms), abs(m), order)
+    width = width or _field_width(sum(map(len, live)), order)
+    return _families(*_times_p2(live, order, width), width, order)
 
 
 def mc1_series(m: int, order: int) -> TruncatedSeries:
     """Generating function of M_C1(m, .); symmetric in m, so |m| is used."""
-    return _mc_series(_c1_terms, m, order)
+    return TruncatedSeries(order, mc_packed(m, order)[0].coeffs)
 
 
 def mc5_series(m: int, order: int) -> TruncatedSeries:
     """Generating function of M_C5(m, .); symmetric in m, so |m| is used."""
-    return _mc_series(_c5_terms, m, order)
+    return TruncatedSeries(order, mc_packed(m, order)[1].coeffs)
 
 
 def _first_terms(sources, m_lo: int, order: int) -> list:
@@ -343,7 +357,7 @@ def mc_sweep(m_lo: int, m_hi: int, order: int):
     """Yield (m, M_C1 series, M_C5 series) for each m_lo <= m <= m_hi, as
     PackedSeries.
 
-    The same series as mc1_series and mc5_series: m_lo is built directly,
+    The same series as mc_packed at the same width: m_lo is built directly,
     and each later m by one step of the identity in the module docstring,
     one shifted P2 per term.  The width fits the terms at m_lo, the most
     that any m of the run has.
@@ -357,14 +371,10 @@ def mc_sweep(m_lo: int, m_hi: int, order: int):
         acc[a & 1] = (sub if s > 0 else add)(acc[a & 1], p2 << width * (a >> 1))
 
     accs = _times_p2(live, order, width)
-    for m, (x_lead, y_lead, z) in _sweep(live, accs, m_lo, m_hi, order, leave):
+    for m, accs in _sweep(live, accs, m_lo, m_hi, order, leave):
         for acc in accs:  # reduce the step's sums to their fields
             acc[:] = [v & mask for v, mask in zip(acc, masks)]
-        yield (
-            m,
-            PackedSeries(order, width, *((a + b) & mask for a, b, mask in zip(x_lead, z, masks))),
-            PackedSeries(order, width, *((a + b) & mask for a, b, mask in zip(y_lead, z, masks))),
-        )
+        yield (m, *_families(*accs, width, order))
 
 
 # -- finite T-series decomposition for the n <= 20m window -------------------

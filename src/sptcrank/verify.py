@@ -14,10 +14,11 @@ shares of the m range, except x-small-n's, which take equal shares of
 its work, 20m + 1 values at each m.  conjecture takes its M_C1/M_C5
 series from one qseries.mc_sweep per run; x-small-n, finite-window and
 cross take theirs from one qseries.lambert_sweep, and cross takes its
-divisor census from one divisors.census_rows per run.  x-small-n and
-finite-window compare the sweep's lists at each run's last m with a
-direct build of the same sums; a wrong step changes every later list of
-its run, so it cannot pass unseen.  A check reads columns over n at one
+divisor census from one divisors.census_rows per run.  x-small-n,
+finite-window and conjecture compare the sweep's series at each run's
+last m with a direct build of the same sums, conjecture's as whole packed
+ints at the sweep's field width; a wrong step changes every later series
+of its run, so it cannot pass unseen.  A check reads columns over n at one
 m and is decided by one comparison of two columns; only a failing column
 is read point by point, to word its violations.  x-small-n and
 finite-window decide on the swept numerators over 1 - q^2, since dividing
@@ -25,7 +26,7 @@ a prefix by 1 - q^2 is invertible: T == X and T == T1+...+T' compare the
 numerators, and series.negative_over_one_minus_q2 decides R2 >= 0 and
 X >= 0.  Only a failing m is divided, to word its violations.  conjecture
 decides each M_C1/M_C5 series of its sweep with one has_negative, an AND
-over the packed series, and decodes only a failing m's.
+over the packed series, and decodes only a failing series.
 """
 
 from __future__ import annotations
@@ -153,13 +154,13 @@ def _y_worker(args):
     return _capped(out), 0
 
 
-def _sweep_mismatches(parts: tuple, swept: list, m: int, order: int) -> list:
-    """A violation for each swept list at m that differs from lambert_part's
-    direct build of its part."""
+def _sweep_mismatches(m: int, names: tuple, swept, direct) -> list:
+    """A violation for each named swept series at m that differs from its
+    direct build."""
     return [
         (m, 0, f"swept {name} series", "equals the direct build")
-        for name, acc in zip(parts, swept)
-        if acc != qseries.lambert_part(name, m, order)
+        for name, got, want in zip(names, swept, direct)
+        if got != want
     ]
 
 
@@ -180,18 +181,13 @@ def _x_small_worker(args):
                                    or negative_over_one_minus_q2(t)):
             continue
         t, x, comp, rem = (over_one_minus_qk(c, 2) for c in (t, x, comp, rem))
-        if t != x:
-            out += [(m, n, str(a), f"T coefficient == X coefficient {b}")
-                    for n, (a, b) in enumerate(zip(t, x)) if a != b]
-        if t != comp:
-            out += [(m, n, str(c), f"T1+T3+T5+T7+T9+T' == T coefficient {a}")
-                    for n, (a, c) in enumerate(zip(t, comp)) if a != c]
-        if min(rem) < 0:
-            out += [(m, n, str(c), "R2 coefficient >= 0") for n, c in enumerate(rem) if c < 0]
-        if min(t) < 0:
-            out += [(m, n, str(c), "X^(m)(n) >= 0 for n <= 20m")
-                    for n, c in enumerate(t) if c < 0]
-    out += _sweep_mismatches(_X_SMALL_PARTS, swept, m_hi, order)
+        ns = range(k)
+        out += _unequal(m, ns, t, x, "T coefficient == X coefficient")
+        out += _unequal(m, ns, comp, t, "T1+T3+T5+T7+T9+T' == T coefficient")
+        out += _negatives(m, ns, rem, "R2 coefficient >= 0")
+        out += _negatives(m, ns, t, "X^(m)(n) >= 0 for n <= 20m")
+    direct = [qseries.lambert_part(name, m_hi, order) for name in _X_SMALL_PARTS]
+    out += _sweep_mismatches(m_hi, _X_SMALL_PARTS, swept, direct)
     return _capped(out), 0
 
 
@@ -210,25 +206,27 @@ def _finite_window_worker(args):
         counted += hi - lo + 1
         if negative_over_one_minus_q2(swept[0][: hi + 1], lo):
             x = over_one_minus_qk(swept[0][: hi + 1], 2)[lo:]
-            out += [(m, n, str(c), "X^(m)(n) >= 0 on 20m < n < f(m)")
-                    for n, c in enumerate(x, lo) if c < 0]
-    out += _sweep_mismatches(("X",), swept, m_hi, order)
+            out += _negatives(m, range(lo, hi + 1), x, "X^(m)(n) >= 0 on 20m < n < f(m)")
+    out += _sweep_mismatches(m_hi, ("X",), swept, [qseries.lambert_part("X", m_hi, order)])
     return _capped(out), counted
+
+
+_MC_NAMES = ("M_C1", "M_C5")
 
 
 def _conjecture_worker(args):
     """M_C1(m, n) >= 0 and M_C5(m, n) >= 0 for m_lo <= m <= m_hi, 1 <= n <= n_max;
-    only an m where a series has a negative coefficient is decoded."""
+    only a series with a negative coefficient is decoded.  The run's last
+    series are compared, as whole ints, with a direct build at its width."""
     m_lo, m_hi, n_max = args
     out = []
-    for m, c1, c5 in qseries.mc_sweep(m_lo, m_hi, n_max):
-        if not (c1.has_negative() or c5.has_negative()):
-            continue
-        for n, v1, v5 in zip(range(1, n_max + 1), c1.coeffs[1:], c5.coeffs[1:]):
-            if v1 < 0:
-                out.append((m, n, str(v1), "M_C1(m,n) >= 0"))
-            if v5 < 0:
-                out.append((m, n, str(v5), "M_C5(m,n) >= 0"))
+    ns = range(1, n_max + 1)
+    for m, *swept in qseries.mc_sweep(m_lo, m_hi, n_max):
+        for name, c in zip(_MC_NAMES, swept):
+            if c.has_negative():
+                out += _negatives(m, ns, c.coeffs[1:], f"{name}(m,n) >= 0")
+    direct = qseries.mc_packed(m_hi, n_max, swept[0].width)
+    out += _sweep_mismatches(m_hi, _MC_NAMES, swept, direct)
     return _capped(out), 0
 
 
@@ -254,8 +252,7 @@ def _cross_worker(args):
         xs = over_one_minus_qk(x, 2)
         out += _unequal(m, ns, y_div, y[1:], "divisor Y == series Y")
         out += _unequal(m, ns, z_div, z[1:], "divisor Z == series Z")
-        if min(z_div, default=0) < 0:
-            out += [(m, n, str(a), "Z^(m)(n) >= 0") for n, a in zip(ns, z_div) if a < 0]
+        out += _negatives(m, ns, z_div, "Z^(m)(n) >= 0")
         z_odd = list(accumulate(z[1::2]))
         out += _unequal(m, ns[::2], z_odd, list(xs[1::2]), "odd-k Z partial sum == series X")
         jarnik_skips += _cross_lattice(m, n_max, xs, terms, t2_free, out)
@@ -267,6 +264,13 @@ def _unequal(m: int, ns, got: list, want: list, text: str) -> list:
     if got == want:
         return []
     return [(m, n, str(a), f"{text} {b}") for n, a, b in zip(ns, got, want) if a != b]
+
+
+def _negatives(m: int, ns, col, text: str) -> list:
+    """A violation (m, n, value, text) at each n where the column is negative."""
+    if min(col, default=0) >= 0:
+        return []
+    return [(m, n, str(a), text) for n, a in zip(ns, col) if a < 0]
 
 
 def _not_less(ns, smaller: list, larger: list) -> list:

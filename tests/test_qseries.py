@@ -209,6 +209,15 @@ def test_mc_sweep_matches_the_direct_builds(m_lo, m_hi, order):
             assert c1.coeffs == c5.coeffs == (0,) * (order + 1)
 
 
+@pytest.mark.parametrize("m_lo, m_hi, order", [(0, 7, 60), (3, 40, 30), (0, 4, 1), (0, 20, 1000)])
+def test_mc_packed_at_the_sweeps_width_equals_its_series_as_ints(m_lo, m_hi, order):
+    """mc_packed at a sweep's width gives the sweep's series at every m of
+    the run, the same ints field for field; negative m builds |m|."""
+    for m, c1, c5 in qseries.mc_sweep(m_lo, m_hi, order):
+        assert qseries.mc_packed(m, order, c1.width) == (c1, c5), (m, order)
+        assert qseries.mc_packed(-m, order, c1.width) == (c1, c5), (m, order)
+
+
 def test_mc_sweep_rejects_negative_m():
     with pytest.raises(ValueError):
         next(qseries.mc_sweep(-1, 3, 10))

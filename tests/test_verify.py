@@ -396,6 +396,29 @@ def test_a_wrong_first_step_is_caught_at_the_end_of_its_run(monkeypatch):
     assert window.violations == [Violation(120, 0, "swept X series", "equals the direct build")]
 
 
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_a_packed_step_one_field_too_high_is_caught_by_the_direct_build(monkeypatch, parallelism):
+    """An mc_sweep whose every step subtracts P2 one field too high gives
+    series with no negative coefficient at m <= 20, n <= 1000, so
+    has_negative cannot see it; the direct build at each run's last m,
+    compared as whole ints, reports both families there."""
+    real = qseries._sweep
+
+    def sweep(live, accs, m_lo, m_hi, order, leave):
+        # q^(a+2) is one field above q^a in a's parity int
+        return real(live, accs, m_lo, m_hi, order, lambda acc, a, s: leave(acc, a + 2, s))
+
+    monkeypatch.setattr(qseries, "_sweep", sweep)
+    serial_pool(monkeypatch)
+    cfg = SweepConfig(m_max=20, n_max=1000, checks=("conjecture",), parallelism=parallelism)
+    rep = run_checks(cfg)[0]
+    assert rep.violations == [
+        Violation(m_hi, 0, f"swept {name} series", "equals the direct build")
+        for _, m_hi, _ in verify._CHECKS["conjecture"].args(cfg)
+        for name in ("M_C1", "M_C5")
+    ]
+
+
 def test_bivariate_z_asymmetry_is_caught(monkeypatch):
     """An expansion whose z^-1 column differs from its z^1 column must fail
     cross, though every +m slice still matches the univariate series."""
@@ -457,7 +480,12 @@ def test_worker_violations_capped_report_unchanged(monkeypatch):
             s = packed((-1,) * (order + 1))
             yield m, s, s
 
+    def direct(m, order, width):  # the same series, so the sweep's audit passes
+        s = packed((-1,) * (order + 1))
+        return s, s
+
     monkeypatch.setattr(qseries, "mc_sweep", failing)
+    monkeypatch.setattr(qseries, "mc_packed", direct)
     n_max = verify.VIOLATION_CAP + 200
     chunk, _ = verify._conjecture_worker((1, 1, n_max))
     assert len(chunk) == verify.VIOLATION_CAP
