@@ -9,7 +9,9 @@ to 2m:
 
 Membership of a lattice point is decided purely in integer arithmetic
 (x*y < (n+1)/2 becomes 2*x*y <= n); floating point enters only in the
-closed-form areas and the analytic bound values.
+closed-form areas, the vertices (on conjugate roots, see _root_columns) and
+the bounds, whose sqrt(n+1) coefficients are OMEGA_LENGTH,
+OMEGA_PRIME_LENGTH, M1_SQRT and M2_SQRT.
 """
 
 from __future__ import annotations
@@ -125,9 +127,9 @@ def count_sweep(kind: RegionKind, m: int, n_max: int) -> tuple:
 def _root_columns(m: int, ns) -> tuple:
     """The columns of s8 = sqrt(4m^2+8(n+1)) and s12 = sqrt(4m^2+12(n+1))
     over the n of ns, which every vertex, area and ordering guard of the two
-    regions reads from here.
-
-    They satisfy (s8-2m)(s8+2m) = 8(n+1) and (s12-2m)(s12+2m) = 12(n+1).
+    regions reads from here.  As (s8-2m)(s8+2m) = 8(n+1) and (s12-2m)(s12+2m)
+    = 12(n+1), the figures take the conjugates u8 = s8+2m and u12 = s12+2m,
+    where s8-2m and s12-2m would cancel once m >> sqrt(n).
     """
     return (
         [math.sqrt(4 * m * m + 8 * (n + 1)) for n in ns],
@@ -135,55 +137,42 @@ def _root_columns(m: int, ns) -> tuple:
     )
 
 
-def _omega_areas(m: int, ns, roots: tuple) -> list:
-    """Closed-form areas of Omega over the n of ns, from roots =
-    _root_columns(m, ns), in the 2m-parameterization (no limit needed at m=0).
-
-    The triangle correction equals 2*x2^2 - 3*x3^2 =
-    -(m/24)*(3*sqrt(4m^2+8(n+1)) - 2*sqrt(4m^2+12(n+1)) - 2m), which also
-    matches the t = (n+1)/m^2 form of the expression for m >= 1.
-    """
+def _areas(k: int, m: int, ns, roots: tuple) -> list:
+    """Closed-form areas of Omega (k = 1) or Omega' (k = 2) over the n of ns,
+    from roots = _root_columns(m, ns): (n+1)/2 * (log(k*u12/u8) -
+    8m(n+1)/((s8+s12)*u8*u12)).  By s12-s8 = 4(n+1)/(s8+s12), its rational part
+    is Omega's triangle 2*x2^2 - 3*x3^2 and Omega''s (n+1)*(m/u12 - m/u8)."""
+    two_m, eight_m = 2 * m, 8 * m
     return [
-        0.5 * (n + 1) * math.log(3 * (s8 - 2 * m) / (2 * (s12 - 2 * m)))
-        - (m / 24.0) * (3 * s8 - 2 * s12 - 2 * m)
-        for n, s8, s12 in zip(ns, *roots)
-    ]
-
-
-def _omega_prime_areas(m: int, ns, roots: tuple) -> list:
-    """Closed-form areas of Omega' over the n of ns, from roots =
-    _root_columns(m, ns), in the 2m-parameterization."""
-    return [
-        0.5 * (n + 1) * (
-            2 * m / (s12 + 2 * m) - 2 * m / (s8 + 2 * m)
-            + math.log(2 * (s12 + 2 * m) / (s8 + 2 * m))
-        )
+        0.5 * (n + 1) * (math.log(k * (u12 := s12 + two_m) / (u8 := s8 + two_m))
+                         - eight_m * (n + 1) / ((s8 + s12) * u8 * u12))
         for n, s8, s12 in zip(ns, *roots)
     ]
 
 
 def area_omega(m: int, n: int) -> float:
     """Closed-form area of Omega."""
-    return _omega_areas(m, (n,), _root_columns(m, (n,)))[0]
+    return _areas(1, m, (n,), _root_columns(m, (n,)))[0]
 
 
 def area_omega_prime(m: int, n: int) -> float:
     """Closed-form area of Omega'."""
-    return _omega_prime_areas(m, (n,), _root_columns(m, (n,)))[0]
+    return _areas(2, m, (n,), _root_columns(m, (n,)))[0]
 
 
 def _hyperbola_x_columns(kinds: tuple, m: int, ns, roots: tuple) -> list:
     """For each kind of kinds, the columns over the n of ns of the x of the
-    region's two vertices on the hyperbola, (x2, x3) for Omega and (x6, x7)
-    for Omega', from roots = _root_columns(m, ns).  Raises
-    DegenerateRegionError when the floats give x3 > x2 or x7 < x6, which
-    exact arithmetic never does, at the first such n and at that n the
-    first such kind, before any vertex's y or area is computed."""
-    s8s, s12s = roots
+    region's two vertices on the hyperbola, (x2, x3) = ((n+1)/u8, (n+1)/u12)
+    for Omega and (x6, x7) = (u8/8, u12/4) for Omega', from roots =
+    _root_columns(m, ns).  Raises DegenerateRegionError when the floats give
+    x3 > x2 or x6 > x7, at the first such n and at that n the first such
+    kind, before any vertex's y or area is computed; as rounding is monotone
+    and s8 <= s12, true roots never do."""
+    u8s, u12s = ([s + 2 * m for s in col] for col in roots)
     cols = [
-        ([(s - 2 * m) / 8 for s in s8s], [(s - 2 * m) / 12 for s in s12s])
+        ([(n + 1) / u for n, u in zip(ns, u8s)], [(n + 1) / u for n, u in zip(ns, u12s)])
         if kind is RegionKind.OMEGA
-        else ([(s + 2 * m) / 8 for s in s8s], [(s + 2 * m) / 4 for s in s12s])
+        else ([u / 8 for u in u8s], [u / 4 for u in u12s])
         for kind in kinds
     ]
     bad = [list(map(gt, *(c[::-1] if k is RegionKind.OMEGA else c))) for k, c in zip(kinds, cols)]
@@ -196,9 +185,10 @@ def _hyperbola_x_columns(kinds: tuple, m: int, ns, roots: tuple) -> list:
 
 
 def sqrt_columns(ns) -> tuple:
-    """Columns over the n of ns of n, sqrt(n+1), 3.6*sqrt(n+1), sqrt(2(n+1))/4,
-    5.5*sqrt(n+1), sqrt(3(n+1))/2, 2.2*sqrt(n+1) and 3.7*sqrt(n+1): the m-free
-    terms of the figures and M1/M2 bounds; adding the m terms in order gives their floats."""
+    """Columns over the n of ns of n, sqrt(n+1), OMEGA_LENGTH*sqrt(n+1),
+    sqrt(2(n+1))/4, OMEGA_PRIME_LENGTH*sqrt(n+1), sqrt(3(n+1))/2,
+    M1_SQRT*sqrt(n+1) and M2_SQRT*sqrt(n+1): the m-free terms of the figures
+    and M1/M2 bounds; adding the m terms in order gives their floats."""
     roots = [math.sqrt(n + 1) for n in ns]
     return (
         ns, roots, [OMEGA_LENGTH * r for r in roots], [math.sqrt(2 * (n + 1)) / 4 for n in ns],
@@ -215,8 +205,8 @@ def figure_columns(m: int, terms: tuple) -> tuple:
     ns, _, length_o, extent_o, length_p, extent_p, m1_sqrt, m2_sqrt = terms
     roots = _root_columns(m, ns)
     _hyperbola_x_columns((RegionKind.OMEGA, RegionKind.OMEGA_PRIME), m, ns, roots)
-    area_o = _omega_areas(m, ns, roots)
-    area_p = _omega_prime_areas(m, ns, roots)
+    area_o = _areas(1, m, ns, roots)
+    area_p = _areas(2, m, ns, roots)
     return (
         (area_o, length_o, extent_o),
         (area_p, [x + m for x in length_p], [x + m / 2 for x in extent_p]),
@@ -228,13 +218,14 @@ def figure_columns(m: int, terms: tuple) -> tuple:
 def geometry_figures(spec: RegionSpec) -> GeometryFigures:
     """Area, boundary-length bound, x-extent bound, and vertex list."""
     m, n = spec.m, spec.n
-    (xs,) = _hyperbola_x_columns((spec.kind,), m, (n,), _root_columns(m, (n,)))
+    roots = _root_columns(m, (n,))
+    (xs,) = _hyperbola_x_columns((spec.kind,), m, (n,), roots)
     _, _, length_o, extent_o, length_p, extent_p, _, _ = (c[0] for c in sqrt_columns((n,)))
     if spec.kind is RegionKind.OMEGA:
-        fig = area_omega(m, n), length_o, extent_o
+        fig = _areas(1, m, (n,), roots)[0], length_o, extent_o
         corners = ((0.0, 2.0 * m),)
     else:
-        fig = area_omega_prime(m, n), length_p + m, extent_p + m / 2
+        fig = _areas(2, m, (n,), roots)[0], length_p + m, extent_p + m / 2
         corners = ((m / 2, 0.0), (float(m), 0.0))
     on_hyperbola = tuple((x, (n + 1) / (2 * x)) for (x,) in xs)
     return GeometryFigures(*fig, vertices=corners + on_hyperbola)
@@ -242,7 +233,7 @@ def geometry_figures(spec: RegionSpec) -> GeometryFigures:
 
 def m1_upper_bound(m: int, n: int, area: float) -> float:
     """Strict upper bound on the odd-y count in Omega:
-    area/2 + 2.2*sqrt(n+1) + 1, where area = area_omega(m, n)."""
+    area/2 + M1_SQRT*sqrt(n+1) + 1, where area = area_omega(m, n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return area / 2 + M1_SQRT * math.sqrt(n + 1) + 1
@@ -250,7 +241,7 @@ def m1_upper_bound(m: int, n: int, area: float) -> float:
 
 def m2_lower_bound(m: int, n: int, area: float) -> float:
     """Strict lower bound on the odd-y count in Omega':
-    area/2 - 3.7*sqrt(n+1) - m - 1, where area = area_omega_prime(m, n)."""
+    area/2 - M2_SQRT*sqrt(n+1) - m - 1, where area = area_omega_prime(m, n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return area / 2 - M2_SQRT * math.sqrt(n + 1) - m - 1

@@ -321,12 +321,15 @@ def _note_empty_n_range(cfg: SweepConfig, rep: VerificationReport) -> None:
 
 
 def _window_coverage(cfg: SweepConfig, rep: VerificationReport) -> None:
-    """The three windows n<=20m, 20m<n<f(m), n>=f(m) leave no gap."""
+    """The three windows n<=20m, 20m<n<f(m), n>=f(m) leave no gap: f(m) > 20m
+    at every m of WINDOW_M and not at the next m; as f(m) - 20m decreases,
+    no later m needs the sweep."""
+    last = WINDOW_M[-1]
     for m in WINDOW_M:
         if not bounds.threshold_profile(m).f_exceeds_20m:
-            rep.violations.append(
-                Violation(m, 0, "coverage gap", "f(m) > 20m for m <= 120")
-            )
+            rep.violations.append(Violation(m, 0, "coverage gap", f"f(m) > 20m for m <= {last}"))
+    if bounds.threshold_profile(last + 1).f_exceeds_20m:
+        rep.violations.append(Violation(last + 1, 0, "coverage gap", f"f(m) <= 20m for m > {last}"))
 
 
 def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:

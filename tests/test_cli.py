@@ -408,6 +408,18 @@ def test_lattice_subcommand(run):
     assert len(doc["vertices"]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--region", "omega", "--m", "22000", "--n", "4"],
+    ["verify", "--check", "cross", "--m-max", "14000", "--n-max", "4", "--bivariate-order", "0"],
+])
+def test_large_m_is_no_usage_error(run, argv):
+    """At m >> sqrt(n) the region figures stay well ordered, so these valid
+    runs pass, where cancelling vertex forms once made them exit 2."""
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    assert "pass" in out or "total=0" in out
+
+
 def test_lattice_rejects_negative(run):
     code, _, err = run("lattice", "--region", "omega", "--m", "-1", "--n", "10")
     assert code == 2

@@ -234,7 +234,7 @@ def figures_reference(kind, m, n):
     s8 = math.sqrt(4 * m * m + 8 * (n + 1))
     s12 = math.sqrt(4 * m * m + 12 * (n + 1))
     if kind is RegionKind.OMEGA:
-        x2, x3 = (-2 * m + s8) / 8, (s12 - 2 * m) / 12
+        x2, x3 = (n + 1) / (2 * m + s8), (n + 1) / (s12 + 2 * m)
         return (
             area_omega(m, n), 3.6 * math.sqrt(n + 1), math.sqrt(2 * (n + 1)) / 4,
             ((0.0, 2.0 * m), (x2, (n + 1) / (2 * x2)), (x3, (n + 1) / (2 * x3))),
@@ -279,17 +279,24 @@ def test_hoisted_bounds_match_the_single_point_functions(m):
         assert bounds.theorem2_m_free(n, root) - m - 2 == bounds.theorem2_lower_bound(m, n), n
 
 
+def both_collapse(m, ns):
+    """Roots with conjugates u8 = 24 and u12 = 1: x3 = n+1 > x2 = (n+1)/24
+    and x6 = 3 > x7 = 1/4, both regions' vertices out of order."""
+    return [24.0 - 2 * m] * len(ns), [1.0 - 2 * m] * len(ns)
+
+
 @pytest.mark.parametrize("kind, roots", [
-    # x2 = 1/8 < x3 = 2: Omega's hyperbola vertices in the wrong order
-    (RegionKind.OMEGA, lambda m, ns: ([2 * m + 1.0] * len(ns), [2 * m + 24.0] * len(ns))),
-    # x6 = 3 > x7 = 1/4: Omega''s hyperbola vertices in the wrong order
-    (RegionKind.OMEGA_PRIME, lambda m, ns: ([24.0 - 2 * m] * len(ns), [1.0 - 2 * m] * len(ns))),
+    # both regions collapse, and the columns name Omega first
+    (RegionKind.OMEGA, lambda m, ns: both_collapse(m, ns)),
+    # u8 = -8, u12 = -5: x3 = -(n+1)/5 < x2 = -(n+1)/8 keeps Omega in order,
+    # x6 = -1 > x7 = -5/4 puts Omega''s hyperbola vertices out of order
+    (RegionKind.OMEGA_PRIME, lambda m, ns: ([-8.0 - 2 * m] * len(ns), [-5.0 - 2 * m] * len(ns))),
 ])
 def test_figure_sweep_applies_the_ordering_guard(monkeypatch, kind, roots):
-    """Roots that put one region's hyperbola vertices out of order trip its
+    """Roots that put a region's hyperbola vertices out of order trip its
     guard in the figure columns, which guard both regions, as in
-    geometry_figures.  Swapping the true s8 and s12 cannot do it: x3 < x2
-    and x6 < x7 hold either way."""
+    geometry_figures.  True roots cannot do it: s8 <= s12 gives x3 <= x2 and
+    x6 < x7 under monotone rounding."""
     monkeypatch.setattr(lattice, "_root_columns", roots)
     name = "Omega" if kind is RegionKind.OMEGA else "Omega'"
     with pytest.raises(DegenerateRegionError, match=f"collapsed for {name} at m=1, n=2$"):
@@ -299,9 +306,9 @@ def test_figure_sweep_applies_the_ordering_guard(monkeypatch, kind, roots):
 
 
 def test_figure_columns_guard_omega_first_at_each_n(monkeypatch):
-    """At m = 1, s8 = s12 = -8 puts both regions' vertices out of order at
-    every n; the columns name Omega at the first n."""
-    monkeypatch.setattr(lattice, "_root_columns", lambda m, ns: ([-8.0] * len(ns),) * 2)
+    """Roots that put both regions' vertices out of order at every n: the
+    columns name Omega at the first n, geometry_figures its own region."""
+    monkeypatch.setattr(lattice, "_root_columns", both_collapse)
     with pytest.raises(DegenerateRegionError, match="collapsed for Omega at m=1, n=2$"):
         figure_columns(1, even_terms(10))
     with pytest.raises(DegenerateRegionError, match="collapsed for Omega' at m=1, n=10$"):
@@ -310,15 +317,16 @@ def test_figure_columns_guard_omega_first_at_each_n(monkeypatch):
 
 def first_collapse_reference(m, ns, kinds=REGIONS):
     """The degenerate-region text of the first (n, region) with n in ns and
-    region in kinds, in that order, whose float hyperbola vertices are out
-    of order, or None: the guards one point at a time."""
+    region in kinds, in that order, whose float hyperbola vertices, read
+    from lattice._root_columns one n at a time, are out of order, or None:
+    the guards one point at a time."""
     for n in ns:
-        s8 = math.sqrt(4 * m * m + 8 * (n + 1))
-        s12 = math.sqrt(4 * m * m + 12 * (n + 1))
+        (s8,), (s12,) = lattice._root_columns(m, [n])
+        u8, u12 = s8 + 2 * m, s12 + 2 * m
         for kind in kinds:
-            if kind is RegionKind.OMEGA and (s12 - 2 * m) / 12 > (s8 - 2 * m) / 8:
+            if kind is RegionKind.OMEGA and (n + 1) / u12 > (n + 1) / u8:
                 return f"vertex ordering collapsed for Omega at m={m}, n={n}"
-            if kind is RegionKind.OMEGA_PRIME and (s12 + 2 * m) / 4 < (s8 + 2 * m) / 8:
+            if kind is RegionKind.OMEGA_PRIME and u8 / 8 > u12 / 4:
                 return f"vertex ordering collapsed for Omega' at m={m}, n={n}"
     return None
 
@@ -332,12 +340,33 @@ def raised(fn, *args):
     return None
 
 
-@pytest.mark.parametrize("m", [22000, 100000])
-def test_figure_columns_raise_at_the_first_collapse(m):
-    """At large m the floats put Omega's vertices out of order at some small
-    even n.  For every even n0 < 40, the columns over n0 <= n < 40 raise the
+# conjugates (u8, u12) that put Omega's, Omega''s or both regions' vertices
+# out of order: (3, 2) gives x3 > x2 and x6 = 3/8 < x7 = 1/2
+COLLAPSES = {"omega": (3.0, 2.0), "omega-prime": (-8.0, -5.0), "both": (24.0, 1.0)}
+# the collapses of the patched roots at each m, by n; none after n = 26
+COLLAPSES_AT = {
+    22000: {6: "omega-prime", 8: "omega", 14: "both", 20: "omega", 26: "omega-prime"},
+    100000: {2: "both", 10: "omega-prime", 12: "omega", 24: "omega-prime"},
+}
+
+
+@pytest.mark.parametrize("m", sorted(COLLAPSES_AT))
+def test_figure_columns_raise_at_the_first_collapse(monkeypatch, m):
+    """With roots patched to collapse one region, the other or both at some
+    even n, for every even n0 < 40 the columns over n0 <= n < 40 raise the
     text of their first collapsed (n, region), as the guards one point at a
     time do, and geometry_figures raises exactly at its region's collapses."""
+    real = lattice._root_columns
+
+    def roots(m_, ns):
+        s8s, s12s = real(m_, ns)
+        for i, n in enumerate(ns):
+            if n in COLLAPSES_AT[m]:
+                u8, u12 = COLLAPSES[COLLAPSES_AT[m][n]]
+                s8s[i], s12s[i] = u8 - 2 * m_, u12 - 2 * m_
+        return s8s, s12s
+
+    monkeypatch.setattr(lattice, "_root_columns", roots)
     texts = []
     for n0 in range(2, 40, 2):
         ns = range(n0, 40, 2)
@@ -350,11 +379,16 @@ def test_figure_columns_raise_at_the_first_collapse(m):
     assert any(texts) and not all(texts)
 
 
-def test_ordering_guard_fires_before_a_vertex_divides_by_zero():
-    """At m = 10^9, n = 22 the float x2 = (s8 - 2m)/8 cancels to 0.0 while
-    x3 > 0: the guard reports the collapse before y2 = (n+1)/(2*x2) is taken."""
-    with pytest.raises(DegenerateRegionError, match="m=1000000000, n=22"):
-        geometry_figures(RegionSpec(RegionKind.OMEGA, 10**9, 22))
+def test_vertices_stay_on_the_hyperbola_at_extreme_m():
+    """At m = 10^9, n = 22 the differences s8 - 2m and s12 - 2m would cancel
+    to 0.0; every vertex stays finite, and each hyperbola vertex has
+    2xy = n+1 to 1e-12."""
+    m, n = 10**9, 22
+    for kind in REGIONS:
+        fig = geometry_figures(RegionSpec(kind, m, n))
+        assert all(map(math.isfinite, (fig.area, *sum(fig.vertices, ())))), kind
+        for x, y in fig.vertices[-2:]:
+            assert 2 * x * y == pytest.approx(n + 1, rel=1e-12, abs=0), (kind, x)
 
 
 def test_sweep_of_empty_bound():
@@ -417,3 +451,35 @@ def test_degenerate_guard_never_fires_on_valid_inputs():
     for kind in REGIONS:
         geometry_figures(RegionSpec(kind, 10**6, 2))
         geometry_figures(RegionSpec(kind, 0, 10**6))
+
+
+# m a multiple of 1000 up to 2*10^5, and two m where the differences
+# s8 - 2m, s12 - 2m collapsed Omega's vertices, at every even n < 40
+WIDE_MS = (*range(0, 200001, 1000), 13758, 22000)
+WIDE_NS = range(0, 40, 2)
+
+
+def test_figures_hold_where_differences_would_cancel():
+    """On 4,060 points with m >> sqrt(n), neither figure_columns nor
+    geometry_figures reports a collapse, and both regions' areas are within
+    1e-12 * max(1, |A|) of a 60-digit transcription of the difference forms
+    Omega: (n+1)/2 * log(3(s8-2m)/(2(s12-2m))) - (m/24)(3s8 - 2s12 - 2m),
+    Omega': (n+1)/2 * (2m/(s12+2m) - 2m/(s8+2m) + log(2(s12+2m)/(s8+2m))),
+    where 60 digits leave room for their cancellation."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    terms = sqrt_columns(WIDE_NS)
+    assert len(WIDE_MS) * len(WIDE_NS) == 4060
+    for m in WIDE_MS:
+        (area_o, _, _), (area_p, _, _), _, _ = figure_columns(m, terms)
+        for n, a_o, a_p in zip(WIDE_NS, area_o, area_p):
+            t8, t12 = mp.sqrt(4 * m * m + 8 * (n + 1)), mp.sqrt(4 * m * m + 12 * (n + 1))
+            exact_o = (n + 1) * mp.log(3 * (t8 - 2 * m) / (2 * (t12 - 2 * m))) / 2 - (
+                mp.mpf(m) / 24 * (3 * t8 - 2 * t12 - 2 * m))
+            exact_p = (n + 1) * (
+                2 * m / (t12 + 2 * m) - 2 * m / (t8 + 2 * m) + mp.log(2 * (t12 + 2 * m) / (t8 + 2 * m))
+            ) / 2
+            for kind, code, exact in ((REGIONS[0], a_o, exact_o), (REGIONS[1], a_p, exact_p)):
+                assert geometry_figures(RegionSpec(kind, m, n)).area == code, (kind, m, n)
+                assert abs(code - exact) <= 1e-12 * max(1, abs(exact)), (kind, m, n)

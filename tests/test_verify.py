@@ -186,6 +186,14 @@ def test_window_m_ends_where_f_stops_exceeding_20m():
     assert not any(bounds.threshold_profile(m).f_exceeds_20m for m in after)
 
 
+def test_finite_window_fails_when_its_m_range_ends_early(monkeypatch, capsys):
+    """A window one m short leaves m = 120, where f(m) > 20m still holds,
+    unswept: finite-window reports the gap there and exits 1."""
+    monkeypatch.setattr(verify, "WINDOW_M", range(120))
+    assert run_cli(["finite-window", "--parallel", "1"]) == 1
+    assert "m=120 n=0 value=coverage gap expected: f(m) <= 20m for m > 119" in capsys.readouterr().out
+
+
 def test_importing_the_cli_loads_no_process_pool():
     """A serial run never loads concurrent.futures or multiprocessing:
     verify imports the pool only when it maps parts over one."""
@@ -273,22 +281,17 @@ def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
 def test_cross_worker_computes_each_area_once_per_even_n(monkeypatch):
     """Figures, M1/M2 bounds and the bound combination share one area per
     region and even n."""
-    calls = {"_omega_areas": 0, "_omega_prime_areas": 0}
+    calls = {1: 0, 2: 0}  # points per k of lattice._areas: Omega, Omega'
+    real = lattice._areas
 
-    def counting(name):
-        real = getattr(lattice, name)
+    def counting(k, m, ns, roots):
+        calls[k] += len(ns)
+        return real(k, m, ns, roots)
 
-        def wrapper(m, ns, roots):
-            calls[name] += len(ns)
-            return real(m, ns, roots)
-
-        monkeypatch.setattr(lattice, name, wrapper)
-
-    counting("_omega_areas")
-    counting("_omega_prime_areas")
+    monkeypatch.setattr(lattice, "_areas", counting)
     violations, skips = verify._cross_worker((3, 3, 120))
     assert violations == [] and skips > 0
-    assert calls == {"_omega_areas": 60, "_omega_prime_areas": 60}
+    assert calls == {1: 60, 2: 60}
 
 
 def test_lattice_corruption_in_the_second_block_names_its_m_and_n(monkeypatch):
@@ -322,14 +325,14 @@ def test_jarnik_near_tie_is_reported_as_a_near_tie(monkeypatch):
     total = lattice.count_region(lattice.RegionSpec(lattice.RegionKind.OMEGA, m, n)).total
     length = lattice.OMEGA_LENGTH * (n + 1) ** 0.5
     assert total > 0 and length >= 1
-    real = lattice._omega_areas
+    real = lattice._areas
 
-    def tied(m_, ns, roots):
-        areas = real(m_, ns, roots)
-        return [total - length * (1 + 1e-12) if (m_, n_) == (m, n) else a
+    def tied(k, m_, ns, roots):
+        areas = real(k, m_, ns, roots)
+        return [total - length * (1 + 1e-12) if (k, m_, n_) == (1, m, n) else a
                 for n_, a in zip(ns, areas)]
 
-    monkeypatch.setattr(lattice, "_omega_areas", tied)
+    monkeypatch.setattr(lattice, "_areas", tied)
     violations, _ = verify._cross_worker((0, 7, 60))
     jarnik = [v for v in violations if v[3].startswith("Jarnik")]
     assert [(v[0], v[1]) for v in jarnik] == [(m, n)]
