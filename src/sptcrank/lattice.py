@@ -218,14 +218,13 @@ def figure_columns(m: int, terms: tuple) -> tuple:
 def geometry_figures(spec: RegionSpec) -> GeometryFigures:
     """Area, boundary-length bound, x-extent bound, and vertex list."""
     m, n = spec.m, spec.n
-    roots = _root_columns(m, (n,))
-    (xs,) = _hyperbola_x_columns((spec.kind,), m, (n,), roots)
+    (xs,) = _hyperbola_x_columns((spec.kind,), m, (n,), _root_columns(m, (n,)))
     _, _, length_o, extent_o, length_p, extent_p, _, _ = (c[0] for c in sqrt_columns((n,)))
     if spec.kind is RegionKind.OMEGA:
-        fig = _areas(1, m, (n,), roots)[0], length_o, extent_o
+        fig = area_omega(m, n), length_o, extent_o
         corners = ((0.0, 2.0 * m),)
     else:
-        fig = _areas(2, m, (n,), roots)[0], length_p + m, extent_p + m / 2
+        fig = area_omega_prime(m, n), length_p + m, extent_p + m / 2
         corners = ((m / 2, 0.0), (float(m), 0.0))
     on_hyperbola = tuple((x, (n + 1) / (2 * x)) for (x,) in xs)
     return GeometryFigures(*fig, vertices=corners + on_hyperbola)
