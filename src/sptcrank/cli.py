@@ -1,13 +1,15 @@
 """Command-line front end: coefficient dumps, verification sweeps, reports.
 
 Output is deterministic: identical inputs produce byte-identical text,
-CSV, and JSON.  Timing is therefore excluded from reports by default
-(elapsedMs is emitted as 0); pass --timing to include measured values.
+CSV, and JSON.  --csv and --json are exclusive; without either the output
+is text.  Timing is excluded from reports by default (elapsedMs is emitted
+as 0); verify and finite-window take --timing to include measured values.
 There is no randomness anywhere in the tool.
 
 Exit codes: 0 all checks pass; 1 at least one verification failure;
-2 usage/configuration error; 3 resource guard triggered; 4 internal error
-(an unexpected exception, reported as one "error: internal: ..." line).
+2 usage/configuration error; 3 resource guard triggered (verify, coeff
+and bounds take --override-resource-guard); 4 internal error (an
+unexpected exception, reported as one "error: internal: ..." line).
 """
 
 from __future__ import annotations
@@ -22,26 +24,10 @@ import traceback
 
 from . import bounds, lattice, qseries, verify
 
-ENV_PREFIX = "SPTCRANK_"
-
 CSV_COLUMNS = ("check", "m", "n", "value", "expected")
 
 # Each family f is built by qseries.<f>_series, looked up when called.
 _COEFF_FAMILIES = ("mc1", "mc5", "x", "y", "z")
-
-
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _env_switch(name: str) -> bool:
-    """An on/off environment variable: unset, "" or "0" is off, "1" is on."""
-    value = _env(name)
-    if value not in (None, "", "0", "1"):
-        raise ValueError(
-            f"{ENV_PREFIX}{name} must be unset, empty, 0 or 1, got {value!r}"
-        )
-    return value == "1"
 
 
 def _check_out(path: str) -> None:
@@ -139,37 +125,34 @@ def _report_text(reports, timing: bool) -> str:
 
 
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--csv", action="store_true", help="emit CSV")
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--out", default=_env("OUT"), help="write output to PATH")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--csv", action="store_true", help="emit CSV")
+    fmt.add_argument("--json", action="store_true", help="emit JSON")
+    p.add_argument("--out", help="write output to PATH")
+
+
+def _add_guard_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--override-resource-guard",
+        action="store_true",
+        help="run even where the resource guard would refuse (exit 3)",
+    )
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the subcommands that run checks and time them."""
+    p.add_argument(
+        "--parallel",
+        type=int,
+        default=1,
+        help="number of worker processes, at most the CPU count: y-nonneg hands "
+        "them blocks of n; every other check splits its m range into one run per worker",
+    )
     p.add_argument(
         "--timing",
         action="store_true",
         help="include measured elapsed times (breaks byte-identical output)",
     )
-
-
-def _add_parallel_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--parallel",
-        type=int,
-        # argparse converts a string default with `type`, so a malformed
-        # environment value is a usage error like a malformed flag.
-        default=_env("PARALLEL") or 1,
-        help="number of worker processes, at most the CPU count: y-nonneg hands "
-        "them blocks of n; every other check splits its m range into one run per worker",
-    )
-
-
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m-max", type=int, default=verify.SweepConfig.m_max)
-    p.add_argument("--n-max", type=int, default=verify.SweepConfig.n_max)
-    p.add_argument(
-        "--bivariate-order", type=int, default=verify.SweepConfig.bivariate_order
-    )
-    _add_parallel_flag(p)
-    # SPTCRANK_OVERRIDE_RESOURCE_GUARD=1 also sets it (see _run_and_emit).
-    p.add_argument("--override-resource-guard", action="store_true")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -184,26 +167,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=_COEFF_FAMILIES, required=True)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--n-max", type=int, required=True)
+    _add_guard_flag(p)
     _add_format_flags(p)
 
     p = sub.add_parser("verify", help="run a named check or all checks")
     p.add_argument("--check", default="all", help="check id or 'all'")
-    _add_sweep_flags(p)
+    d = verify.SweepConfig
+    p.add_argument("--m-max", type=int, default=d.m_max)
+    p.add_argument("--n-max", type=int, default=d.n_max)
+    p.add_argument("--bivariate-order", type=int, default=d.bivariate_order)
+    _add_guard_flag(p)
+    _add_run_flags(p)
     _add_format_flags(p)
 
     p = sub.add_parser(
-        "finite-window", help="the fixed sweep over 0<=m<=120, 20m<n<f(m)"
+        "finite-window",
+        help=f"the fixed sweep over 0<=m<={verify.WINDOW_M[-1]}, 20m<n<f(m)",
     )
     # Its range is fixed and its guard weight is 0, so no range or guard flag
     # could change the run; the config echo shows SweepConfig's defaults.
-    _add_parallel_flag(p)
-    d = verify.SweepConfig
+    _add_run_flags(p)
     p.set_defaults(m_max=d.m_max, n_max=d.n_max, bivariate_order=d.bivariate_order,
                    override_resource_guard=False)
-    _add_format_flags(p)
-
-    p = sub.add_parser("cross-check", help="alias for verify --check cross")
-    _add_sweep_flags(p)
     _add_format_flags(p)
 
     p = sub.add_parser("lattice", help="region counts and geometry figures")
@@ -216,6 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="threshold profile table f(m) vs 20m")
     p.add_argument("--m-max", type=int, required=True)
+    _add_guard_flag(p)
     _add_format_flags(p)
 
     return parser
@@ -224,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_coeff(args) -> int:
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
-    verify.guard(args.n_max + 1, _env_switch("OVERRIDE_RESOURCE_GUARD"))
+    verify.guard(args.n_max + 1, args.override_resource_guard)
     # mc1/mc5 are symmetric in m and take |m|; x/y/z reject m < 0 (exit 2).
     s = getattr(qseries, f"{args.family}_series")(args.m, args.n_max)
     rows = [
@@ -251,9 +237,7 @@ def _run_and_emit(args, checks) -> int:
         checks=checks,
         parallelism=args.parallel,
         bivariate_order=args.bivariate_order,
-        override_resource_guard=(
-            _env_switch("OVERRIDE_RESOURCE_GUARD") or args.override_resource_guard
-        ),
+        override_resource_guard=args.override_resource_guard,
     )
     reports = verify.run_checks(cfg)
     _emit(
@@ -304,7 +288,7 @@ def _cmd_lattice(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.m_max < 0:
         raise ValueError("--m-max must be non-negative")
-    verify.guard(args.m_max + 1, _env_switch("OVERRIDE_RESOURCE_GUARD"))
+    verify.guard(args.m_max + 1, args.override_resource_guard)
     profiles = [bounds.threshold_profile(m) for m in range(args.m_max + 1)]
     _emit(
         args,
@@ -345,7 +329,6 @@ def run_cli(argv=None) -> int:
             a, verify.CHECK_IDS if a.check == "all" else (a.check,)
         ),
         "finite-window": lambda a: _run_and_emit(a, ("finite-window",)),
-        "cross-check": lambda a: _run_and_emit(a, ("cross",)),
         "lattice": _cmd_lattice,
         "bounds": _cmd_bounds,
     }

@@ -493,11 +493,6 @@ def _table_series(tables, m: int, order: int) -> TruncatedSeries:
     return _over_q2(_lambert_list(_rows_terms(tables, m, order), order))
 
 
-def t_components(m: int, order: int) -> TruncatedSeries:
-    """T1 + T3 + T5 + T7 + T9 + T', built from all their rows at once."""
-    return _over_q2(lambert_part("T-components", m, order))
-
-
 def t1(m: int, order: int) -> TruncatedSeries:
     return _table_series(("T1",), m, order)
 

@@ -376,7 +376,7 @@ class _Check(NamedTuple):
 
     worker: Callable  # one part's argument tuple -> (violation tuples, count)
     args: Callable  # cfg -> the parts' argument tuples
-    range_desc: str  # report range text, formatted with the config's fields
+    range_desc: str  # report range text, formatted with the config's fields and window_last
     slots: Callable  # cfg -> coefficient slots the guard weighs
     count_reason: str | None = None  # skip reason for the workers' summed count
     post: Callable | None = None  # (cfg, report) -> None, run after the sweep
@@ -428,7 +428,7 @@ _CHECKS = {
     # The finite window's range is fixed, so no configuration can trip the guard.
     "finite-window": _Check(
         _finite_window_worker, _window_runs,
-        "0<=m<=120, 20m<n<f(m)", lambda cfg: 0,
+        "0<=m<={window_last}, 20m<n<f(m)", lambda cfg: 0,
         count_reason="values checked", post=_window_coverage,
     ),
     # Only m >= 0 is built: negative m rest on M(-m,n) = M(m,n), which only
@@ -452,7 +452,8 @@ _CHECKS = {
 def _run_check(check_id: str, cfg: SweepConfig) -> VerificationReport:
     check = _CHECKS[check_id]
     t0 = time.monotonic()
-    rep = VerificationReport(check_id, check.range_desc.format_map(vars(cfg)), "pending")
+    desc = check.range_desc.format(**vars(cfg), window_last=WINDOW_M[-1])
+    rep = VerificationReport(check_id, desc, "pending")
     counted = 0
     for chunk, count in _map_parts(check.worker, check.args(cfg), cfg.parallelism):
         rep.violations.extend(Violation(*v) for v in chunk)

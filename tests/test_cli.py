@@ -216,10 +216,11 @@ def test_resource_guard_weighs_coeff_and_bounds(run, monkeypatch, argv, module, 
     ("bounds", "--m-max", "20"),
 ])
 def test_env_overrides_the_guard_of_coeff_and_bounds(run, monkeypatch, argv):
+    """--override-resource-guard, the one override, lets coeff and bounds
+    past the guard as it does verify."""
     monkeypatch.setattr(verify, "RESOURCE_GUARD_SLOTS", 10)
     assert run(*argv)[0] == 3
-    monkeypatch.setenv("SPTCRANK_OVERRIDE_RESOURCE_GUARD", "1")
-    assert run(*argv)[0] == 0
+    assert run(*argv, "--override-resource-guard")[0] == 0
 
 
 def test_verify_json_byte_identical_across_parallelism(run):
@@ -238,7 +239,7 @@ def test_verify_json_byte_identical_across_parallelism(run):
 
 def test_cross_json_byte_identical_across_parallelism(run):
     """--parallel p splits m <= 17 into p cross parts; every p gives the golden bytes."""
-    argv = ["cross-check", "--m-max", "17", "--n-max", "300",
+    argv = ["verify", "--check", "cross", "--m-max", "17", "--n-max", "300",
             "--bivariate-order", "20", "--json"]
     golden = (Path(__file__).resolve().parent / "golden" / "cross-check-m17.json").read_text(
         encoding="utf-8"
@@ -318,42 +319,6 @@ def test_out_check_leaves_an_existing_file_alone(run, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]
 
 
-@pytest.mark.parametrize("value, code", [("", 3), ("0", 3), ("1", 0)])
-def test_env_override_resource_guard_values(run, monkeypatch, value, code):
-    monkeypatch.setenv("SPTCRANK_OVERRIDE_RESOURCE_GUARD", value)
-    monkeypatch.setattr(verify, "RESOURCE_GUARD_SLOTS", 10)
-    assert run("verify", "--check", "y-nonneg", "--m-max", "1", "--n-max", "20")[0] == code
-
-
-@pytest.mark.parametrize("value", ["yes", "true", "2", " 1"])
-def test_malformed_env_override_resource_guard_is_usage_error(run, monkeypatch, value):
-    monkeypatch.setenv("SPTCRANK_OVERRIDE_RESOURCE_GUARD", value)
-    for flags in ((), ("--override-resource-guard",)):
-        code, out, err = run("verify", "--check", "y-nonneg", "--m-max", "100000",
-                             "--n-max", "100000", *flags)
-        assert code == 2
-        assert out == ""
-        assert "SPTCRANK_OVERRIDE_RESOURCE_GUARD" in err
-        assert "unset, empty, 0 or 1" in err and repr(value) in err
-
-
-def test_env_parallel_default(run, monkeypatch):
-    monkeypatch.setenv("SPTCRANK_PARALLEL", "2")
-    code, out, _ = run(
-        "verify", "--check", "y-nonneg", "--m-max", "1", "--n-max", "20", "--json"
-    )
-    assert code == 0
-    assert json.loads(out)["reports"][0]["status"] == "pass"
-
-
-def test_malformed_env_parallel_is_usage_error(run, monkeypatch):
-    monkeypatch.setenv("SPTCRANK_PARALLEL", "abc")
-    code, out, err = run("verify", "--check", "y-nonneg", "--m-max", "1", "--n-max", "5")
-    assert code == 2
-    assert out == ""
-    assert "--parallel" in err and "'abc'" in err
-
-
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc
@@ -388,12 +353,30 @@ def test_corrupted_series_is_verification_failure(run, monkeypatch):
     assert "conjecture: fail" in out
 
 
-def test_cross_check_alias(run):
-    argv = ["--m-max", "1", "--n-max", "20", "--bivariate-order", "10", "--json"]
-    c1, out1, _ = run("cross-check", *argv)
-    c2, out2, _ = run("verify", "--check", "cross", *argv)
-    assert c1 == c2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize("argv", [
+    ("cross-check",),
+    ("coeff", "--family", "mc5", "--n-max", "5", "--timing"),
+    ("lattice", "--region", "omega", "--m", "1", "--n", "10", "--timing"),
+    ("bounds", "--m-max", "3", "--timing"),
+    ("verify", "--check", "y-nonneg", "--m-max", "1", "--n-max", "5", "--csv", "--json"),
+])
+def test_flags_that_would_do_nothing_are_usage_errors(run, argv):
+    """An unknown subcommand, --timing where no time is reported, and a
+    second output format are usage errors, never silently ignored."""
+    code, out, _ = run(*argv)
+    assert (code, out) == (2, "")
+
+
+def test_environment_sets_no_default(run, monkeypatch, tmp_path):
+    """SPTCRANK_* variables neither redirect, break nor change a run."""
+    monkeypatch.setenv("SPTCRANK_OUT", str(tmp_path / "report.json"))
+    monkeypatch.setenv("SPTCRANK_PARALLEL", "abc")
+    monkeypatch.setenv("SPTCRANK_OVERRIDE_RESOURCE_GUARD", "yes")
+    golden = (Path(__file__).resolve().parent / "golden" / "finite-window.json").read_text(
+        encoding="utf-8"
+    )
+    assert run("finite-window", "--json") == (0, golden, "")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lattice_subcommand(run):

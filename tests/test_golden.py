@@ -21,13 +21,13 @@ INVOCATIONS = {
     "verify-cross-order-0": ["verify", "--check", "cross", "--m-max", "2", "--n-max", "20",
                              "--bivariate-order", "0"],
     "finite-window": ["finite-window"],
-    "cross-check": ["cross-check"],
-    "cross-check-n300": ["cross-check", "--m-max", "6", "--n-max", "300",
+    "cross-check": ["verify", "--check", "cross"],
+    "cross-check-n300": ["verify", "--check", "cross", "--m-max", "6", "--n-max", "300",
                          "--bivariate-order", "0"],
     # at --parallel p, cross, conjecture and x-small-n split m <= 17 into p
     # runs of m, and finite-window its 121 m; test_cli checks all four
     # at --parallel 1, 2 and 3
-    "cross-check-m17": ["cross-check", "--m-max", "17", "--n-max", "300",
+    "cross-check-m17": ["verify", "--check", "cross", "--m-max", "17", "--n-max", "300",
                         "--bivariate-order", "20"],
     "conjecture-m17": ["verify", "--check", "conjecture", "--m-max", "17", "--n-max", "300"],
     "x-small-n-m17": ["verify", "--check", "x-small-n", "--m-max", "17"],

@@ -188,10 +188,13 @@ def test_window_m_ends_where_f_stops_exceeding_20m():
 
 def test_finite_window_fails_when_its_m_range_ends_early(monkeypatch, capsys):
     """A window one m short leaves m = 120, where f(m) > 20m still holds,
-    unswept: finite-window reports the gap there and exits 1."""
+    unswept: finite-window reports the gap there, words its range from the
+    shortened window, and exits 1."""
     monkeypatch.setattr(verify, "WINDOW_M", range(120))
     assert run_cli(["finite-window", "--parallel", "1"]) == 1
-    assert "m=120 n=0 value=coverage gap expected: f(m) <= 20m for m > 119" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("finite-window: fail (0<=m<=119, 20m<n<f(m), 1 violations)\n")
+    assert "m=120 n=0 value=coverage gap expected: f(m) <= 20m for m > 119" in out
 
 
 def test_importing_the_cli_loads_no_process_pool():
