@@ -23,9 +23,9 @@ Lambert sums that M_C1/M_C5 are built from.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
+from typing import NamedTuple
 
 from .series import TruncatedSeries
 from .qseries import euler_product
@@ -42,24 +42,29 @@ class FamilyId(enum.Enum):
     E4 = "E4"
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class _Laurent(NamedTuple):
+    order: int
+    rows: tuple
+
+
+class LaurentSeries(_Laurent):
     """Truncated-in-q series in z, stored by powers of z.
 
     rows[order + d] is the tuple of q^0..q^order coefficients of z^d for
     |d| <= order; z^d is zero below q^|d|.
     """
 
-    order: int
-    rows: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         N = self.order
         if len(self.rows) != 2 * N + 1 or any(len(r) != N + 1 for r in self.rows):
             raise ValueError("rows must be 2*order+1 rows of order+1 coefficients")
         for d, row in enumerate(self.rows, -N):
             if any(row[: abs(d)]):
                 raise ValueError(f"z^{d} is nonzero below q^{abs(d)}")
+        return self
 
 
 def extract_m(s: LaurentSeries, m: int) -> TruncatedSeries:

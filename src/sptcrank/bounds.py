@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from operator import sub
+from typing import NamedTuple
 
 LN2 = math.log(2.0)
 
@@ -65,8 +65,7 @@ def f_of_m(m: int) -> float:
     return (2.0 * (6.0 + math.sqrt(36.0 + (m + 2) * LN2)) / LN2) ** 2
 
 
-@dataclass(frozen=True)
-class ThresholdProfile:
+class ThresholdProfile(NamedTuple):
     m: int
     f_value: float
     twenty_m: int

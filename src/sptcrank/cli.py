@@ -15,12 +15,10 @@ unexpected exception, reported as one "error: internal: ..." line).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-import traceback
 
 from . import bounds, lattice, qseries, verify
 
@@ -61,6 +59,8 @@ def _emit(args, payload, rows, text) -> None:
         }
         out = json.dumps(doc, indent=2) + "\n"
     elif args.csv:
+        import csv  # here: no other output format needs it
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named check or all checks")
     p.add_argument("--check", default="all", help="check id or 'all'")
-    d = verify.SweepConfig
+    d = verify.SweepConfig()
     p.add_argument("--m-max", type=int, default=d.m_max)
     p.add_argument("--n-max", type=int, default=d.n_max)
     p.add_argument("--bivariate-order", type=int, default=d.bivariate_order)
@@ -343,8 +343,10 @@ def run_cli(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a bug, not a failed check: exit 4, never 1
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        print(f"error: internal: {exc!r} at {where.filename}:{where.lineno}",
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # the innermost frame, where it was raised
+            tb = tb.tb_next
+        print(f"error: internal: {exc!r} at {tb.tb_frame.f_code.co_filename}:{tb.tb_lineno}",
               file=sys.stderr)
         return 4
 

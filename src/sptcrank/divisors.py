@@ -11,23 +11,27 @@ no trial division of each n and no table; `census`, `census_runs`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class OddPartDecomposition:
-    """n = 2^e * odd_part with odd_part odd."""
-
+class _OddPart(NamedTuple):
     e: int
     odd_part: int
 
-    def __post_init__(self) -> None:
+
+class OddPartDecomposition(_OddPart):
+    """n = 2^e * odd_part with odd_part odd."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.odd_part < 1 or self.odd_part % 2 == 0:
             raise ValueError("odd_part must be an odd positive integer")
         if self.e < 0:
             raise ValueError("e must be non-negative")
+        return self
 
     @property
     def n(self) -> int:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import gt
+from typing import NamedTuple
 
 
 class RegionKind(enum.Enum):
@@ -28,29 +28,38 @@ class RegionKind(enum.Enum):
     OMEGA_PRIME = "omega-prime"
 
 
-@dataclass(frozen=True)
-class RegionSpec:
+class _Region(NamedTuple):
     kind: RegionKind
     m: int
     n: int
 
-    def __post_init__(self) -> None:
+
+class RegionSpec(_Region):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.m < 0 or self.n < 0:
             raise ValueError("m and n must be non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class LatticeCount:
+class _Count(NamedTuple):
     total: int
     odd_y: int
 
-    def __post_init__(self) -> None:
+
+class LatticeCount(_Count):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.odd_y <= self.total:
             raise ValueError("odd_y must lie between 0 and total")
+        return self
 
 
-@dataclass(frozen=True)
-class GeometryFigures:
+class GeometryFigures(NamedTuple):
     area: float
     length_bound: float
     x_extent_bound: float

@@ -14,12 +14,10 @@ fabricate coefficients beyond its inputs' common valid prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Iterable
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
     """Prefix of a formal power series: coeffs[n] is the coefficient of q^n.
 
@@ -27,10 +25,17 @@ class TruncatedSeries:
     values are safe to share across threads and processes.  coeffs must be
     a tuple of ints: anything else (a float, a bool, a string) is a
     TypeError, never silently converted.
+
+    A plain class, not a tuple, so that +, * and [] are series arithmetic
+    and coefficient access; __init__ validates through __post_init__.
     """
 
-    order: int
-    coeffs: tuple
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: tuple) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.order < 0:
@@ -42,6 +47,26 @@ class TruncatedSeries:
             )
         if type(self.coeffs) is not tuple or {*map(type, self.coeffs)} - {int}:
             raise TypeError(f"coeffs must be a tuple of ints, got {self.coeffs!r:.60}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.coeffs) == (other.order, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(order={self.order!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return type(self), (self.order, self.coeffs)
 
     # -- inspection ---------------------------------------------------------
 

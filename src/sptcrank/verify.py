@@ -35,7 +35,6 @@ import math
 import os
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from operator import le, sub
 from typing import Callable, NamedTuple
@@ -59,8 +58,7 @@ class ResourceGuardError(RuntimeError):
     """Raised when a configuration implies more work than the guard allows."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class _Config(NamedTuple):
     m_max: int = 10
     n_max: int = 200
     checks: tuple = CHECK_IDS
@@ -68,7 +66,12 @@ class SweepConfig:
     bivariate_order: int = 30
     override_resource_guard: bool = False
 
-    def __post_init__(self) -> None:
+
+class SweepConfig(_Config):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.m_max < 0 or self.n_max < 0:
             raise ValueError("m_max and n_max must be non-negative")
         if self.bivariate_order < 0:
@@ -80,24 +83,27 @@ class SweepConfig:
                 raise ValueError(
                     f"unknown check id {c!r}; choose from {', '.join(CHECK_IDS)}"
                 )
+        return self
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     m: int
     n: int
     value: str
     expected: str
 
 
-@dataclass
 class VerificationReport:
-    check_id: str
-    range_desc: str
-    status: str  # pending, then pass | fail
-    violations: list = field(default_factory=list)
-    skips: list = field(default_factory=list)  # [{"reason": str, "count": int}]
-    elapsed_ms: int = 0
+    """One check's report, filled in as the check runs and then finalized."""
+
+    def __init__(self, check_id: str, range_desc: str, status: str,
+                 violations=None, skips=None, elapsed_ms: int = 0) -> None:
+        self.check_id = check_id
+        self.range_desc = range_desc
+        self.status = status  # pending, then pass | fail
+        self.violations = [] if violations is None else violations
+        self.skips = [] if skips is None else skips  # [{"reason": str, "count": int}]
+        self.elapsed_ms = elapsed_ms
 
     def finalize(self) -> "VerificationReport":
         self.violations = sorted(
@@ -113,7 +119,7 @@ def guard(slots: int, override: bool) -> None:
     if slots > RESOURCE_GUARD_SLOTS and not override:
         raise ResourceGuardError(
             f"configuration implies ~{slots} coefficient slots "
-            f"(> {RESOURCE_GUARD_SLOTS}); override the resource guard to proceed"
+            f"(> {RESOURCE_GUARD_SLOTS}); pass --override-resource-guard to proceed"
         )
 
 
@@ -452,7 +458,7 @@ _CHECKS = {
 def _run_check(check_id: str, cfg: SweepConfig) -> VerificationReport:
     check = _CHECKS[check_id]
     t0 = time.monotonic()
-    desc = check.range_desc.format(**vars(cfg), window_last=WINDOW_M[-1])
+    desc = check.range_desc.format(**cfg._asdict(), window_last=WINDOW_M[-1])
     rep = VerificationReport(check_id, desc, "pending")
     counted = 0
     for chunk, count in _map_parts(check.worker, check.args(cfg), cfg.parallelism):

@@ -223,6 +223,19 @@ def test_env_overrides_the_guard_of_coeff_and_bounds(run, monkeypatch, argv):
     assert run(*argv, "--override-resource-guard")[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--check", "y-nonneg", "--m-max", "3", "--n-max", "20"),
+    ("coeff", "--family", "mc5", "--n-max", "20"),
+    ("bounds", "--m-max", "20"),
+])
+def test_guard_refusal_names_the_override_flag(run, monkeypatch, argv):
+    monkeypatch.setattr(verify, "RESOURCE_GUARD_SLOTS", 10)
+    code, out, err = run(*argv)
+    assert code == 3
+    assert out == ""
+    assert "--override-resource-guard" in err
+
+
 def test_verify_json_byte_identical_across_parallelism(run):
     argv = ["verify", "--check", "all", "--m-max", "2", "--n-max", "30",
             "--bivariate-order", "15", "--json"]
@@ -334,12 +347,16 @@ def _raise(exc):
     ],
 )
 def test_unexpected_error_exits_four(run, monkeypatch, module, name, exc, argv):
-    monkeypatch.setattr(module, name, _raise(exc))
+    fail = _raise(exc)
+    monkeypatch.setattr(module, name, fail)
     code, out, err = run(*argv)
     assert code == 4
     assert out == ""
     assert err.startswith(f"error: internal: {exc!r} at ")
     assert err.count("\n") == 1
+    # the innermost frame: the `raise exc` line of fail, one after its `def`
+    raised_at = f"{fail.__code__.co_filename}:{fail.__code__.co_firstlineno + 1}"
+    assert err.removeprefix(f"error: internal: {exc!r} at ") == raised_at + "\n"
 
 
 def test_corrupted_series_is_verification_failure(run, monkeypatch):

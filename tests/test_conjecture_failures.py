@@ -19,7 +19,6 @@ Re-record (only for a change meant to alter the wording):
 from __future__ import annotations
 
 import json
-from dataclasses import astuple
 from pathlib import Path
 from unittest import mock
 
@@ -82,7 +81,7 @@ def run_scenario(name: str, n_max: int, parallelism: int = 1) -> dict:
     cfg = SweepConfig(m_max=12, n_max=n_max, checks=("conjecture",), parallelism=parallelism)
     with mock.patch.object(qseries, attr, value):
         (report,) = run_checks(cfg)
-    return {"skips": report.skips, "violations": [list(astuple(v)) for v in report.violations]}
+    return {"skips": report.skips, "violations": [[v.m, v.n, v.value, v.expected] for v in report.violations]}
 
 
 def _dump(results: dict) -> str:

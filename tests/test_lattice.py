@@ -1,7 +1,6 @@
 """Lattice-point counts, closed-form areas, and geometric bound figures."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from scipy import integrate
 from sptcrank import bounds, lattice
 from sptcrank.lattice import (
     DegenerateRegionError,
+    GeometryFigures,
     LatticeCount,
     RegionKind,
     RegionSpec,
@@ -412,7 +412,7 @@ def test_parity_gap_matches_rational_gap(total, data):
     gap = parity_gap_rational(count)
     base = geometry_figures(RegionSpec(RegionKind.OMEGA, 0, 99))
     for x_extent in (0.0, 0.4, 1.5, gap - 1, base.x_extent_bound):
-        fig = replace(base, x_extent_bound=x_extent)
+        fig = GeometryFigures(base.area, base.length_bound, x_extent, base.vertices)
         assert parity_lemma_check(count, fig) is (gap <= x_extent + 1)
 
 

@@ -5,7 +5,10 @@ PYTHONPATH and no user site, and writes no bytecode cache; src/ is put
 first on its sys.path.  It runs every sweep check on a small grid at
 --parallel 1 and 2.  Each report must equal, byte for byte, the report of
 the same argv run in this process, and the child must have imported none
-of the packages that only the tests use.
+of the packages that only the tests use.  Right after `import sptcrank.cli`
+the child must also hold none of STARTUP_UNUSED: modules that no check
+needs, which would only add to the start-up of every invocation.  --csv
+imports csv where it writes, so one --csv argv runs that import here too.
 """
 
 import json
@@ -18,6 +21,8 @@ from sptcrank.cli import run_cli
 
 SRC = str(Path(sptcrank.__file__).resolve().parents[1])
 TEST_ONLY = ("mpmath", "hypothesis", "sympy", "pytest")
+STARTUP_UNUSED = ("dataclasses", "inspect", "traceback", "csv", "concurrent.futures",
+                  "multiprocessing")
 ARGVS = (
     ["verify", "--check", "y-nonneg", "--m-max", "12", "--n-max", "400", "--json"],
     ["verify", "--check", "cross", "--m-max", "12", "--n-max", "400",
@@ -25,22 +30,27 @@ ARGVS = (
     ["verify", "--check", "x-small-n", "--m-max", "40", "--json"],
     ["finite-window", "--json"],
     ["verify", "--check", "conjecture", "--m-max", "20", "--n-max", "1000", "--json"],
+    ["verify", "--check", "cross", "--m-max", "12", "--n-max", "400",
+     "--bivariate-order", "20", "--csv"],
 )
 
 # argv: SRC, a JSON list of CLI argvs, the JSON list TEST_ONLY; prints
-# {"runs": [[exit code, stdout], ...], "loaded": [test-only modules loaded]}
+# {"startup": [modules loaded once sptcrank.cli is imported], "runs":
+# [[exit code, stdout], ...], "loaded": [test-only modules loaded]}
 CHILD = """
 import contextlib, io, json, sys
 src, argvs, test_only = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
 sys.path.insert(0, src)
 from sptcrank.cli import run_cli
+startup = sorted(sys.modules)
 runs = []
 for argv in argvs:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run_cli(argv)
     runs.append([code, out.getvalue()])
-print(json.dumps({"runs": runs, "loaded": sorted(set(test_only) & set(sys.modules))}))
+print(json.dumps({"startup": startup, "runs": runs,
+                  "loaded": sorted(set(test_only) & set(sys.modules))}))
 """
 
 
@@ -52,6 +62,7 @@ def test_src_runs_on_the_standard_library_alone(capsys):
     )
     got = json.loads(child.stdout)
     assert got["loaded"] == []
+    assert sorted(set(STARTUP_UNUSED) & set(got["startup"])) == []
     runs = iter(got["runs"])  # each argv at --parallel 1, then 2
     for argv in ARGVS:
         assert run_cli(argv) == 0

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import astuple
 from pathlib import Path
 from unittest import mock
 
@@ -105,7 +104,7 @@ def run_scenario(name: str, parallelism: int = 1) -> dict:
         for p in reversed(patches):
             p.stop()
     return {
-        r.check_id: {"skips": r.skips, "violations": [list(astuple(v)) for v in r.violations]}
+        r.check_id: {"skips": r.skips, "violations": [[v.m, v.n, v.value, v.expected] for v in r.violations]}
         for r in reports
     }
 
