@@ -11,15 +11,16 @@ Membership of a lattice point is decided purely in integer arithmetic
 (x*y < (n+1)/2 becomes 2*x*y <= n); floating point enters only in the
 closed-form areas, the vertices (on conjugate roots, see _root_columns) and
 the bounds, whose sqrt(n+1) coefficients are OMEGA_LENGTH,
-OMEGA_PRIME_LENGTH, M1_SQRT and M2_SQRT.
+OMEGA_PRIME_LENGTH, M1_SQRT and M2_SQRT.  RegionSpec admits only (m, n)
+with 4m^2 + 12(n+1) within the float range, so every root is finite.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from itertools import accumulate
-from operator import gt
 from typing import NamedTuple
 
 
@@ -41,6 +42,8 @@ class RegionSpec(_Region):
         self = super().__new__(cls, *args, **kwargs)
         if self.m < 0 or self.n < 0:
             raise ValueError("m and n must be non-negative")
+        if 4 * self.m * self.m + 12 * (self.n + 1) > sys.float_info.max:
+            raise ValueError("m and n too large: 4m^2 + 12(n+1) exceeds the largest float")
         return self
 
 
@@ -72,10 +75,6 @@ OMEGA_LENGTH = 3.6
 OMEGA_PRIME_LENGTH = 5.5
 M1_SQRT = 2.2
 M2_SQRT = 3.7
-
-
-class DegenerateRegionError(ValueError):
-    """Raised when the computed vertex ordering of a region collapses."""
 
 
 def _columns(kind: RegionKind, m: int, n: int):
@@ -135,8 +134,8 @@ def count_sweep(kind: RegionKind, m: int, n_max: int) -> tuple:
 
 def _root_columns(m: int, ns) -> tuple:
     """The columns of s8 = sqrt(4m^2+8(n+1)) and s12 = sqrt(4m^2+12(n+1))
-    over the n of ns, which every vertex, area and ordering guard of the two
-    regions reads from here.  As (s8-2m)(s8+2m) = 8(n+1) and (s12-2m)(s12+2m)
+    over the n of ns, which every vertex and area of the two regions reads
+    from here.  As (s8-2m)(s8+2m) = 8(n+1) and (s12-2m)(s12+2m)
     = 12(n+1), the figures take the conjugates u8 = s8+2m and u12 = s12+2m,
     where s8-2m and s12-2m would cancel once m >> sqrt(n).
     """
@@ -169,30 +168,6 @@ def area_omega_prime(m: int, n: int) -> float:
     return _areas(2, m, (n,), _root_columns(m, (n,)))[0]
 
 
-def _hyperbola_x_columns(kinds: tuple, m: int, ns, roots: tuple) -> list:
-    """For each kind of kinds, the columns over the n of ns of the x of the
-    region's two vertices on the hyperbola, (x2, x3) = ((n+1)/u8, (n+1)/u12)
-    for Omega and (x6, x7) = (u8/8, u12/4) for Omega', from roots =
-    _root_columns(m, ns).  Raises DegenerateRegionError when the floats give
-    x3 > x2 or x6 > x7, at the first such n and at that n the first such
-    kind, before any vertex's y or area is computed; as rounding is monotone
-    and s8 <= s12, true roots never do."""
-    u8s, u12s = ([s + 2 * m for s in col] for col in roots)
-    cols = [
-        ([(n + 1) / u for n, u in zip(ns, u8s)], [(n + 1) / u for n, u in zip(ns, u12s)])
-        if kind is RegionKind.OMEGA
-        else ([u / 8 for u in u8s], [u / 4 for u in u12s])
-        for kind in kinds
-    ]
-    bad = [list(map(gt, *(c[::-1] if k is RegionKind.OMEGA else c))) for k, c in zip(kinds, cols)]
-    if any(map(any, bad)):
-        i = min(flags.index(True) for flags in bad if any(flags))
-        kind = next(k for k, flags in zip(kinds, bad) if flags[i])
-        name = "Omega" if kind is RegionKind.OMEGA else "Omega'"
-        raise DegenerateRegionError(f"vertex ordering collapsed for {name} at m={m}, n={ns[i]}")
-    return cols
-
-
 def sqrt_columns(ns) -> tuple:
     """Columns over the n of ns of n, sqrt(n+1), OMEGA_LENGTH*sqrt(n+1),
     sqrt(2(n+1))/4, OMEGA_PRIME_LENGTH*sqrt(n+1), sqrt(3(n+1))/2,
@@ -207,13 +182,12 @@ def sqrt_columns(ns) -> tuple:
 
 
 def figure_columns(m: int, terms: tuple) -> tuple:
-    """After both ordering guards, ((area, length, extent) of Omega, the same
-    of Omega', m1_bound, m2_bound): columns over the n of terms =
-    sqrt_columns(ns) of geometry_figures' numbers, and of m1_upper_bound and
-    m2_lower_bound at those areas, as plain floats."""
+    """((area, length, extent) of Omega, the same of Omega', m1_bound,
+    m2_bound): columns over the n of terms = sqrt_columns(ns) of
+    geometry_figures' numbers, and of m1_upper_bound and m2_lower_bound at
+    those areas, as plain floats."""
     ns, _, length_o, extent_o, length_p, extent_p, m1_sqrt, m2_sqrt = terms
     roots = _root_columns(m, ns)
-    _hyperbola_x_columns((RegionKind.OMEGA, RegionKind.OMEGA_PRIME), m, ns, roots)
     area_o = _areas(1, m, ns, roots)
     area_p = _areas(2, m, ns, roots)
     return (
@@ -225,17 +199,22 @@ def figure_columns(m: int, terms: tuple) -> tuple:
 
 
 def geometry_figures(spec: RegionSpec) -> GeometryFigures:
-    """Area, boundary-length bound, x-extent bound, and vertex list."""
+    """Area, boundary-length bound, x-extent bound, and vertex list.  The
+    hyperbola vertices are at x2 = (n+1)/u8, x3 = (n+1)/u12 for Omega and at
+    x6 = u8/8, x7 = u12/4 for Omega', so x3 <= x2 and x6 < x7 as s8 <= s12."""
     m, n = spec.m, spec.n
-    (xs,) = _hyperbola_x_columns((spec.kind,), m, (n,), _root_columns(m, (n,)))
+    (s8,), (s12,) = _root_columns(m, (n,))
+    u8, u12 = s8 + 2 * m, s12 + 2 * m
     _, _, length_o, extent_o, length_p, extent_p, _, _ = (c[0] for c in sqrt_columns((n,)))
     if spec.kind is RegionKind.OMEGA:
         fig = area_omega(m, n), length_o, extent_o
         corners = ((0.0, 2.0 * m),)
+        xs = (n + 1) / u8, (n + 1) / u12
     else:
         fig = area_omega_prime(m, n), length_p + m, extent_p + m / 2
         corners = ((m / 2, 0.0), (float(m), 0.0))
-    on_hyperbola = tuple((x, (n + 1) / (2 * x)) for (x,) in xs)
+        xs = u8 / 8, u12 / 4
+    on_hyperbola = tuple((x, (n + 1) / (2 * x)) for x in xs)
     return GeometryFigures(*fig, vertices=corners + on_hyperbola)
 
 

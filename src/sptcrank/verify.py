@@ -346,8 +346,10 @@ def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:
     The univariate series come from qseries.mc_sweep, the builder the
     conjecture check reads, so the product form checks every step of it.
     The z <-> 1/z symmetry is checked on the expansion itself because the
-    univariate builders take |m|, so they cannot tell -m from m.
+    univariate builders take |m|, so they cannot tell -m from m.  An empty
+    n range of the sweep is noted first, as y-nonneg and conjecture note it.
     """
+    _note_empty_n_range(cfg, rep)
     order = cfg.bivariate_order
     if order < 1:
         return

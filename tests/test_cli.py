@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -424,6 +425,21 @@ def test_large_m_is_no_usage_error(run, argv, line):
 def test_lattice_rejects_negative(run):
     code, _, err = run("lattice", "--region", "omega", "--m", "-1", "--n", "10")
     assert code == 2
+
+
+def test_lattice_rejects_m_and_n_past_the_float_range(run):
+    """(m, n) whose root radicand 4m^2 + 12(n+1) exceeds the largest float
+    is a usage error (exit 2), not an internal one; the largest m below the
+    limit still runs."""
+    n = 4
+    edge = math.isqrt((int(sys.float_info.max) - 12 * (n + 1)) // 4)
+    for m in (edge + 1, 10**160):
+        assert run("lattice", "--region", "omega", "--m", str(m), "--n", str(n)) == (
+            2, "", "error: m and n too large: 4m^2 + 12(n+1) exceeds the largest float\n")
+    for region in ("omega", "omega-prime"):
+        code, out, err = run("lattice", "--region", region, "--m", str(edge), "--n", str(n))
+        assert (code, err) == (0, ""), region
+        assert "  total=0 oddY=0" in out.splitlines(), region
 
 
 def test_bounds_subcommand(run):

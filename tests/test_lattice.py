@@ -9,7 +9,6 @@ from scipy import integrate
 
 from sptcrank import bounds, lattice
 from sptcrank.lattice import (
-    DegenerateRegionError,
     GeometryFigures,
     LatticeCount,
     RegionKind,
@@ -279,106 +278,6 @@ def test_hoisted_bounds_match_the_single_point_functions(m):
         assert bounds.theorem2_m_free(n, root) - m - 2 == bounds.theorem2_lower_bound(m, n), n
 
 
-def both_collapse(m, ns):
-    """Roots with conjugates u8 = 24 and u12 = 1: x3 = n+1 > x2 = (n+1)/24
-    and x6 = 3 > x7 = 1/4, both regions' vertices out of order."""
-    return [24.0 - 2 * m] * len(ns), [1.0 - 2 * m] * len(ns)
-
-
-@pytest.mark.parametrize("kind, roots", [
-    # both regions collapse, and the columns name Omega first
-    (RegionKind.OMEGA, lambda m, ns: both_collapse(m, ns)),
-    # u8 = -8, u12 = -5: x3 = -(n+1)/5 < x2 = -(n+1)/8 keeps Omega in order,
-    # x6 = -1 > x7 = -5/4 puts Omega''s hyperbola vertices out of order
-    (RegionKind.OMEGA_PRIME, lambda m, ns: ([-8.0 - 2 * m] * len(ns), [-5.0 - 2 * m] * len(ns))),
-])
-def test_figure_sweep_applies_the_ordering_guard(monkeypatch, kind, roots):
-    """Roots that put a region's hyperbola vertices out of order trip its
-    guard in the figure columns, which guard both regions, as in
-    geometry_figures.  True roots cannot do it: s8 <= s12 gives x3 <= x2 and
-    x6 < x7 under monotone rounding."""
-    monkeypatch.setattr(lattice, "_root_columns", roots)
-    name = "Omega" if kind is RegionKind.OMEGA else "Omega'"
-    with pytest.raises(DegenerateRegionError, match=f"collapsed for {name} at m=1, n=2$"):
-        figure_columns(1, even_terms(10))
-    with pytest.raises(DegenerateRegionError, match="vertex ordering collapsed"):
-        geometry_figures(RegionSpec(kind, 1, 10))
-
-
-def test_figure_columns_guard_omega_first_at_each_n(monkeypatch):
-    """Roots that put both regions' vertices out of order at every n: the
-    columns name Omega at the first n, geometry_figures its own region."""
-    monkeypatch.setattr(lattice, "_root_columns", both_collapse)
-    with pytest.raises(DegenerateRegionError, match="collapsed for Omega at m=1, n=2$"):
-        figure_columns(1, even_terms(10))
-    with pytest.raises(DegenerateRegionError, match="collapsed for Omega' at m=1, n=10$"):
-        geometry_figures(RegionSpec(RegionKind.OMEGA_PRIME, 1, 10))
-
-
-def first_collapse_reference(m, ns, kinds=REGIONS):
-    """The degenerate-region text of the first (n, region) with n in ns and
-    region in kinds, in that order, whose float hyperbola vertices, read
-    from lattice._root_columns one n at a time, are out of order, or None:
-    the guards one point at a time."""
-    for n in ns:
-        (s8,), (s12,) = lattice._root_columns(m, [n])
-        u8, u12 = s8 + 2 * m, s12 + 2 * m
-        for kind in kinds:
-            if kind is RegionKind.OMEGA and (n + 1) / u12 > (n + 1) / u8:
-                return f"vertex ordering collapsed for Omega at m={m}, n={n}"
-            if kind is RegionKind.OMEGA_PRIME and u8 / 8 > u12 / 4:
-                return f"vertex ordering collapsed for Omega' at m={m}, n={n}"
-    return None
-
-
-def raised(fn, *args):
-    """The DegenerateRegionError text fn(*args) raises, or None."""
-    try:
-        fn(*args)
-    except DegenerateRegionError as err:
-        return str(err)
-    return None
-
-
-# conjugates (u8, u12) that put Omega's, Omega''s or both regions' vertices
-# out of order: (3, 2) gives x3 > x2 and x6 = 3/8 < x7 = 1/2
-COLLAPSES = {"omega": (3.0, 2.0), "omega-prime": (-8.0, -5.0), "both": (24.0, 1.0)}
-# the collapses of the patched roots at each m, by n; none after n = 26
-COLLAPSES_AT = {
-    22000: {6: "omega-prime", 8: "omega", 14: "both", 20: "omega", 26: "omega-prime"},
-    100000: {2: "both", 10: "omega-prime", 12: "omega", 24: "omega-prime"},
-}
-
-
-@pytest.mark.parametrize("m", sorted(COLLAPSES_AT))
-def test_figure_columns_raise_at_the_first_collapse(monkeypatch, m):
-    """With roots patched to collapse one region, the other or both at some
-    even n, for every even n0 < 40 the columns over n0 <= n < 40 raise the
-    text of their first collapsed (n, region), as the guards one point at a
-    time do, and geometry_figures raises exactly at its region's collapses."""
-    real = lattice._root_columns
-
-    def roots(m_, ns):
-        s8s, s12s = real(m_, ns)
-        for i, n in enumerate(ns):
-            if n in COLLAPSES_AT[m]:
-                u8, u12 = COLLAPSES[COLLAPSES_AT[m][n]]
-                s8s[i], s12s[i] = u8 - 2 * m_, u12 - 2 * m_
-        return s8s, s12s
-
-    monkeypatch.setattr(lattice, "_root_columns", roots)
-    texts = []
-    for n0 in range(2, 40, 2):
-        ns = range(n0, 40, 2)
-        texts.append(raised(figure_columns, m, sqrt_columns(ns)))
-        assert texts[-1] == first_collapse_reference(m, ns), n0
-        for kind in REGIONS:
-            assert raised(geometry_figures, RegionSpec(kind, m, n0)) == (
-                first_collapse_reference(m, [n0], (kind,))
-            ), (kind, n0)
-    assert any(texts) and not all(texts)
-
-
 def test_vertices_stay_on_the_hyperbola_at_extreme_m():
     """At m = 10^9, n = 22 the differences s8 - 2m and s12 - 2m would cancel
     to 0.0; every vertex stays finite, and each hyperbola vertex has
@@ -443,16 +342,6 @@ def test_validation():
         m1_upper_bound(0, 0, 0.0)
 
 
-def test_degenerate_guard_never_fires_on_valid_inputs():
-    # the vertex ordering x3 < x2 (and x6 < x7) holds for every valid (m, n);
-    # the DegenerateRegionError path is a safety net, so it must stay silent
-    # even at extreme aspect ratios, and must be catchable as a ValueError
-    assert issubclass(DegenerateRegionError, ValueError)
-    for kind in REGIONS:
-        geometry_figures(RegionSpec(kind, 10**6, 2))
-        geometry_figures(RegionSpec(kind, 0, 10**6))
-
-
 # m a multiple of 1000 up to 2*10^5, and two m where the differences
 # s8 - 2m, s12 - 2m collapsed Omega's vertices, at every even n < 40
 WIDE_MS = (*range(0, 200001, 1000), 13758, 22000)
@@ -460,9 +349,9 @@ WIDE_NS = range(0, 40, 2)
 
 
 def test_figures_hold_where_differences_would_cancel():
-    """On 4,060 points with m >> sqrt(n), neither figure_columns nor
-    geometry_figures reports a collapse, and both regions' areas are within
-    1e-12 * max(1, |A|) of a 60-digit transcription of the difference forms
+    """On 4,060 points with m >> sqrt(n), both regions' areas from
+    figure_columns and geometry_figures are within 1e-12 * max(1, |A|) of a
+    60-digit transcription of the difference forms
     Omega: (n+1)/2 * log(3(s8-2m)/(2(s12-2m))) - (m/24)(3s8 - 2s12 - 2m),
     Omega': (n+1)/2 * (2m/(s12+2m) - 2m/(s8+2m) + log(2(s12+2m)/(s8+2m))),
     where 60 digits leave room for their cancellation."""
@@ -483,3 +372,26 @@ def test_figures_hold_where_differences_would_cancel():
             for kind, code, exact in ((REGIONS[0], a_o, exact_o), (REGIONS[1], a_p, exact_p)):
                 assert geometry_figures(RegionSpec(kind, m, n)).area == code, (kind, m, n)
                 assert abs(code - exact) <= 1e-12 * max(1, abs(exact)), (kind, m, n)
+
+
+def test_hyperbola_vertices_are_ordered_and_finite():
+    """At every even n < 40, for each m of WIDE_MS and m = 10^9, 10^15 and
+    10^150, the hyperbola vertices keep x3 <= x2 for Omega and x6 <= x7 for
+    Omega', every vertex is finite, and each hyperbola vertex has 2xy = n+1
+    to 1e-12.  Once m >> sqrt(n) both roots round to 2m, so x3 == x2 occurs:
+    the order is not strict."""
+    ties = 0
+    for m in (*WIDE_MS, 10**9, 10**15, 10**150):
+        for n in WIDE_NS:
+            for kind in REGIONS:
+                vertices = geometry_figures(RegionSpec(kind, m, n)).vertices
+                assert all(map(math.isfinite, sum(vertices, ()))), (kind, m, n)
+                (xa, _), (xb, _) = hyperbola = vertices[-2:]
+                if kind is RegionKind.OMEGA:
+                    assert xb <= xa, (m, n)
+                    ties += xb == xa
+                else:
+                    assert xa <= xb, (m, n)
+                for x, y in hyperbola:
+                    assert 2 * x * y == pytest.approx(n + 1, rel=1e-12, abs=0), (kind, m, n)
+    assert ties

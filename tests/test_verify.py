@@ -86,6 +86,15 @@ def test_conjecture_notes_an_empty_n_range():
     assert run_checks(small_cfg(checks=("conjecture",), n_max=1))[0].skips == []
 
 
+def test_cross_notes_an_empty_n_range():
+    """With n_max = 0 and no bivariate order, cross checks nothing, so its
+    report says so, as y-nonneg's and conjecture's do."""
+    rep = run_checks(small_cfg(checks=("cross",), m_max=0, n_max=0, bivariate_order=0))[0]
+    assert rep.status == "pass"
+    assert rep.skips == [{"reason": "empty n range", "count": 1}]
+    assert run_checks(small_cfg(checks=("cross",), m_max=0, n_max=1, bivariate_order=0))[0].skips == []
+
+
 def serial_pool(monkeypatch) -> list:
     """Replace the process pool by one whose map runs in this process, so
     patches and call records hold in every part; returns the list that
