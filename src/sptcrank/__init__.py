@@ -24,7 +24,7 @@ from .lattice import (
     geometry_figures,
 )
 from .bounds import StrictOutcome, ThresholdProfile, f_of_m, threshold_profile
-from .bivariate import FamilyId, LaurentSeries, extract_m, spt_crank_bivariate
+from .bivariate import LaurentSeries, extract_m, spt_crank_bivariate
 from .verify import (
     ResourceGuardError,
     SweepConfig,
@@ -54,7 +54,6 @@ __all__ = [
     "ThresholdProfile",
     "f_of_m",
     "threshold_profile",
-    "FamilyId",
     "LaurentSeries",
     "extract_m",
     "spt_crank_bivariate",

@@ -1,7 +1,8 @@
 """Two-variable spt-crank generating functions S_X(z, q).
 
-Each of the eight families (A1, A3, A5, A7, C1, C5, E2, E4) is expanded
-from its single-sum product form
+Garvan and Jennings-Shaffer define eight such families; the conjecture
+reads two, C1 and C5, and FAMILIES holds only their rows.  Each is
+expanded from its single-sum product form
 
     sum_n  c_n / ((z q^n; q)_oo (z^-1 q^n; q)_oo),   c_n = sign_n * q^(e(n)) * Num_n(q),
 
@@ -22,24 +23,12 @@ Lambert sums that M_C1/M_C5 are built from.
 
 from __future__ import annotations
 
-import enum
 from functools import reduce
 from operator import add, mul
 from typing import NamedTuple
 
 from .series import TruncatedSeries
 from .qseries import euler_product
-
-
-class FamilyId(enum.Enum):
-    A1 = "A1"
-    A3 = "A3"
-    A5 = "A5"
-    A7 = "A7"
-    C1 = "C1"
-    C5 = "C5"
-    E2 = "E2"
-    E4 = "E4"
 
 
 class _Laurent(NamedTuple):
@@ -74,27 +63,23 @@ def extract_m(s: LaurentSeries, m: int) -> TruncatedSeries:
     return TruncatedSeries(s.order, s.rows[s.order + m])
 
 
-# One row per family: (s, (a, b, c), runs) gives sign_n = s^n, the prefactor
+# One row per family name: (s, (a, b, c), runs) gives sign_n = s^n, the prefactor
 # exponent e(n) = (a*n^2 + b*n) / c, and Num_n as the product over the runs
 # (p, r, step) of euler_product(p*n + r, step) = prod_j (1 - q^(p*n + r + j*step)).
-_TERMS = {
-    FamilyId.A1: (1, (0, 1, 1), ((2, 1, 1),)),
-    FamilyId.A3: (1, (0, 2, 1), ((2, 1, 1),)),
-    FamilyId.A5: (1, (1, 1, 1), ((2, 1, 1),)),
-    FamilyId.A7: (1, (1, 0, 1), ((2, 1, 1),)),
-    FamilyId.C1: (1, (0, 1, 1), ((2, 1, 2), (1, 1, 1))),
-    FamilyId.C5: (1, (1, 1, 2), ((2, 1, 2), (1, 1, 1))),
-    FamilyId.E2: (-1, (0, 1, 1), ((2, 2, 2),)),
-    FamilyId.E4: (1, (0, 2, 1), ((2, 2, 2),)),
+FAMILIES = {
+    "C1": (1, (0, 1, 1), ((2, 1, 2), (1, 1, 1))),
+    "C5": (1, (1, 1, 2), ((2, 1, 2), (1, 1, 1))),
 }
 
 
-def spt_crank_bivariate(family: FamilyId, order: int) -> LaurentSeries:
-    """Truncated bivariate expansion of the family's product form."""
+def spt_crank_bivariate(family: str, order: int) -> LaurentSeries:
+    """Truncated bivariate expansion of the product form FAMILIES[family]."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     if order < 1:
         raise ValueError("order must be >= 1")
     N = order
-    base, (a, b, c), runs = _TERMS[family]
+    base, (a, b, c), runs = FAMILIES[family]
     rows = [[0] * (N + 1) for _ in range(2 * N + 1)]  # rows[N + d]: z^d over q
     for k in range(1, N + 1):
         pref = (a * k * k + b * k) // c

@@ -158,16 +158,6 @@ def _areas(k: int, m: int, ns, roots: tuple) -> list:
     ]
 
 
-def area_omega(m: int, n: int) -> float:
-    """Closed-form area of Omega."""
-    return _areas(1, m, (n,), _root_columns(m, (n,)))[0]
-
-
-def area_omega_prime(m: int, n: int) -> float:
-    """Closed-form area of Omega'."""
-    return _areas(2, m, (n,), _root_columns(m, (n,)))[0]
-
-
 def sqrt_columns(ns) -> tuple:
     """Columns over the n of ns of n, sqrt(n+1), OMEGA_LENGTH*sqrt(n+1),
     sqrt(2(n+1))/4, OMEGA_PRIME_LENGTH*sqrt(n+1), sqrt(3(n+1))/2,
@@ -205,22 +195,22 @@ def geometry_figures(spec: RegionSpec) -> GeometryFigures:
     m, n = spec.m, spec.n
     (s8,), (s12,) = _root_columns(m, (n,))
     u8, u12 = s8 + 2 * m, s12 + 2 * m
-    _, _, length_o, extent_o, length_p, extent_p, _, _ = (c[0] for c in sqrt_columns((n,)))
+    omega, omega_prime, _, _ = figure_columns(m, sqrt_columns((n,)))
     if spec.kind is RegionKind.OMEGA:
-        fig = area_omega(m, n), length_o, extent_o
+        fig = omega
         corners = ((0.0, 2.0 * m),)
         xs = (n + 1) / u8, (n + 1) / u12
     else:
-        fig = area_omega_prime(m, n), length_p + m, extent_p + m / 2
+        fig = omega_prime
         corners = ((m / 2, 0.0), (float(m), 0.0))
         xs = u8 / 8, u12 / 4
     on_hyperbola = tuple((x, (n + 1) / (2 * x)) for x in xs)
-    return GeometryFigures(*fig, vertices=corners + on_hyperbola)
+    return GeometryFigures(*(c[0] for c in fig), vertices=corners + on_hyperbola)
 
 
 def m1_upper_bound(m: int, n: int, area: float) -> float:
     """Strict upper bound on the odd-y count in Omega:
-    area/2 + M1_SQRT*sqrt(n+1) + 1, where area = area_omega(m, n)."""
+    area/2 + M1_SQRT*sqrt(n+1) + 1, where area is Omega's geometry_figures area."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return area / 2 + M1_SQRT * math.sqrt(n + 1) + 1
@@ -228,7 +218,7 @@ def m1_upper_bound(m: int, n: int, area: float) -> float:
 
 def m2_lower_bound(m: int, n: int, area: float) -> float:
     """Strict lower bound on the odd-y count in Omega':
-    area/2 - M2_SQRT*sqrt(n+1) - m - 1, where area = area_omega_prime(m, n)."""
+    area/2 - M2_SQRT*sqrt(n+1) - m - 1, where area is Omega''s geometry_figures area."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return area / 2 - M2_SQRT * math.sqrt(n + 1) - m - 1

@@ -341,7 +341,8 @@ def _window_coverage(cfg: SweepConfig, rep: VerificationReport) -> None:
 def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:
     """The bivariate cross-oracle: each z^m slice of the C1/C5 expansions
     equals the univariate M_C1/M_C5 series and the z^-m slice, and every
-    coefficient of both expansions, at every z-degree |m| <= order, is >= 0.
+    coefficient of every expansion in bivariate.FAMILIES, at every z-degree
+    |m| <= order, is >= 0.
 
     The univariate series come from qseries.mc_sweep, the builder the
     conjecture check reads, so the product form checks every step of it.
@@ -353,11 +354,10 @@ def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:
     order = cfg.bivariate_order
     if order < 1:
         return
-    families = (bivariate.FamilyId.C1, bivariate.FamilyId.C5)
-    expansions = [bivariate.spt_crank_bivariate(family, order) for family in families]
+    expansions = {name: bivariate.spt_crank_bivariate(name, order) for name in bivariate.FAMILIES}
     for m, *univariate in qseries.mc_sweep(0, min(cfg.m_max, order), order):
-        for family, expansion, series in zip(families, expansions, univariate):
-            name = family.value
+        for name, series in zip(("C1", "C5"), univariate):
+            expansion = expansions[name]
             s = bivariate.extract_m(expansion, m).coeffs
             if s != series.coeffs:
                 rep.violations.append(
@@ -367,8 +367,7 @@ def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:
                 rep.violations.append(
                     Violation(m, 0, f"bivariate {name} slice at -m", "equals slice at +m")
                 )
-    for family, expansion in zip(families, expansions):
-        name = family.value
+    for name, expansion in expansions.items():
         rep.violations.extend(
             Violation(d, n, str(v), f"M_{name}(m,n) >= 0 on the bivariate expansion")
             for d, row in enumerate(expansion.rows, -order)

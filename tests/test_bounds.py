@@ -100,8 +100,12 @@ def test_lower_bound_actually_bounds_x():
 def test_bound_combination_step():
     for m in (0, 3, 10):
         for n in range(2, 2001, 68):
-            m1 = lattice.m1_upper_bound(m, n, lattice.area_omega(m, n))
-            m2 = lattice.m2_lower_bound(m, n, lattice.area_omega_prime(m, n))
+            area_o, area_p = (
+                lattice.geometry_figures(lattice.RegionSpec(kind, m, n)).area
+                for kind in lattice.RegionKind
+            )
+            m1 = lattice.m1_upper_bound(m, n, area_o)
+            m2 = lattice.m2_lower_bound(m, n, area_p)
             assert m2_minus_m1_bound_check(m, n, m1, m2)
 
 

@@ -13,8 +13,6 @@ from sptcrank.lattice import (
     LatticeCount,
     RegionKind,
     RegionSpec,
-    area_omega,
-    area_omega_prime,
     count_region,
     count_sweep,
     figure_columns,
@@ -51,6 +49,10 @@ def count_region_bruteforce(spec: RegionSpec) -> LatticeCount:
 def parity_gap_rational(count: LatticeCount) -> float:
     """The parity gap |total/2 - odd_y| through exact rationals."""
     return float(abs(Fraction(count.total, 2) - count.odd_y))
+
+
+def area(kind: RegionKind, m: int, n: int) -> float:
+    return geometry_figures(RegionSpec(kind, m, n)).area
 
 
 def quadrature_area(kind: RegionKind, m: int, n: int) -> float:
@@ -94,18 +96,16 @@ def test_fast_count_matches_bruteforce(m, n, kind):
 
 def test_area_matches_quadrature():
     for m, n in ((0, 10), (0, 500), (1, 100), (3, 800), (8, 2000)):
-        assert area_omega(m, n) == pytest.approx(
-            quadrature_area(RegionKind.OMEGA, m, n), rel=1e-6, abs=1e-6
-        )
-        assert area_omega_prime(m, n) == pytest.approx(
-            quadrature_area(RegionKind.OMEGA_PRIME, m, n), rel=1e-6, abs=1e-6
-        )
+        for kind in REGIONS:
+            assert area(kind, m, n) == pytest.approx(
+                quadrature_area(kind, m, n), rel=1e-6, abs=1e-6
+            )
 
 
 def test_area_difference_is_log2_band():
     # Omega' exceeds Omega by exactly (n+1) ln(2) / 2
     for m, n in ((0, 50), (2, 300), (7, 1500)):
-        diff = area_omega_prime(m, n) - area_omega(m, n)
+        diff = area(RegionKind.OMEGA_PRIME, m, n) - area(RegionKind.OMEGA, m, n)
         assert diff == pytest.approx((n + 1) * math.log(2) / 2, rel=1e-12)
 
 
@@ -122,7 +122,7 @@ def recorded_radicands(monkeypatch, m, ns):
 
 @pytest.mark.parametrize("m", [0, 1, 7, 30, 120, 1000])
 def test_area_identity_is_exact(monkeypatch, m):
-    """area_omega_prime - area_omega == (ln 2/2)(n+1) for every even n <= 2000.
+    """Omega''s area - Omega's area == (ln 2/2)(n+1) for every even n <= 2000.
 
     The code's roots are square roots of integers R8 and R12 with
     R8 - (2m)^2 = 8(n+1) and R12 - (2m)^2 = 12(n+1), so the conjugate
@@ -148,7 +148,7 @@ def test_area_identity_is_exact(monkeypatch, m):
             2 * m / (t12 + 2 * m) - 2 * m / (t8 + 2 * m) + mp.log(2 * (t12 + 2 * m) / (t8 + 2 * m))
         ) / 2
         assert abs(a_p - a_o - mp.log(2) * (n + 1) / 2) < mp.mpf(10) ** -40 * (n + 1), n
-        for code, exact in ((area_omega(m, n), a_o), (area_omega_prime(m, n), a_p)):
+        for code, exact in zip((area(kind, m, n) for kind in REGIONS), (a_o, a_p)):
             assert abs(code - exact) <= 1e-9 * max(1, abs(exact)), n
 
 
@@ -232,15 +232,19 @@ def figures_reference(kind, m, n):
     """The area, bound and vertex expressions, one transcription per region."""
     s8 = math.sqrt(4 * m * m + 8 * (n + 1))
     s12 = math.sqrt(4 * m * m + 12 * (n + 1))
+    u8, u12 = s8 + 2 * m, s12 + 2 * m
+    k = 1 if kind is RegionKind.OMEGA else 2
+    closed_form = 0.5 * (n + 1) * (
+        math.log(k * u12 / u8) - 8 * m * (n + 1) / ((s8 + s12) * u8 * u12))
     if kind is RegionKind.OMEGA:
         x2, x3 = (n + 1) / (2 * m + s8), (n + 1) / (s12 + 2 * m)
         return (
-            area_omega(m, n), 3.6 * math.sqrt(n + 1), math.sqrt(2 * (n + 1)) / 4,
+            closed_form, 3.6 * math.sqrt(n + 1), math.sqrt(2 * (n + 1)) / 4,
             ((0.0, 2.0 * m), (x2, (n + 1) / (2 * x2)), (x3, (n + 1) / (2 * x3))),
         )
     x6, x7 = (s8 + 2 * m) / 8, (s12 + 2 * m) / 4
     return (
-        area_omega_prime(m, n), 5.5 * math.sqrt(n + 1) + m,
+        closed_form, 5.5 * math.sqrt(n + 1) + m,
         math.sqrt(3 * (n + 1)) / 2 + m / 2,
         ((m / 2, 0.0), (float(m), 0.0), (x6, (n + 1) / (2 * x6)), (x7, (n + 1) / (2 * x7))),
     )
@@ -272,9 +276,9 @@ def test_hoisted_bounds_match_the_single_point_functions(m):
     terms = even_terms(2000)
     (area_o, _, _), (area_p, _, _), m1_bound, m2_bound = figure_columns(m, terms)
     for n, root, a_o, m1, a_p, m2 in zip(*terms[:2], area_o, m1_bound, area_p, m2_bound):
-        assert m1 == m1_upper_bound(m, n, area_omega(m, n)), n
-        assert m2 == m2_lower_bound(m, n, area_omega_prime(m, n)), n
-        assert (a_o, a_p) == (area_omega(m, n), area_omega_prime(m, n)), n
+        assert (a_o, a_p) == tuple(area(kind, m, n) for kind in REGIONS), n
+        assert m1 == m1_upper_bound(m, n, a_o), n
+        assert m2 == m2_lower_bound(m, n, a_p), n
         assert bounds.theorem2_m_free(n, root) - m - 2 == bounds.theorem2_lower_bound(m, n), n
 
 
@@ -329,8 +333,8 @@ def test_m1_m2_bounds_on_grid():
         for n in range(2, 2001, 41):
             o = count_region(RegionSpec(RegionKind.OMEGA, m, n))
             p = count_region(RegionSpec(RegionKind.OMEGA_PRIME, m, n))
-            assert o.odd_y < m1_upper_bound(m, n, area_omega(m, n))
-            assert p.odd_y > m2_lower_bound(m, n, area_omega_prime(m, n))
+            assert o.odd_y < m1_upper_bound(m, n, area(RegionKind.OMEGA, m, n))
+            assert p.odd_y > m2_lower_bound(m, n, area(RegionKind.OMEGA_PRIME, m, n))
 
 
 def test_validation():

@@ -20,6 +20,7 @@ from sptcrank.verify import (
     run_checks,
 )
 from sptcrank.cli import run_cli
+from test_bivariate import OTHER_FAMILIES
 from test_qseries import packed
 
 
@@ -465,7 +466,7 @@ def test_bivariate_negative_coefficient_above_m_max_is_caught(monkeypatch):
 
     def negated(family, order):
         s = real(family, order)
-        if family is not bivariate.FamilyId.C5:
+        if family != "C5":
             return s
         rows = list(s.rows)
         rows[order + d] = rows[order + d][:n] + (-1,)
@@ -479,9 +480,22 @@ def test_bivariate_negative_coefficient_above_m_max_is_caught(monkeypatch):
     ]
 
 
+def test_cross_sign_scan_fails_the_e2_control(monkeypatch):
+    """Negative control: with E2's row in bivariate.FAMILIES, cross reports
+    each negative coefficient of E2's expansion, the first -1 at z^0 q^1.
+    The slice checks read only C1 and C5, so the sign scan alone finds them."""
+    monkeypatch.setitem(bivariate.FAMILIES, "E2", OTHER_FAMILIES["E2"])
+    rep = run_checks(small_cfg(checks=("cross",), bivariate_order=2))[0]
+    assert rep.status == "fail"
+    assert rep.violations == [
+        Violation(d, n, "-1", "M_E2(m,n) >= 0 on the bivariate expansion")
+        for d, n in ((-1, 2), (0, 1), (1, 2))
+    ]
+
+
 def test_bivariate_expansions_have_no_negative_coefficient():
     for order in (12, 30, 60):
-        for family in (bivariate.FamilyId.C1, bivariate.FamilyId.C5):
+        for family in ("C1", "C5"):
             rows = bivariate.spt_crank_bivariate(family, order).rows
             assert min(map(min, rows)) >= 0, (family, order)
 
