@@ -11,24 +11,25 @@ the denominator of term n is D_n D_(n+1) ..., so the sum is the Horner
 scheme (((c_1 D_1 + c_2) D_2 + c_3) D_3 ...).  D_k is 1 modulo q^(N+1)
 for k > N, so N steps give the truncation at order N exactly.  Each step
 adds c_k to the z^0 row, then multiplies by 1/(1 - z q^k) in one ascending
-pass over the z-rows and by 1/(1 - z^-1 q^k) in one descending pass:
-O(N^3) additions in all, on one dense table of z-rows.  Every power z^d
-comes with at least q^|d|, so |d| <= N.
-
-The result is that table, one row per power of z, so a fixed-m slice is
-one row.  The slices are the cross-oracle for the univariate M_C1/M_C5
-generating functions; the build reads only the product form, never the
-Lambert sums that M_C1/M_C5 are built from.
+pass over the z-rows and by 1/(1 - z^-1 q^k) in one descending pass, one
+shift-add per row: each z-row (z^d comes with at least q^|d|, so |d| <= N)
+is one int of signed W-bit fields over q^0..q^N, packed as in qseries.
+That is a ring homomorphism Z[q]/(q^(N+1)) -> Z/2^(W(N+1)), q -> 2^W, so
+only the final coefficients must fit: W is the least multiple of 8 with
+2^(W-1) above the majorant (see _majorant).  The rows are decoded to one
+tuple per power of z, so a fixed-m slice is one row.  The slices are the
+cross-oracle for the univariate M_C1/M_C5 generating functions; the build
+reads only the product form, never the Lambert sums that M_C1/M_C5 are
+built from.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add, mul
+from operator import add, sub
 from typing import NamedTuple
 
+from .qseries import _unpack
 from .series import TruncatedSeries
-from .qseries import euler_product
 
 
 class _Laurent(NamedTuple):
@@ -65,11 +66,46 @@ def extract_m(s: LaurentSeries, m: int) -> TruncatedSeries:
 
 # One row per family name: (s, (a, b, c), runs) gives sign_n = s^n, the prefactor
 # exponent e(n) = (a*n^2 + b*n) / c, and Num_n as the product over the runs
-# (p, r, step) of euler_product(p*n + r, step) = prod_j (1 - q^(p*n + r + j*step)).
+# (p, r, step), with step | p, of prod_j (1 - q^(p*n + r + j*step)).
 FAMILIES = {
     "C1": (1, (0, 1, 1), ((2, 1, 2), (1, 1, 1))),
     "C5": (1, (1, 1, 2), ((2, 1, 2), (1, 1, 1))),
 }
+
+
+def _terms(row, order: int, width: int, plus: bool) -> list:
+    """[c_1, ..., c_order] of a FAMILIES row, packed at width, with every sign
+    + if plus.  As step | p, Num_k is Num_(k+1) times the factors (1 - q^e),
+    pk + r <= e < p(k+1) + r, of each run: descending k takes each once."""
+    base, (a, b, c), runs = row
+    mask, op = (1 << width * (order + 1)) - 1, add if plus else sub
+    num, out = 1, []
+    for k in range(order, 0, -1):
+        for p, r, step in runs:
+            for e in range(p * k + r, min(p * k + p + r, order + 1), step):
+                num = op(num, num << width * e) & mask  # times (1 -+ q^e)
+        pref = (a * k * k + b * k) // c
+        v = (num << width * pref) & mask if pref <= order else 0
+        out.append(v if plus or base**k > 0 else -v)
+    return out[::-1]
+
+
+def _majorant(row, order: int) -> list:
+    """The coefficients of a FAMILIES row's sum with every sign + and z = 1,
+    so with steps times 1/(1 - q^k)^2: they bound |each coefficient| of
+    each z-row.  They are packed at a width that holds N * (R+3)^N, N = order,
+    R runs (N * 5^N for C1 and C5): as 1 + q^e <= 1/(1 - q^e), each of the
+    N terms is at most q^(e(k))/(q;q)_oo^(R+2), whose coefficients are at
+    most (R+3)^n, as (R+2)-coloured partitions inject into compositions."""
+    N = order
+    width = ((N * (len(row[2]) + 3) ** N).bit_length() + 8) // 8 * 8
+    mask, v = (1 << width * (N + 1)) - 1, 0
+    for k, ck in enumerate(_terms(row, N, width, True), 1):
+        v += ck
+        # times 1/(1 - q^k)^2 = ((1 + q^k)(1 + q^2k)(1 + q^4k)...)^2
+        for shift in [k << j for j in range(N.bit_length()) if k << j <= N] * 2:
+            v = (v + (v << width * shift)) & mask
+    return _unpack(v, width, N + 1)
 
 
 def spt_crank_bivariate(family: str, order: int) -> LaurentSeries:
@@ -79,21 +115,17 @@ def spt_crank_bivariate(family: str, order: int) -> LaurentSeries:
     if order < 1:
         raise ValueError("order must be >= 1")
     N = order
-    base, (a, b, c), runs = FAMILIES[family]
-    rows = [[0] * (N + 1) for _ in range(2 * N + 1)]  # rows[N + d]: z^d over q
-    for k in range(1, N + 1):
-        pref = (a * k * k + b * k) // c
-        if pref <= N:
-            sign = base**k
-            num = reduce(
-                mul, (euler_product(p * k + r, step, N - pref) for p, r, step in runs)
-            )
-            rows[N][pref:] = [x + sign * y for x, y in zip(rows[N][pref:], num.coeffs)]
-        # z^d comes with at least q^|d|, so only the rows |d| <= N - k reach
-        # q^N after the shift by q^k
+    row = FAMILIES[family]
+    width = (max(_majorant(row, N)).bit_length() + 8) // 8 * 8
+    rows = [0] * (2 * N + 1)  # rows[N + d]: z^d over q, packed at width
+    for k, ck in enumerate(_terms(row, N, width, False), 1):
+        rows[N] += ck
+        # Only the rows |d| <= N - k reach q^N after the shift by q^k, and
+        # only their fields up to q^(N-k); what sums carry past q^N, _unpack drops.
+        shift, low = width * k, (1 << width * (N + 1 - k)) - 1
         span = range(k, 2 * N + 1 - k)
         for i in span:  # times 1/(1 - z q^k): ascending, row d+1 gains row d
-            rows[i + 1][k:] = map(add, rows[i + 1][k:], rows[i])
+            rows[i + 1] += (rows[i] & low) << shift
         for i in reversed(span):  # times 1/(1 - z^-1 q^k): descending
-            rows[i - 1][k:] = map(add, rows[i - 1][k:], rows[i])
-    return LaurentSeries(N, tuple(map(tuple, rows)))
+            rows[i - 1] += (rows[i] & low) << shift
+    return LaurentSeries(N, tuple(tuple(_unpack(v, width, N + 1)) for v in rows))

@@ -7,8 +7,8 @@ as 0); verify and finite-window take --timing to include measured values.
 There is no randomness anywhere in the tool.
 
 Exit codes: 0 all checks pass; 1 at least one verification failure;
-2 usage/configuration error; 3 resource guard triggered (verify, coeff
-and bounds take --override-resource-guard); 4 internal error (an
+2 usage/configuration error; 3 resource guard triggered (verify, coeff,
+lattice and bounds take --override-resource-guard); 4 internal error (an
 unexpected exception, reported as one "error: internal: ..." line).
 """
 
@@ -197,6 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
+    _add_guard_flag(p)
     _add_format_flags(p)
 
     p = sub.add_parser("bounds", help="threshold profile table f(m) vs 20m")
@@ -251,6 +252,9 @@ def _run_and_emit(args, checks) -> int:
 
 def _cmd_lattice(args) -> int:
     spec = lattice.RegionSpec(lattice.RegionKind(args.region), args.m, args.n)
+    # lattice._columns walks at most min(m + isqrt(2(n+1)), n // 2) + 1 columns
+    columns = min(args.m + int((2 * (args.n + 1)) ** 0.5), args.n // 2) + 1
+    verify.guard(columns, args.override_resource_guard)
     cnt = lattice.count_region(spec)
     fig = lattice.geometry_figures(spec)
     # Counts are exact integers, emitted as strings; the figures are floats.

@@ -9,7 +9,7 @@ to 2m:
 
 Membership of a lattice point is decided purely in integer arithmetic
 (x*y < (n+1)/2 becomes 2*x*y <= n); floating point enters only in the
-closed-form areas, the vertices (on conjugate roots, see _root_columns) and
+closed-form areas, the vertices (on conjugate roots, see _area_columns) and
 the bounds, whose sqrt(n+1) coefficients are OMEGA_LENGTH,
 OMEGA_PRIME_LENGTH, M1_SQRT and M2_SQRT.  RegionSpec admits only (m, n)
 with 4m^2 + 12(n+1) within the float range, so every root is finite.
@@ -132,30 +132,25 @@ def count_sweep(kind: RegionKind, m: int, n_max: int) -> tuple:
     return list(accumulate(total)), list(accumulate(odd))
 
 
-def _root_columns(m: int, ns) -> tuple:
-    """The columns of s8 = sqrt(4m^2+8(n+1)) and s12 = sqrt(4m^2+12(n+1))
-    over the n of ns, which every vertex and area of the two regions reads
-    from here.  As (s8-2m)(s8+2m) = 8(n+1) and (s12-2m)(s12+2m)
-    = 12(n+1), the figures take the conjugates u8 = s8+2m and u12 = s12+2m,
-    where s8-2m and s12-2m would cancel once m >> sqrt(n).
-    """
-    return (
-        [math.sqrt(4 * m * m + 8 * (n + 1)) for n in ns],
-        [math.sqrt(4 * m * m + 12 * (n + 1)) for n in ns],
-    )
-
-
-def _areas(k: int, m: int, ns, roots: tuple) -> list:
-    """Closed-form areas of Omega (k = 1) or Omega' (k = 2) over the n of ns,
-    from roots = _root_columns(m, ns): (n+1)/2 * (log(k*u12/u8) -
-    8m(n+1)/((s8+s12)*u8*u12)).  By s12-s8 = 4(n+1)/(s8+s12), its rational part
-    is Omega's triangle 2*x2^2 - 3*x3^2 and Omega''s (n+1)*(m/u12 - m/u8)."""
-    two_m, eight_m = 2 * m, 8 * m
-    return [
-        0.5 * (n + 1) * (math.log(k * (u12 := s12 + two_m) / (u8 := s8 + two_m))
-                         - eight_m * (n + 1) / ((s8 + s12) * u8 * u12))
-        for n, s8, s12 in zip(ns, *roots)
+def _area_columns(m: int, ns) -> tuple:
+    """Closed-form areas of Omega and Omega' over the n of ns, in one pass:
+    (n+1)/2 * (log(k*u12/u8) - 8m(n+1)/((s8+s12)*u8*u12)), k = 1 and 2, with
+    s8 = sqrt(4m^2+8(n+1)), s12 = sqrt(4m^2+12(n+1)).  As (s8-2m)(s8+2m) =
+    8(n+1) and (s12-2m)(s12+2m) = 12(n+1), they take the conjugates u8 = s8+2m
+    and u12 = s12+2m, where s8-2m and s12-2m would cancel once m >> sqrt(n).
+    By s12-s8 = 4(n+1)/(s8+s12), the rational part is Omega's triangle
+    2*x2^2 - 3*x3^2 and Omega''s (n+1)*(m/u12 - m/u8).  With r = u12/u8,
+    log(r + r) is log(2*u12/u8) bit for bit, as doubling a float is exact."""
+    two_m, eight_m, four_mm = 2 * m, 8 * m, 4 * m * m
+    pairs = [
+        ((h := 0.5 * (n + 1))
+         * (math.log(r := (u12 := (s12 := math.sqrt(four_mm + 12 * (n + 1))) + two_m)
+                     / (u8 := (s8 := math.sqrt(four_mm + 8 * (n + 1))) + two_m))
+            - (t := eight_m * (n + 1) / ((s8 + s12) * u8 * u12))),
+         h * (math.log(r + r) - t))
+        for n in ns
     ]
+    return [a for a, _ in pairs], [a for _, a in pairs]
 
 
 def sqrt_columns(ns) -> tuple:
@@ -177,9 +172,7 @@ def figure_columns(m: int, terms: tuple) -> tuple:
     geometry_figures' numbers, and of m1_upper_bound and m2_lower_bound at
     those areas, as plain floats."""
     ns, _, length_o, extent_o, length_p, extent_p, m1_sqrt, m2_sqrt = terms
-    roots = _root_columns(m, ns)
-    area_o = _areas(1, m, ns, roots)
-    area_p = _areas(2, m, ns, roots)
+    area_o, area_p = _area_columns(m, ns)
     return (
         (area_o, length_o, extent_o),
         (area_p, [x + m for x in length_p], [x + m / 2 for x in extent_p]),
@@ -191,10 +184,11 @@ def figure_columns(m: int, terms: tuple) -> tuple:
 def geometry_figures(spec: RegionSpec) -> GeometryFigures:
     """Area, boundary-length bound, x-extent bound, and vertex list.  The
     hyperbola vertices are at x2 = (n+1)/u8, x3 = (n+1)/u12 for Omega and at
-    x6 = u8/8, x7 = u12/4 for Omega', so x3 <= x2 and x6 < x7 as s8 <= s12."""
+    x6 = u8/8, x7 = u12/4 for Omega' (u8, u12 as in _area_columns), so
+    x3 <= x2 and x6 < x7 as s8 <= s12."""
     m, n = spec.m, spec.n
-    (s8,), (s12,) = _root_columns(m, (n,))
-    u8, u12 = s8 + 2 * m, s12 + 2 * m
+    u8 = math.sqrt(4 * m * m + 8 * (n + 1)) + 2 * m
+    u12 = math.sqrt(4 * m * m + 12 * (n + 1)) + 2 * m
     omega, omega_prime, _, _ = figure_columns(m, sqrt_columns((n,)))
     if spec.kind is RegionKind.OMEGA:
         fig = omega

@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+from functools import lru_cache, reduce
+from operator import add, mul
 
 import pytest
 
@@ -172,6 +174,60 @@ def pair_cache_bivariate(fam: str, order: int) -> tuple:
                 tgt[e] += sign * conv[e]
 
     return tuple(tuple(acc.get(d, [0] * (N + 1))) for d in range(-N, N + 1))
+
+
+@lru_cache(maxsize=None)
+def list_bivariate(fam: str, order: int) -> tuple:
+    """Reference for the packed build: the same Horner scheme on a dense
+    table of list rows, O(N^3) additions, with each Num_k a product of
+    euler_product series.  Returns the rows, z^-order first."""
+    N = order
+    base, (a, b, c), runs = bivariate.FAMILIES[fam]
+    rows = [[0] * (N + 1) for _ in range(2 * N + 1)]  # rows[N + d]: z^d over q
+    for k in range(1, N + 1):
+        pref = (a * k * k + b * k) // c
+        if pref <= N:
+            sign = base**k
+            num = reduce(
+                mul, (qseries.euler_product(p * k + r, step, N - pref) for p, r, step in runs)
+            )
+            rows[N][pref:] = [x + sign * y for x, y in zip(rows[N][pref:], num.coeffs)]
+        span = range(k, 2 * N + 1 - k)
+        for i in span:  # times 1/(1 - z q^k): ascending, row d+1 gains row d
+            rows[i + 1][k:] = map(add, rows[i + 1][k:], rows[i])
+        for i in reversed(span):  # times 1/(1 - z^-1 q^k): descending
+            rows[i - 1][k:] = map(add, rows[i - 1][k:], rows[i])
+    return tuple(map(tuple, rows))
+
+
+def truncated(rows: tuple, order: int) -> tuple:
+    """The rows of an expansion at a lower order: its z^-order..z^order rows,
+    each cut at q^order.  Both are truncations of the same series."""
+    top = len(rows) // 2
+    return tuple(row[: order + 1] for row in rows[top - order: top + order + 1])
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+def test_packed_rows_match_the_list_build(fam):
+    """The packed rows equal the list build at every order 1..121 and at
+    200, so at every field width those orders take (8 to 80 bits)."""
+    reference = list_bivariate(fam, 200)
+    for order in [*range(1, 122), 200]:
+        assert spt_crank_bivariate(fam, order).rows == truncated(reference, order), (fam, order)
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+def test_majorant_bounds_every_coefficient(fam):
+    """At orders 1..80, |each coefficient| of each z-row of the list build is
+    at most the majorant's coefficient at that power of q, whose largest is
+    at most N * 5^N, the bound _majorant's own packing width rests on."""
+    reference = list_bivariate(fam, 200)
+    for order in range(1, 81):
+        majorant = bivariate._majorant(bivariate.FAMILIES[fam], order)
+        assert len(majorant) == order + 1
+        for row in truncated(reference, order):
+            assert all(abs(c) <= bound for c, bound in zip(row, majorant)), (fam, order)
+        assert max(majorant) <= order * 5**order, (fam, order)
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES)

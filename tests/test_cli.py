@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sptcrank
-from sptcrank import bounds, qseries, verify
+from sptcrank import bounds, lattice, qseries, verify
 from sptcrank.cli import run_cli
 from test_qseries import packed
 
@@ -200,6 +200,9 @@ def test_resource_guard_weighs_grid_slots(run, monkeypatch):
     (("coeff", "--family", "mc1", "--n-max", "1000000000"), qseries, "mc1_series"),
     (("coeff", "--family", "z", "--m", "2", "--n-max", "1000000000"), qseries, "z_series"),
     (("bounds", "--m-max", "1000000000"), bounds, "threshold_profile"),
+    # about isqrt(2 * 10^17) = 447,213,595 columns
+    (("lattice", "--region", "omega-prime", "--m", "0", "--n", str(10**17)), lattice,
+     "count_region"),
 ])
 def test_resource_guard_weighs_coeff_and_bounds(run, monkeypatch, argv, module, builder):
     def must_not_build(*args):
@@ -215,10 +218,11 @@ def test_resource_guard_weighs_coeff_and_bounds(run, monkeypatch, argv, module, 
 @pytest.mark.parametrize("argv", [
     ("coeff", "--family", "mc5", "--n-max", "20"),
     ("bounds", "--m-max", "20"),
+    ("lattice", "--region", "omega", "--m", "1", "--n", "100"),
 ])
 def test_env_overrides_the_guard_of_coeff_and_bounds(run, monkeypatch, argv):
-    """--override-resource-guard, the one override, lets coeff and bounds
-    past the guard as it does verify."""
+    """--override-resource-guard, the one override, lets coeff, bounds and
+    lattice past the guard as it does verify."""
     monkeypatch.setattr(verify, "RESOURCE_GUARD_SLOTS", 10)
     assert run(*argv)[0] == 3
     assert run(*argv, "--override-resource-guard")[0] == 0
@@ -228,6 +232,7 @@ def test_env_overrides_the_guard_of_coeff_and_bounds(run, monkeypatch, argv):
     ("verify", "--check", "y-nonneg", "--m-max", "3", "--n-max", "20"),
     ("coeff", "--family", "mc5", "--n-max", "20"),
     ("bounds", "--m-max", "20"),
+    ("lattice", "--region", "omega-prime", "--m", "2", "--n", "100"),
 ])
 def test_guard_refusal_names_the_override_flag(run, monkeypatch, argv):
     monkeypatch.setattr(verify, "RESOURCE_GUARD_SLOTS", 10)

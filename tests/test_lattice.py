@@ -110,14 +110,16 @@ def test_area_difference_is_log2_band():
 
 
 def recorded_radicands(monkeypatch, m, ns):
-    """The integers lattice._root_columns(m, ns) takes square roots of, as
-    (radicands of s8, radicands of s12), and the roots it returns."""
+    """The numbers lattice._area_columns(m, ns) takes square roots of, as
+    (radicand of s8, radicand of s12) per n; it takes two per n, and s8's
+    is the smaller."""
     seen = []
     real = math.sqrt
     monkeypatch.setattr(math, "sqrt", lambda v: seen.append(v) or real(v))
-    roots = lattice._root_columns(m, ns)
+    lattice._area_columns(m, ns)
     monkeypatch.undo()
-    return (seen[:len(ns)], seen[len(ns):]), roots
+    assert len(seen) == 2 * len(ns)
+    return [sorted(pair) for pair in zip(seen[::2], seen[1::2])]
 
 
 @pytest.mark.parametrize("m", [0, 1, 7, 30, 120, 1000])
@@ -136,11 +138,9 @@ def test_area_identity_is_exact(monkeypatch, m):
     mp = mpmath.mp.clone()
     mp.dps = 50
     ns = range(2, 2001, 2)
-    (r8s, r12s), (s8s, s12s) = recorded_radicands(monkeypatch, m, ns)
-    for n, r8, r12, s8, s12 in zip(ns, r8s, r12s, s8s, s12s):
+    for n, (r8, r12) in zip(ns, recorded_radicands(monkeypatch, m, ns)):
         assert type(r8) is int and type(r12) is int
         assert (r8 - (2 * m) ** 2, r12 - (2 * m) ** 2) == (8 * (n + 1), 12 * (n + 1)), n
-        assert (s8, s12) == (math.sqrt(r8), math.sqrt(r12)), n
         t8, t12 = mp.sqrt(r8), mp.sqrt(r12)
         a_o = (n + 1) * mp.log(3 * (t8 - 2 * m) / (2 * (t12 - 2 * m))) / 2 - (
             mp.mpf(m) / 24 * (3 * t8 - 2 * t12 - 2 * m))

@@ -294,14 +294,16 @@ def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
 def test_cross_worker_computes_each_area_once_per_even_n(monkeypatch):
     """Figures, M1/M2 bounds and the bound combination share one area per
     region and even n."""
-    calls = {1: 0, 2: 0}  # points per k of lattice._areas: Omega, Omega'
-    real = lattice._areas
+    calls = {1: 0, 2: 0}  # points of lattice._area_columns: 1 Omega, 2 Omega'
+    real = lattice._area_columns
 
-    def counting(k, m, ns, roots):
-        calls[k] += len(ns)
-        return real(k, m, ns, roots)
+    def counting(m, ns):
+        area_o, area_p = real(m, ns)
+        calls[1] += len(area_o)
+        calls[2] += len(area_p)
+        return area_o, area_p
 
-    monkeypatch.setattr(lattice, "_areas", counting)
+    monkeypatch.setattr(lattice, "_area_columns", counting)
     violations, skips = verify._cross_worker((3, 3, 120))
     assert violations == [] and skips > 0
     assert calls == {1: 60, 2: 60}
@@ -338,14 +340,14 @@ def test_jarnik_near_tie_is_reported_as_a_near_tie(monkeypatch):
     total = lattice.count_region(lattice.RegionSpec(lattice.RegionKind.OMEGA, m, n)).total
     length = lattice.OMEGA_LENGTH * (n + 1) ** 0.5
     assert total > 0 and length >= 1
-    real = lattice._areas
+    real = lattice._area_columns
 
-    def tied(k, m_, ns, roots):
-        areas = real(k, m_, ns, roots)
-        return [total - length * (1 + 1e-12) if (k, m_, n_) == (1, m, n) else a
-                for n_, a in zip(ns, areas)]
+    def tied(m_, ns):
+        area_o, area_p = real(m_, ns)
+        return [total - length * (1 + 1e-12) if (m_, n_) == (m, n) else a
+                for n_, a in zip(ns, area_o)], area_p
 
-    monkeypatch.setattr(lattice, "_areas", tied)
+    monkeypatch.setattr(lattice, "_area_columns", tied)
     violations, _ = verify._cross_worker((0, 7, 60))
     jarnik = [v for v in violations if v[3].startswith("Jarnik")]
     assert [(v[0], v[1]) for v in jarnik] == [(m, n)]
