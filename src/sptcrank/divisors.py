@@ -4,8 +4,8 @@ The combinatorial computation path, independent of the q-series path and
 cross-checked against it: a coefficient counts the factorizations (d1, d2)
 of the odd part of n that meet parity and size conditions.  One block
 reader, `_tallies`, finds the pairs of every n of a block together, with
-no trial division of each n and no table; `census`, `census_runs`
-(y-nonneg) and `census_rows` (cross) read through it.
+no trial division of each n and no table; `census` and `census_rows`
+(cross) read through it, and the y-nonneg worker reads it directly.
 """
 
 from __future__ import annotations
@@ -118,36 +118,13 @@ def census(m: int, n: int) -> DivisorPairCensus:
     return DivisorPairCensus._make(_tallies(n, n, 2 * m + 1)[0][1])
 
 
-def census_runs(n_lo: int, n_hi: int, m_max: int) -> list:
-    """[(e, runs), ...] for n_lo <= n <= n_hi = 2^e * odd: runs = [(m_lo, m_hi, c), ...]
-    ascending over 0..m_max, c == census(m, n) for m_lo <= m <= m_hi.  An odd v is >= 2m+1
-    exactly when v // 2 >= m, so a set's count at m adds its keys at v // 2 >= m."""
-    if m_max < 0 or n_lo < 1:
-        raise ValueError("m_max must be non-negative and n_lo positive")
-    out = []
-    for e, counts, keys in _tallies(n_lo, n_hi, 2 * m_max + 1):
-        # Walk the keys from the highest v down, adding each to its set's count.
-        keys.sort(reverse=True)
-        runs = []
-        hi = m_max
-        for key in keys:
-            k = key >> 2
-            if k < hi:
-                runs.append((k + 1, hi, DivisorPairCensus._make(counts)))
-                hi = k
-            counts[key & 3] += 1
-        runs.append((0, hi, DivisorPairCensus._make(counts)))
-        out.append((e, runs[::-1]))
-    return out
-
-
 def census_rows(m_lo: int, m_hi: int, n_max: int):
     """Yield (ys, zs) for each 0 <= m_lo <= m <= m_hi in ascending order, with
     ys[n-1], zs[n-1] == census(m, n).y, .z for 1 <= n <= n_max.  One _tallies
-    at 2*m_hi+1 reads every pair.  A key at v // 2 == k counts at every m <= k
-    (see census_runs), so the row at m_lo adds every key at v // 2 >= m_lo,
-    and each step m -> m+1 subtracts the keys at v // 2 == m, kept per m.  The
-    next step updates the lists in place."""
+    at 2*m_hi+1 reads every pair.  An odd v is >= 2m+1 exactly when v // 2 >= m,
+    so a key at v // 2 == k counts at every m <= k: the row at m_lo adds every
+    key at v // 2 >= m_lo, and each step m -> m+1 subtracts the keys at
+    v // 2 == m, kept per m.  The next step updates the lists in place."""
     units = [DivisorPairCensus(*(int(i == j) for j in range(4))) for i in range(4)]
     y_sign, z_sign = [u.y for u in units], [u.z for u in units]  # of #A1, #A2, #B1, #B2
     ys, zs = [], []

@@ -41,6 +41,7 @@ has a negative coefficient.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache, partial
 from itertools import chain, islice, repeat
 from operator import add, sub
@@ -215,13 +216,20 @@ def _pack(coeffs, width: int) -> int:
 
 
 def _unpack(v: int, width: int, fields: int) -> list:
-    """The `fields` signed width-bit fields of v, the first lowest."""
+    """The `fields` signed width-bit fields of v, the first lowest.  Fields
+    of at most 64 bits are widened to 8-byte lanes, one slice assignment per
+    byte, and read by one cast; wider fields are read one at a time."""
     step = width // 8
     half = 1 << (width - 1)
     top = _top_bits(width, fields)
     # biased by half, every field is in 0..2^width - 1, so no field borrows
     raw = ((v + top) & ((1 << width * fields) - 1)).to_bytes(step * fields, "little")
-    return [int.from_bytes(raw[i:i + step], "little") - half for i in range(0, len(raw), step)]
+    if step > 8:
+        return [int.from_bytes(raw[i:i + step], "little") - half for i in range(0, len(raw), step)]
+    lanes = bytearray(8 * fields)
+    for j in range(step):  # byte j of each field is the lane's byte of weight 2^(8j)
+        lanes[j if sys.byteorder == "little" else 7 - j :: 8] = raw[j::step]
+    return [x - half for x in memoryview(lanes).cast("Q").tolist()]
 
 
 class PackedSeries(NamedTuple):
@@ -475,12 +483,11 @@ def _r2_progressions(m: int) -> tuple:
 
 
 def r2_numerator(r1: list, m: int) -> list:
-    """R2's numerator from R1's coefficient list at the same m: a copy of it
-    plus q^e for each leftover exponent e within its order."""
-    out = list(r1)
+    """R2's numerator from R1's coefficient list at the same m: r1 itself,
+    with q^e added in place for each leftover exponent e within its order."""
     for start, stop, step in _r2_progressions(m):
-        out[start:stop:step] = map(add, out[start:stop:step], repeat(1))
-    return out
+        r1[start:stop:step] = map(add, r1[start:stop:step], repeat(1))
+    return r1
 
 
 def _over_q2(coeffs: list) -> TruncatedSeries:

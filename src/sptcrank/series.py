@@ -146,13 +146,15 @@ def over_one_minus_qk(coeffs, k: int) -> tuple:
 
 
 def negative_over_one_minus_q2(coeffs, lo: int = 0) -> bool:
-    """Whether some coefficient n >= lo of coeffs / (1 - q^2) is negative,
-    that is min(over_one_minus_qk(coeffs, 2)[lo:]) < 0, decided on the
-    running sums of each parity class without building the quotient."""
-    return any(
-        min(islice(accumulate(islice(coeffs, r, None, 2)), (lo - r + 1) // 2, None), default=0) < 0
-        for r in (0, 1)
-    )
+    """Whether some coefficient n >= lo of the list or tuple coeffs / (1 - q^2)
+    is negative, that is min(over_one_minus_qk(coeffs, 2)[lo:]) < 0, decided
+    on the running sums of each parity class coeffs[r::2], without building
+    the quotient; islice skips the sums below lo only where there are some."""
+    for r in (0, 1):
+        sums = accumulate(coeffs[r::2])
+        if min(islice(sums, (lo - r + 1) // 2, None) if lo > r else sums, default=0) < 0:
+            return True
+    return False
 
 
 def divide_by_one_minus_qk(s: TruncatedSeries, k: int) -> TruncatedSeries:

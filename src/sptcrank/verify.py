@@ -5,7 +5,7 @@ exhaustively (capped), and returns a deterministic report: identical
 configuration yields an identical violation list, sorted by (m, n),
 regardless of parallelism.  Each check splits its grid into parts, one
 worker call each.  y-nonneg's parts are blocks of n, because one
-divisors.census_runs per block reads each n's divisor pairs once, for
+divisors._tallies per block reads each n's divisor pairs once, for
 every m of the part.  The other checks' parts are contiguous runs of m,
 at most one per worker: a run pays for one direct build at its first m,
 and each later m costs one sweep step, less than a build, so at
@@ -147,16 +147,27 @@ def _capped(out: list) -> list:
 
 
 def _y_worker(args):
-    """Containments and Y >= 0 for every m <= m_max and n_lo <= n <= n_hi."""
+    """Containments and Y >= 0 for every m <= m_max and n_lo <= n <= n_hi, from
+    one divisors._tallies.  Each n's keys, walked from the highest v // 2 down,
+    give the counts of each run of m with one census, as v >= 2m+1 exactly when
+    v // 2 >= m.  Y < 0 breaks a containment, so the containments of e decide a
+    run; only a failing run is worded, by divisors.containment_violation."""
     n_lo, n_hi, m_max = args
     out = []
-    for n, (e, runs) in enumerate(divisors.census_runs(n_lo, n_hi, m_max), n_lo):
-        for m_lo, m_hi, c in runs:
-            bad = divisors.containment_violation(c, e)
-            if bad is not None:
-                out += ((m, n, f"{c}", bad) for m in range(m_lo, m_hi + 1))
-            if c.y < 0:
-                out += ((m, n, str(c.y), "Y^(m)(n) >= 0") for m in range(m_lo, m_hi + 1))
+    for n, (e, counts, keys) in enumerate(divisors._tallies(n_lo, n_hi, 2 * m_max + 1), n_lo):
+        keys.sort(reverse=True)
+        keys.append(-1)  # ends the last run, at m = 0
+        hi = m_max
+        for key in keys:
+            k = key >> 2
+            if k < hi:  # counts is the census at k+1 <= m <= hi
+                a1, a2, b1, b2 = counts
+                if (a1 or b2 or a2 > b1) if e == 0 else (a2 > a1 or b2 > b1):
+                    c, ms = divisors.DivisorPairCensus(a1, a2, b1, b2), range(k + 1, hi + 1)
+                    out += ((m, n, f"{c}", divisors.containment_violation(c, e)) for m in ms)
+                    out += ((m, n, str(c.y), "Y^(m)(n) >= 0") for m in ms if c.y < 0)
+                hi = k
+            counts[key & 3] += 1
     return _capped(out), 0
 
 

@@ -184,10 +184,10 @@ def test_resource_guard_weighs_every_check_before_any_runs(run, monkeypatch):
 
 def test_resource_guard_weighs_grid_slots(run, monkeypatch):
     # 100 * 1,000,001 = 100,000,100 coefficient slots, just over the guard
-    def must_not_sweep(n_lo, n_hi, m_max):
+    def must_not_sweep(n_lo, n_hi, top):
         raise AssertionError("the guard should stop the check before its sweep")
 
-    monkeypatch.setattr(verify.divisors, "census_runs", must_not_sweep)
+    monkeypatch.setattr(verify.divisors, "_tallies", must_not_sweep)
     code, out, err = run(
         "verify", "--check", "y-nonneg", "--m-max", "99", "--n-max", "1000000"
     )

@@ -1,20 +1,20 @@
 """Divisor-pair census path and its agreement with the series path."""
 
 import math
+import random
 import tracemalloc
 from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sptcrank import lattice, qseries, verify
+from sptcrank import divisors, lattice, qseries, verify
 from sptcrank.divisors import (
     DivisorPairCensus,
     OddPartDecomposition,
     _tallies,
     census,
     census_rows,
-    census_runs,
     containment_violation,
     y_direct,
     z_direct,
@@ -204,6 +204,84 @@ def test_y_worker_holds_no_divisor_state():
         tracemalloc.stop()
     assert violations == []
     assert peak < 1 << 20
+
+
+def census_runs(n_lo: int, n_hi: int, m_max: int) -> list:
+    """Reference run reader: [(e, runs), ...] for n_lo <= n <= n_hi = 2^e * odd,
+    runs = [(m_lo, m_hi, c), ...] ascending over 0..m_max, c == census(m, n)
+    for m_lo <= m <= m_hi.  An odd v is >= 2m+1 exactly when v // 2 >= m, so
+    a set's count at m adds its keys at v // 2 >= m.  Reads divisors._tallies
+    through the module, so a patched reader is read too."""
+    if m_max < 0 or n_lo < 1:
+        raise ValueError("m_max must be non-negative and n_lo positive")
+    out = []
+    for e, counts, keys in divisors._tallies(n_lo, n_hi, 2 * m_max + 1):
+        # Walk the keys from the highest v down, adding each to its set's count.
+        keys = sorted(keys, reverse=True)
+        counts = list(counts)
+        runs = []
+        hi = m_max
+        for key in keys:
+            k = key >> 2
+            if k < hi:
+                runs.append((k + 1, hi, DivisorPairCensus._make(counts)))
+                hi = k
+            counts[key & 3] += 1
+        runs.append((0, hi, DivisorPairCensus._make(counts)))
+        out.append((e, runs[::-1]))
+    return out
+
+
+def y_worker_reference(args):
+    """verify._y_worker as it read census_runs: each run's census worded by
+    containment_violation and checked for Y >= 0."""
+    n_lo, n_hi, m_max = args
+    out = []
+    for n, (e, runs) in enumerate(census_runs(n_lo, n_hi, m_max), n_lo):
+        for m_lo, m_hi, c in runs:
+            bad = containment_violation(c, e)
+            if bad is not None:
+                out += ((m, n, f"{c}", bad) for m in range(m_lo, m_hi + 1))
+            if c.y < 0:
+                out += ((m, n, str(c.y), "Y^(m)(n) >= 0") for m in range(m_lo, m_hi + 1))
+    return verify._capped(out), 0
+
+
+def randomly_corrupted(seed: int, m_max: int):
+    """_tallies with, in some rows, counts moved by -1..2 and keys added at
+    random sets and values v // 2 <= m_max + 2, or moved to another set."""
+    real = divisors._tallies
+
+    def tallies(n_lo, n_hi, top):
+        rng = random.Random(f"{seed}/{n_lo}")
+        rows = real(n_lo, n_hi, top)
+        for i in rng.sample(range(len(rows)), min(len(rows), 40)):
+            e, counts, keys = rows[i]
+            counts = [max(0, c + rng.choice((-1, 0, 0, 1, 2))) for c in counts]
+            keys = [key ^ rng.choice((0, 0, 1, 3)) for key in keys]
+            keys += [4 * rng.randint(0, m_max + 2) + rng.randrange(4) for _ in range(rng.randrange(4))]
+            rows[i] = (e, counts, keys)
+        return rows
+
+    return tallies
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_y_worker_matches_the_run_reference_on_corrupted_tallies(monkeypatch, seed):
+    """The fast worker decides each run of m from its four counts and words
+    only a failing one; the reference words every run's census.  They agree
+    on tallies corrupted at random, over blocks of both parities of e."""
+    m_max = (0, 1, 5, 12, 40, 120)[seed]
+    monkeypatch.setattr(divisors, "_tallies", randomly_corrupted(seed, m_max))
+    for part in [(1, 256, m_max), (257, 700, m_max), (2**12 - 40, 2**12 + 40, m_max)]:
+        got = verify._y_worker(part)
+        assert got == y_worker_reference(part), part
+        assert got[0], part  # the corruption broke some containment
+
+
+def test_y_worker_matches_the_run_reference_on_true_tallies():
+    for part in [(1, 256, 120), (2**17, 2**17 + 255, 30)]:
+        assert verify._y_worker(part) == y_worker_reference(part) == ([], 0)
 
 
 def expand_runs(runs: list, m_max: int) -> list:

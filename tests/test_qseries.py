@@ -1,5 +1,6 @@
 """Named q-series builders: product prefixes, X/Y/Z, M_C1/M_C5, T-decomposition."""
 
+import random
 from itertools import accumulate
 from operator import add, sub
 
@@ -254,6 +255,36 @@ def test_pack_then_unpack_is_the_identity(case):
     assert qseries._unpack(v, width, len(coeffs)) == coeffs
 
 
+def unpack_by_field(v: int, width: int, fields: int) -> list:
+    """Reference decode, one field at a time: the lowest field's bits, less
+    2^width when its top bit is set, is its value c, and v - c shifted right
+    by width holds the fields above it."""
+    out = []
+    for _ in range(fields):
+        f = v & (1 << width) - 1
+        c = f - (1 << width) if f >> width - 1 else f
+        out.append(c)
+        v = (v - c) >> width
+    return out
+
+
+@pytest.mark.parametrize("width", [*range(8, 72, 8), 80])
+def test_unpack_matches_the_field_by_field_decode(width):
+    """The lane decode (widths <= 64) and the per-field one (wider) at every
+    width a field can have, on the extremes, on carries past the last field
+    and on random fields."""
+    rng = random.Random(width)
+    limit = 2 ** (width - 1) - 1
+    for fields in (0, 1, 2, 7, 8, 9, 122):
+        cases = [[limit] * fields, [-limit] * fields, [(-1) ** i * (i % 3) for i in range(fields)],
+                 [rng.randint(-limit, limit) for _ in range(fields)]]
+        for coeffs in cases:
+            v = qseries._pack(coeffs, width)
+            for extra in (0, 1 << width * fields, 5 << width * fields + 3):
+                assert unpack_by_field(v + extra, width, fields) == coeffs
+                assert qseries._unpack(v + extra, width, fields) == coeffs, (fields, extra)
+
+
 @settings(max_examples=300, deadline=None)
 @given(field_lists(min_size=1))
 def test_packed_series_decodes_and_finds_a_negative(case):
@@ -423,7 +454,9 @@ def test_r2_numerator_matches_the_exponent_loop():
     for m in range(301):
         for size in (1, 2, 20 * m + 1, 70 + 10 * m, 70 + 10 * m + 1):
             r1 = [(7 * i) % 5 - 2 for i in range(size)]
-            assert qseries.r2_numerator(r1, m) == r2_numerator_reference(r1, m), (m, size)
+            want = r2_numerator_reference(r1, m)
+            assert qseries.r2_numerator(r1, m) is r1  # updated in place
+            assert r1 == want, (m, size)
 
 
 TABLE_SHIFTS = sorted(set(range(11)) | set(range(0, 121, 7)))
@@ -529,7 +562,7 @@ def test_lambert_sweep_matches_the_direct_builds(m_lo, m_hi, order):
             assert acc == qseries.lambert_part(name, m, order), (name, m)
             got = tuple(acc) if name in ("Y", "Z") else _over_q2(acc)
             assert got == SWEEP_DIRECT[name](m, order), (name, m)
-        r2 = _over_q2(qseries.r2_numerator(lists[parts.index("R1")], m))
+        r2 = _over_q2(qseries.r2_numerator(list(lists[parts.index("R1")]), m))
         assert r2 == qseries.r2(m, order).coeffs, m
         assert r2 == ref_r2(m, order).coeffs, m
     assert ms == list(range(m_lo, m_hi + 1))

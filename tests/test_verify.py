@@ -258,9 +258,9 @@ def test_census_corruption_in_the_second_block_names_its_m(monkeypatch):
 
 def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
     """Each cross part reads each n's divisor pairs once, by one _tallies
-    over 1..n_max for its whole run of m, never by census or census_runs,
-    and takes its lattice counts from the count sweep, never from count_region."""
-    calls = {"census": [], "census_runs": [], "_tallies": [], "count_region": []}
+    over 1..n_max for its whole run of m, never by census, and takes its
+    lattice counts from the count sweep, never from count_region."""
+    calls = {"census": [], "_tallies": [], "count_region": []}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -272,7 +272,6 @@ def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(divisors, "census")
-    counting(divisors, "census_runs")
     counting(divisors, "_tallies")
     counting(lattice, "count_region")
     serial_pool(monkeypatch)
@@ -286,7 +285,7 @@ def test_cross_worker_takes_one_census_per_n_and_no_region_count(monkeypatch):
         rep = run_checks(cfg)[0]
         assert rep.status == "pass" and rep.skips
         assert calls == {
-            "census": [], "census_runs": [], "count_region": [],
+            "census": [], "count_region": [],
             "_tallies": [(1, cfg.n_max, 2 * m_hi + 1) for _, m_hi, _ in parts],
         }
 
@@ -533,17 +532,27 @@ def test_worker_violations_capped_report_unchanged(monkeypatch):
 
 
 def test_y_nonneg_violations_capped_across_n_blocks(monkeypatch, capsys):
-    """With every containment failing, the y-nonneg report is the first
-    VIOLATION_CAP violations in (m, n) order, though they span several
-    n-blocks, and its bytes do not depend on parallelism."""
-    monkeypatch.setattr(divisors, "containment_violation", lambda c, e: "always fails")
+    """With a containment failing at every (m, n), the y-nonneg report is
+    the first VIOLATION_CAP violations in (m, n) order, though they span
+    several n-blocks, and its bytes do not depend on parallelism.  The
+    tallies gain one pair in A1 at e = 0, and 10^6 pairs in each of A2 and
+    B1 at e >= 1, at every m: one containment fails and Y stays >= 0."""
+    real = divisors._tallies
+
+    def tallies(n_lo, n_hi, top):
+        return [(e, [a1 + 1, a2, b1, b2] if e == 0 else [a1, a2 + 10**6, b1 + 10**6, b2], keys)
+                for e, (a1, a2, b1, b2), keys in real(n_lo, n_hi, top)]
+
+    monkeypatch.setattr(divisors, "_tallies", tallies)
     m_max, n_max = 3, 2 * verify.Y_BLOCK + 100
     rep = run_checks(SweepConfig(m_max=m_max, n_max=n_max, checks=("y-nonneg",)))[0]
-    everything = [
-        Violation(m, n, f"{divisors.census(m, n)}", "always fails")
-        for m in range(m_max + 1)
-        for n in range(1, n_max + 1)
-    ]
+    everything = []
+    for m in range(m_max + 1):
+        for n in range(1, n_max + 1):
+            c = divisors.census(m, n)  # read through the corrupted tallies
+            bad = divisors.containment_violation(c, divisors.OddPartDecomposition.of(n).e)
+            assert bad is not None and c.y >= 0
+            everything.append(Violation(m, n, f"{c}", bad))
     assert rep.status == "fail"
     assert rep.violations == everything[: verify.VIOLATION_CAP]
     assert {v.m for v in rep.violations} == {0, 1}
