@@ -279,11 +279,6 @@ def test_y_worker_matches_the_run_reference_on_corrupted_tallies(monkeypatch, se
         assert got[0], part  # the corruption broke some containment
 
 
-def test_y_worker_matches_the_run_reference_on_true_tallies():
-    for part in [(1, 256, 120), (2**17, 2**17 + 255, 30)]:
-        assert verify._y_worker(part) == y_worker_reference(part) == ([], 0)
-
-
 def expand_runs(runs: list, m_max: int) -> list:
     """One n's census_runs runs, expanded to one census per m <= m_max."""
     out = []
