@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 
@@ -253,7 +254,7 @@ def _run_and_emit(args, checks) -> int:
 def _cmd_lattice(args) -> int:
     spec = lattice.RegionSpec(lattice.RegionKind(args.region), args.m, args.n)
     # lattice._columns walks at most min(m + isqrt(2(n+1)), n // 2) + 1 columns
-    columns = min(args.m + int((2 * (args.n + 1)) ** 0.5), args.n // 2) + 1
+    columns = min(args.m + math.isqrt(2 * (args.n + 1)), args.n // 2) + 1
     verify.guard(columns, args.override_resource_guard)
     cnt = lattice.count_region(spec)
     fig = lattice.geometry_figures(spec)

@@ -12,7 +12,7 @@ Membership of a lattice point is decided purely in integer arithmetic
 closed-form areas, the vertices (on conjugate roots, see _area_columns) and
 the bounds, whose sqrt(n+1) coefficients are OMEGA_LENGTH,
 OMEGA_PRIME_LENGTH, M1_SQRT and M2_SQRT.  RegionSpec admits only (m, n)
-with 4m^2 + 12(n+1) within the float range, so every root is finite.
+with 4m^2 + 12(n+1) and 8m(n+1) in the float range, so no figure overflows.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ class RegionSpec(_Region):
             raise ValueError("m and n must be non-negative")
         if 4 * self.m * self.m + 12 * (self.n + 1) > sys.float_info.max:
             raise ValueError("m and n too large: 4m^2 + 12(n+1) exceeds the largest float")
+        if 8 * self.m * (self.n + 1) > sys.float_info.max:
+            raise ValueError("m and n too large: 8m(n+1) exceeds the largest float")
         return self
 
 

@@ -3,9 +3,9 @@
 Every generating function in the verification pipeline is represented as
 a finite prefix c_0..c_N of its power-series expansion.  Coefficients are
 arbitrary-precision Python ints, because the nonnegativity checks
-downstream must be exact.  The one fixed-width format, qseries'
-PackedSeries, takes its field width from a bound on every coefficient it
-can hold, so it is exact too.
+downstream must be exact.  The two fixed-width formats, qseries'
+PackedSeries and bivariate's packed z-rows, take their field width from a
+bound on every coefficient they can hold, so they are exact too.
 
 The truncation order is explicit data on each value.  Mixed-order
 arithmetic truncates to the shorter operand, so an operation can never

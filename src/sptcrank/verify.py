@@ -93,24 +93,15 @@ class Violation(NamedTuple):
     expected: str
 
 
-class VerificationReport:
-    """One check's report, filled in as the check runs and then finalized."""
+class VerificationReport(NamedTuple):
+    """One check's report, built once from what its parts return."""
 
-    def __init__(self, check_id: str, range_desc: str, status: str,
-                 violations=None, skips=None, elapsed_ms: int = 0) -> None:
-        self.check_id = check_id
-        self.range_desc = range_desc
-        self.status = status  # pending, then pass | fail
-        self.violations = [] if violations is None else violations
-        self.skips = [] if skips is None else skips  # [{"reason": str, "count": int}]
-        self.elapsed_ms = elapsed_ms
-
-    def finalize(self) -> "VerificationReport":
-        self.violations = sorted(
-            self.violations, key=lambda v: (v.m, v.n, v.expected)
-        )[:VIOLATION_CAP]
-        self.status = "fail" if self.violations else "pass"
-        return self
+    check_id: str
+    range_desc: str
+    status: str  # pass | fail
+    violations: list  # Violation in report order, at most VIOLATION_CAP
+    skips: list  # [{"reason": str, "count": int}]
+    elapsed_ms: int
 
 
 def guard(slots: int, override: bool) -> None:
@@ -137,12 +128,10 @@ def _map_parts(worker, args, parallelism: int):
 
 
 def _capped(out: list) -> list:
-    """One worker's violation tuples in report order, at most VIOLATION_CAP.
-
-    The parts partition the grid, so each of the report's first
-    VIOLATION_CAP violations is among the first VIOLATION_CAP of its part,
-    which are the ones kept here.
-    """
+    """Violation tuples in report order, at most VIOLATION_CAP: a worker's
+    part, or a whole report with its post step's.  The parts partition the
+    grid, so each of the report's first VIOLATION_CAP violations is among the
+    first VIOLATION_CAP of its part, which are the ones its worker keeps."""
     return sorted(out, key=lambda v: (v[0], v[1], v[3]))[:VIOLATION_CAP]
 
 
@@ -332,24 +321,19 @@ def _cross_lattice(m: int, n_max: int, xs: tuple, terms: tuple, t2_free: list, o
     return jarnik_skips
 
 
-def _note_empty_n_range(cfg: SweepConfig, rep: VerificationReport) -> None:
-    if cfg.n_max == 0:
-        rep.skips.append({"reason": "empty n range", "count": 1})
-
-
-def _window_coverage(cfg: SweepConfig, rep: VerificationReport) -> None:
+def _window_coverage(cfg: SweepConfig) -> list:
     """The three windows n<=20m, 20m<n<f(m), n>=f(m) leave no gap: f(m) > 20m
     at every m of WINDOW_M and not at the next m; as f(m) - 20m decreases,
     no later m needs the sweep."""
     last = WINDOW_M[-1]
-    for m in WINDOW_M:
-        if not bounds.threshold_profile(m).f_exceeds_20m:
-            rep.violations.append(Violation(m, 0, "coverage gap", f"f(m) > 20m for m <= {last}"))
+    out = [(m, 0, "coverage gap", f"f(m) > 20m for m <= {last}")
+           for m in WINDOW_M if not bounds.threshold_profile(m).f_exceeds_20m]
     if bounds.threshold_profile(last + 1).f_exceeds_20m:
-        rep.violations.append(Violation(last + 1, 0, "coverage gap", f"f(m) <= 20m for m > {last}"))
+        out.append((last + 1, 0, "coverage gap", f"f(m) <= 20m for m > {last}"))
+    return out
 
 
-def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:
+def _bivariate_slices(cfg: SweepConfig) -> list:
     """The bivariate cross-oracle: each z^m slice of the C1/C5 expansions
     equals the univariate M_C1/M_C5 series and the z^-m slice, and every
     coefficient of every expansion in bivariate.FAMILIES, at every z-degree
@@ -358,46 +342,40 @@ def _bivariate_slices(cfg: SweepConfig, rep: VerificationReport) -> None:
     The univariate series come from qseries.mc_sweep, the builder the
     conjecture check reads, so the product form checks every step of it.
     The z <-> 1/z symmetry is checked on the expansion itself because the
-    univariate builders take |m|, so they cannot tell -m from m.  An empty
-    n range of the sweep is noted first, as y-nonneg and conjecture note it.
+    univariate builders take |m|, so they cannot tell -m from m.
     """
-    _note_empty_n_range(cfg, rep)
     order = cfg.bivariate_order
     if order < 1:
-        return
+        return []
+    out = []
     expansions = {name: bivariate.spt_crank_bivariate(name, order) for name in bivariate.FAMILIES}
     for m, *univariate in qseries.mc_sweep(0, min(cfg.m_max, order), order):
         for name, series in zip(("C1", "C5"), univariate):
             expansion = expansions[name]
             s = bivariate.extract_m(expansion, m).coeffs
             if s != series.coeffs:
-                rep.violations.append(
-                    Violation(m, 0, f"bivariate {name} slice", f"equals m{name.lower()} series")
-                )
+                out.append((m, 0, f"bivariate {name} slice", f"equals m{name.lower()} series"))
             if m and bivariate.extract_m(expansion, -m).coeffs != s:
-                rep.violations.append(
-                    Violation(m, 0, f"bivariate {name} slice at -m", "equals slice at +m")
-                )
+                out.append((m, 0, f"bivariate {name} slice at -m", "equals slice at +m"))
     for name, expansion in expansions.items():
-        rep.violations.extend(
-            Violation(d, n, str(v), f"M_{name}(m,n) >= 0 on the bivariate expansion")
-            for d, row in enumerate(expansion.rows, -order)
-            for n, v in enumerate(row) if v < 0
-        )
+        out += ((d, n, str(v), f"M_{name}(m,n) >= 0 on the bivariate expansion")
+                for d, row in enumerate(expansion.rows, -order)
+                for n, v in enumerate(row) if v < 0)
+    return out
 
 
 # -- the check table and its one driver --------------------------------------
 
 
 class _Check(NamedTuple):
-    """One check: a sweep over parts of its grid, then an optional post step."""
+    """One check: a sweep over parts of its grid, then a post step."""
 
     worker: Callable  # one part's argument tuple -> (violation tuples, count)
     args: Callable  # cfg -> the parts' argument tuples
     range_desc: str  # report range text, formatted with the config's fields and window_last
     slots: Callable  # cfg -> coefficient slots the guard weighs
     count_reason: str | None = None  # skip reason for the workers' summed count
-    post: Callable | None = None  # (cfg, report) -> None, run after the sweep
+    post: Callable = lambda cfg: ()  # cfg -> violation tuples, run after the sweep
 
 
 def _n_blocks(cfg: SweepConfig) -> list:
@@ -437,7 +415,6 @@ _CHECKS = {
     "y-nonneg": _Check(
         _y_worker, _n_blocks, "0<=m<={m_max}, 1<=n<={n_max}",
         lambda cfg: (cfg.m_max + 1) * (cfg.n_max + 1),
-        post=_note_empty_n_range,
     ),
     "x-small-n": _Check(
         _x_small_worker, _x_small_runs,
@@ -454,7 +431,6 @@ _CHECKS = {
     "conjecture": _Check(
         _conjecture_worker, _grid_runs, "|m|<={m_max}, 1<=n<={n_max}",
         lambda cfg: 2 * (cfg.m_max + 1) * (cfg.n_max + 1),
-        post=_note_empty_n_range,
     ),
     "cross": _Check(
         _cross_worker, _grid_runs,
@@ -468,20 +444,26 @@ _CHECKS = {
 
 
 def _run_check(check_id: str, cfg: SweepConfig) -> VerificationReport:
+    """The check's report, built once from what its parts and post step
+    return; a check whose range reads n_max notes an empty n range first."""
     check = _CHECKS[check_id]
     t0 = time.monotonic()
-    desc = check.range_desc.format(**cfg._asdict(), window_last=WINDOW_M[-1])
-    rep = VerificationReport(check_id, desc, "pending")
-    counted = 0
+    out, counted = [], 0
     for chunk, count in _map_parts(check.worker, check.args(cfg), cfg.parallelism):
-        rep.violations.extend(Violation(*v) for v in chunk)
+        out += chunk
         counted += count
-    if check.post is not None:
-        check.post(cfg, rep)
+    out += check.post(cfg)
+    violations = [Violation(*v) for v in _capped(out)]
+    skips = []
+    if cfg.n_max == 0 and "{n_max}" in check.range_desc:
+        skips.append({"reason": "empty n range", "count": 1})
     if counted:
-        rep.skips.append({"reason": check.count_reason, "count": counted})
-    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return rep.finalize()
+        skips.append({"reason": check.count_reason, "count": counted})
+    return VerificationReport(
+        check_id, check.range_desc.format(**cfg._asdict(), window_last=WINDOW_M[-1]),
+        "fail" if violations else "pass", violations, skips,
+        int((time.monotonic() - t0) * 1000),
+    )
 
 
 def run_checks(cfg: SweepConfig) -> list:

@@ -447,6 +447,25 @@ def test_lattice_rejects_m_and_n_past_the_float_range(run):
         assert "  total=0 oddY=0" in out.splitlines(), region
 
 
+def test_lattice_rejects_an_area_term_past_the_float_range(run):
+    """At m = 10^153, n = 10^306 the radicand fits a float but 8m(n+1), the
+    areas' rational term, does not: a usage error (exit 2), before the
+    guard weighs the columns."""
+    assert run("lattice", "--region", "omega", "--m", str(10**153), "--n", str(10**306)) == (
+        2, "", "error: m and n too large: 8m(n+1) exceeds the largest float\n")
+
+
+def test_lattice_guard_weighs_its_exact_column_bound(run):
+    """The guard weighs min(m + isqrt(2(n+1)), n // 2) + 1 exactly, where a
+    float square root would be off by one at n = 10^33."""
+    n = 10**33
+    columns = math.isqrt(2 * (n + 1)) + 1
+    assert columns == 44721359549995794
+    code, out, err = run("lattice", "--region", "omega", "--m", "0", "--n", str(n))
+    assert (code, out) == (3, "")
+    assert f"~{columns} coefficient slots" in err
+
+
 def test_bounds_subcommand(run):
     code, out, _ = run("bounds", "--m-max", "3", "--csv")
     assert code == 0

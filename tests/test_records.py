@@ -18,7 +18,7 @@ from sptcrank.bounds import ThresholdProfile
 from sptcrank.divisors import OddPartDecomposition
 from sptcrank.lattice import GeometryFigures, LatticeCount, RegionKind, RegionSpec
 from sptcrank.series import TruncatedSeries
-from sptcrank.verify import CHECK_IDS, SweepConfig, VerificationReport, Violation
+from sptcrank.verify import CHECK_IDS, SweepConfig, VerificationReport, Violation, run_checks
 
 # (build, one of its fields, its repr)
 RECORDS = [
@@ -70,6 +70,9 @@ def test_series_equality_reads_order_and_coefficients():
     (lambda: RegionSpec(RegionKind.OMEGA, -1, 5), ValueError, "m and n must be non-negative"),
     (lambda: RegionSpec(RegionKind.OMEGA_PRIME, 0, -1), ValueError,
      "m and n must be non-negative"),
+    # the radicand is in range, but 8m(n+1), the areas' rational term, is not
+    (lambda: RegionSpec(RegionKind.OMEGA, 10**153, 10**306), ValueError,
+     "m and n too large: 8m(n+1) exceeds the largest float"),
     (lambda: LatticeCount(2, 3), ValueError, "odd_y must lie between 0 and total"),
     (lambda: LatticeCount(2, -1), ValueError, "odd_y must lie between 0 and total"),
     (lambda: LaurentSeries(1, ((0, 0), (1, 2))), ValueError,
@@ -117,9 +120,34 @@ def test_series_post_init_runs_once_per_construction(monkeypatch):
     assert seen[-1] == 0 and len(seen) == 7
 
 
+def test_report_is_an_immutable_value():
+    """VerificationReport is a value like the records above, but unhashable,
+    as its violations and skips are lists."""
+    def build():
+        return VerificationReport("y-nonneg", "r", "fail", [Violation(0, 1, "v", "e")],
+                                  [{"reason": "x", "count": 1}], 0)
+
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert a != build()._replace(status="pass")
+    assert repr(a) == (
+        "VerificationReport(check_id='y-nonneg', range_desc='r', status='fail', "
+        "violations=[Violation(m=0, n=1, value='v', expected='e')], "
+        "skips=[{'reason': 'x', 'count': 1}], elapsed_ms=0)")
+    assert pickle.loads(pickle.dumps(a)) == a
+    for field in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+    assert a == b
+
+
 def test_report_lists_are_its_own():
-    a = VerificationReport("y-nonneg", "r", "pending")
-    b = VerificationReport("y-nonneg", "r", "pending")
-    a.violations.append(Violation(0, 1, "v", "e"))
-    a.skips.append({"reason": "x", "count": 1})
-    assert (b.violations, b.skips, b.elapsed_ms) == ([], [], 0)
+    """No two reports share a violations or skips list, not even two runs'
+    reports of the same check."""
+    cfg = SweepConfig(m_max=1, n_max=0, bivariate_order=0)
+    reports = run_checks(cfg) + run_checks(cfg)
+    lists = [x for r in reports for x in (r.violations, r.skips)]
+    assert len({id(x) for x in lists}) == len(lists) == 20
+    reports[0].skips.append({"reason": "x", "count": 1})
+    assert reports[5].skips == [{"reason": "empty n range", "count": 1}]

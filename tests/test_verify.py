@@ -1,6 +1,7 @@
 """Verifier orchestration: reports, determinism, negative paths, guard."""
 
 import concurrent.futures
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from sptcrank.verify import (
     CHECK_IDS,
     ResourceGuardError,
     SweepConfig,
-    VerificationReport,
     Violation,
     run_checks,
 )
@@ -94,6 +94,20 @@ def test_cross_notes_an_empty_n_range():
     assert rep.status == "pass"
     assert rep.skips == [{"reason": "empty n range", "count": 1}]
     assert run_checks(small_cfg(checks=("cross",), m_max=0, n_max=1, bivariate_order=0))[0].skips == []
+
+
+def test_checks_over_n_note_an_empty_n_range(capsys):
+    """Each check whose range reads n_max notes n_max = 0 once; x-small-n
+    and finite-window, whose n ranges do not read it, note nothing of it."""
+    argv = ["verify", "--check", "all", "--m-max", "1", "--n-max", "0",
+            "--bivariate-order", "0", "--json"]
+    assert run_cli(argv) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    notes = {r["checkId"]: [s for s in r["skipped"] if s["reason"] == "empty n range"]
+             for r in reports}
+    one = [{"reason": "empty n range", "count": 1}]
+    assert notes == {"y-nonneg": one, "x-small-n": [], "finite-window": [],
+                     "conjecture": one, "cross": one}
 
 
 def serial_pool(monkeypatch) -> list:
@@ -565,19 +579,24 @@ def test_y_nonneg_violations_capped_across_n_blocks(monkeypatch, capsys):
     assert outs[0] == outs[1]
 
 
-def test_violations_sorted_and_capped():
-    rep = VerificationReport("y-nonneg", "r", "pending")
-    rep.violations = [
-        Violation(2, 5, "v", "e"),
-        Violation(1, 9, "v", "e"),
-        Violation(1, 2, "v", "e"),
-    ] + [Violation(9, n, "v", "e") for n in range(2000)]
-    rep.finalize()
+def test_violations_sorted_and_capped(monkeypatch):
+    """The report holds its parts' violations in (m, n, expected) order,
+    capped at VIOLATION_CAP, whatever order the parts return them in."""
+    parts = iter([
+        [(2, 5, "v", "e"), (1, 9, "v", "e")],
+        [(1, 2, "v", "e")] + [(9, n, "v", "e") for n in range(2000)],
+    ])
+    check = verify._CHECKS["y-nonneg"]._replace(worker=lambda args: (next(parts), 0))
+    monkeypatch.setitem(verify._CHECKS, "y-nonneg", check)
+    cfg = SweepConfig(m_max=1, n_max=verify.Y_BLOCK + 1, checks=("y-nonneg",))
+    rep = run_checks(cfg)[0]
+    assert next(parts, None) is None
     assert rep.status == "fail"
     assert len(rep.violations) == verify.VIOLATION_CAP
     assert rep.violations[0] == Violation(1, 2, "v", "e")
     assert rep.violations[1] == Violation(1, 9, "v", "e")
     assert rep.violations[2] == Violation(2, 5, "v", "e")
+    assert rep.violations[3:] == [Violation(9, n, "v", "e") for n in range(verify.VIOLATION_CAP - 3)]
 
 
 def test_resource_guard_trips_and_overrides():
