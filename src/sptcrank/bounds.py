@@ -40,9 +40,18 @@ def all_strictly_less(smaller, larger) -> bool:
     """all(map(strictly_less, smaller, larger)) for two lists, decided by the
     least gap when it beats the largest magnitude's margin, which, while >= 0,
     bounds each point's margin (rounding is monotone).  min may skip a NaN
-    gap, which fails its point; a NaN sum of the gaps catches it."""
+    gap, which fails its point; a NaN sum of the gaps catches it.
+
+    The largest magnitude is max(1, |s|, |l|) over every pair (s, l), but
+    the fast path is taken only when every gap l - s is > 0, so s < l at
+    every point, as a float difference has the sign of the exact one.  Then
+    s < l <= max(larger) and -l < -s <= -min(smaller), so |s| and |l| are at
+    most max(max(larger), -min(smaller)), which is itself some |l| or |s|:
+    the two extremes give that scale exactly.  Where some gap is <= 0 or
+    NaN, the fast path fails whatever the scale, and each point is decided
+    on its own."""
     gaps = list(map(sub, larger, smaller))
-    top = max(1.0, max(map(abs, smaller), default=0), max(map(abs, larger), default=0))
+    top = max(1.0, max(larger, default=0), -min(smaller, default=0))
     if 0 <= NEAR_TIE_SLACK * top < min(gaps, default=1.0) and not math.isnan(sum(gaps)):
         return True
     return all(map(strictly_less, smaller, larger))

@@ -255,7 +255,7 @@ def _cmd_lattice(args) -> int:
     spec = lattice.RegionSpec(lattice.RegionKind(args.region), args.m, args.n)
     # lattice._columns walks at most min(m + isqrt(2(n+1)), n // 2) + 1 columns
     columns = min(args.m + math.isqrt(2 * (args.n + 1)), args.n // 2) + 1
-    verify.guard(columns, args.override_resource_guard)
+    verify.guard(columns, args.override_resource_guard, "columns")
     cnt = lattice.count_region(spec)
     fig = lattice.geometry_figures(spec)
     # Counts are exact integers, emitted as strings; the figures are floats.
@@ -293,7 +293,7 @@ def _cmd_lattice(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.m_max < 0:
         raise ValueError("--m-max must be non-negative")
-    verify.guard(args.m_max + 1, args.override_resource_guard)
+    verify.guard(args.m_max + 1, args.override_resource_guard, "rows")
     profiles = [bounds.threshold_profile(m) for m in range(args.m_max + 1)]
     _emit(
         args,

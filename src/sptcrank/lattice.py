@@ -143,16 +143,17 @@ def _area_columns(m: int, ns) -> tuple:
     By s12-s8 = 4(n+1)/(s8+s12), the rational part is Omega's triangle
     2*x2^2 - 3*x3^2 and Omega''s (n+1)*(m/u12 - m/u8).  With r = u12/u8,
     log(r + r) is log(2*u12/u8) bit for bit, as doubling a float is exact."""
+    sqrt, log = math.sqrt, math.log
     two_m, eight_m, four_mm = 2 * m, 8 * m, 4 * m * m
     pairs = [
-        ((h := 0.5 * (n + 1))
-         * (math.log(r := (u12 := (s12 := math.sqrt(four_mm + 12 * (n + 1))) + two_m)
-                     / (u8 := (s8 := math.sqrt(four_mm + 8 * (n + 1))) + two_m))
-            - (t := eight_m * (n + 1) / ((s8 + s12) * u8 * u12))),
-         h * (math.log(r + r) - t))
+        ((h := 0.5 * (k := n + 1))
+         * (log(r := (u12 := (s12 := sqrt(four_mm + 12 * k)) + two_m)
+                / (u8 := (s8 := sqrt(four_mm + 8 * k)) + two_m))
+            - (t := eight_m * k / ((s8 + s12) * u8 * u12))),
+         h * (log(r + r) - t))
         for n in ns
     ]
-    return [a for a, _ in pairs], [a for _, a in pairs]
+    return tuple(zip(*pairs)) if pairs else ((), ())
 
 
 def sqrt_columns(ns) -> tuple:

@@ -14,7 +14,7 @@ fabricate coefficients beyond its inputs' common valid prefix.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterable
 
 
@@ -149,10 +149,13 @@ def negative_over_one_minus_q2(coeffs, lo: int = 0) -> bool:
     """Whether some coefficient n >= lo of the list or tuple coeffs / (1 - q^2)
     is negative, that is min(over_one_minus_qk(coeffs, 2)[lo:]) < 0, decided
     on the running sums of each parity class coeffs[r::2], without building
-    the quotient; islice skips the sums below lo only where there are some."""
+    the quotient.  Each class's sum up to its first n >= lo is one sum, and
+    the running sums start there."""
     for r in (0, 1):
-        sums = accumulate(coeffs[r::2])
-        if min(islice(sums, (lo - r + 1) // 2, None) if lo > r else sums, default=0) < 0:
+        first = lo + (lo - r) % 2 if lo > r else r  # the class's first n >= lo
+        if first < len(coeffs) and min(
+            accumulate(coeffs[first + 2::2], initial=sum(coeffs[r:first + 1:2]))
+        ) < 0:
             return True
     return False
 

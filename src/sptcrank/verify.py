@@ -104,13 +104,13 @@ class VerificationReport(NamedTuple):
     elapsed_ms: int
 
 
-def guard(slots: int, override: bool) -> None:
+def guard(slots: int, override: bool, unit: str = "coefficient slots") -> None:
     """Refuse, unless overridden, work of more than RESOURCE_GUARD_SLOTS
-    coefficient slots."""
+    slots; unit names what the caller weighs as one slot."""
     if slots > RESOURCE_GUARD_SLOTS and not override:
         raise ResourceGuardError(
-            f"configuration implies ~{slots} coefficient slots "
-            f"(> {RESOURCE_GUARD_SLOTS}); pass --override-resource-guard to proceed"
+            f"configuration implies ~{slots} {unit} "
+            f"(> {RESOURCE_GUARD_SLOTS} slots); pass --override-resource-guard to proceed"
         )
 
 
@@ -183,8 +183,9 @@ def _x_small_worker(args):
         k = 20 * m + 1
         t, x, comp, r1 = (acc[:k] for acc in swept)
         rem = qseries.r2_numerator(r1, m)
-        if t == x == comp and not (negative_over_one_minus_q2(rem)
-                                   or negative_over_one_minus_q2(t)):
+        # a numerator with no negative coefficient has no negative running sum
+        r2_ok = min(rem) >= 0 or not negative_over_one_minus_q2(rem)
+        if t == x == comp and r2_ok and not negative_over_one_minus_q2(t):
             continue
         t, x, comp, rem = (over_one_minus_qk(c, 2) for c in (t, x, comp, rem))
         ns = range(k)
@@ -243,15 +244,15 @@ def _cross_worker(args):
     violations point by point only when the columns fail.  The census rows
     come from one divisors.census_rows for the run, the lattice counts
     from one count sweep per region and m, and the figures from one
-    lattice.figure_columns per m, whose m-free terms are computed once for
-    the run.  The lattice path enumerates points and never reads the
-    census.
+    lattice.figure_columns per m.  Its m-free terms, theorem 2's m-free
+    bound and Omega's parity limits are computed once for the run.  The
+    lattice path enumerates points and never reads the census.
     """
     m_lo, m_hi, n_max = args
     out = []
     ns = range(1, n_max + 1)
     terms = lattice.sqrt_columns(ns[1::2])
-    t2_free = list(map(bounds.theorem2_m_free, *terms[:2]))
+    part = terms, list(map(bounds.theorem2_m_free, *terms[:2])), [e + 1 for e in terms[3]]
     jarnik_skips = 0
     sweep = qseries.lambert_sweep(("X", "Y", "Z"), m_lo, m_hi, n_max)
     for (m, (x, y, z)), (y_div, z_div) in zip(sweep, divisors.census_rows(m_lo, m_hi, n_max)):
@@ -261,7 +262,7 @@ def _cross_worker(args):
         out += _negatives(m, ns, z_div, "Z^(m)(n) >= 0")
         z_odd = list(accumulate(z[1::2]))
         out += _unequal(m, ns[::2], z_odd, list(xs[1::2]), "odd-k Z partial sum == series X")
-        jarnik_skips += _cross_lattice(m, n_max, xs, terms, t2_free, out)
+        jarnik_skips += _cross_lattice(m, n_max, xs, part, out)
     return _capped(out), jarnik_skips
 
 
@@ -286,10 +287,29 @@ def _not_less(ns, smaller: list, larger: list) -> list:
     return [(n, a, b) for n, a, b in zip(ns, smaller, larger) if not bounds.strictly_less(a, b)]
 
 
-def _cross_lattice(m: int, n_max: int, xs: tuple, terms: tuple, t2_free: list, out: list) -> int:
+def _jarnik_points(ns, totals: list, dev: list, length: list) -> tuple:
+    """(skips, (ns, dev, length) at the points where Jarnik's bound applies):
+    it needs a nonempty region and a length bound >= 1, and skips counts the
+    other points.  Every length is >= 1 at the paper's constants, and the
+    totals of count_sweep grow with n, so the empty regions are the first
+    totals.count(0) points: then the columns are sliced, else compressed."""
+    empty = totals.count(0)
+    if min(length, default=1) >= 1 and not any(totals[:empty]):
+        return empty, [c[empty:] for c in (ns, dev, length)]
+    met = [total != 0 and not bound < 1 for total, bound in zip(totals, length)]
+    return len(met) - sum(met), [list(compress(c, met)) for c in (ns, dev, length)]
+
+
+def _cross_lattice(m: int, n_max: int, xs: tuple, part: tuple, out: list) -> int:
     """The lattice and analytic bound checks at one m and every even n, with
-    xs = X^(m) up to n_max and the part's columns terms = sqrt_columns and
-    t2_free = theorem2_m_free; appends to out, returns the Jarnik skips."""
+    xs = X^(m) up to n_max and the part's m-free columns part = (terms,
+    t2_free, o_limits): terms = lattice.sqrt_columns of the even n, t2_free
+    = bounds.theorem2_m_free of them and o_limits = Omega's parity limits,
+    its x-extent bound + 1.  Appends to out, returns the Jarnik skips.
+
+    A check reads its columns point by point only when they fail.
+    """
+    terms, t2_free, o_limits = part
     ns = terms[0]
     even = slice(2, n_max + 1, 2)
     x = list(xs[even])
@@ -298,17 +318,17 @@ def _cross_lattice(m: int, n_max: int, xs: tuple, terms: tuple, t2_free: list, o
     *figures, m1_bound, m2_bound = lattice.figure_columns(m, terms)
     out += _unequal(m, ns, list(map(sub, p_odds, o_odds)), x, "lattice M2-M1 == series X")
     jarnik_skips = 0
-    for kind, (totals, odds), (area, length, extent) in zip(lattice.RegionKind, counts, figures):
-        # Jarnik's bound needs a nonempty region and a length bound >= 1
-        met = [total != 0 and not bound < 1 for total, bound in zip(totals, length)]
-        jarnik_skips += len(met) - sum(met)
-        dev = list(map(abs, map(sub, totals, area)))
-        for n, d, bound in _not_less(*(list(compress(c, met)) for c in (ns, dev, length))):
+    parity_limits = o_limits, [e + 1 for e in figures[1][2]]  # Omega''s x-extent bound + 1
+    for kind, (totals, odds), (area, length, _), limits in zip(
+        lattice.RegionKind, counts, figures, parity_limits
+    ):
+        skips, columns = _jarnik_points(ns, totals, list(map(abs, map(sub, totals, area))), length)
+        jarnik_skips += skips
+        for n, d, bound in _not_less(*columns):
             o = bounds.classify_strict(d, bound)
             out.append((m, n, f"|N-A|={d!r}", f"Jarnik |N-A| < {bound!r} [{o.value}]"))
         # parity_lemma_check: abs(total - 2 * odd) / 2 <= extent + 1
         gaps = [abs(total - 2 * odd) / 2 for total, odd in zip(totals, odds)]
-        limits = [e + 1 for e in extent]
         if not all(map(le, gaps, limits)):
             out += [(m, n, kind.value, "parity bound |N/2-M| <= sup+1")
                     for n, g, lim in zip(ns, gaps, limits) if not g <= lim]
@@ -359,7 +379,7 @@ def _bivariate_slices(cfg: SweepConfig) -> list:
                 out.append((m, 0, f"bivariate {name} slice at -m", "equals slice at +m"))
     for name, expansion in expansions.items():
         out += ((d, n, str(v), f"M_{name}(m,n) >= 0 on the bivariate expansion")
-                for d, row in enumerate(expansion.rows, -order)
+                for d, row in enumerate(expansion.rows, -order) if min(row) < 0
                 for n, v in enumerate(row) if v < 0)
     return out
 

@@ -188,6 +188,30 @@ def test_all_strictly_less_is_every_point_strictly_less(columns, slack):
         assert all_strictly_less(smaller, larger) is all(map(strictly_less, smaller, larger))
 
 
+# any magnitude a float or an int can take, so the scale can come from either
+huge = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**300, 10**300),
+    operand,
+)
+
+
+@given(st.lists(st.tuples(huge, huge), max_size=12))
+@settings(max_examples=1000, deadline=None)
+def test_scale_from_two_extremes_is_the_largest_magnitude(pairs):
+    """Where every gap larger - smaller is > 0, all_strictly_less's scale
+    max(1, max(larger), -min(smaller)) is max(1, |s|, |l|) over every point,
+    with negatives, magnitudes near the float range and ints in either
+    column; and the column predicate still decides as every point does."""
+    pairs = [(s, l) for s, l in pairs if s < l and l - s > 0]
+    smaller, larger = [s for s, _ in pairs], [l for _, l in pairs]
+    magnitudes = max(1.0, max(map(abs, smaller), default=0), max(map(abs, larger), default=0))
+    assert max(1.0, max(larger, default=0), -min(smaller, default=0)) == magnitudes
+    for slack in (NEAR_TIE_SLACK, 0.0, 0.5):
+        with mock.patch.object(bounds, "NEAR_TIE_SLACK", slack):
+            expected = all(map(strictly_less, smaller, larger))
+            assert all_strictly_less(smaller, larger) is expected
+
+
 def test_all_strictly_less_sees_a_nan_that_min_skips():
     assert min([1.0, math.nan]) == 1.0
     assert not all_strictly_less([0.0, 0.0], [1.0, math.nan])

@@ -463,7 +463,7 @@ def test_lattice_guard_weighs_its_exact_column_bound(run):
     assert columns == 44721359549995794
     code, out, err = run("lattice", "--region", "omega", "--m", "0", "--n", str(n))
     assert (code, out) == (3, "")
-    assert f"~{columns} coefficient slots" in err
+    assert f"~{columns} columns" in err
 
 
 def test_bounds_subcommand(run):

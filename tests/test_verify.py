@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import json
+import math
 import os
 import subprocess
 import sys
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -320,6 +322,47 @@ def test_cross_worker_computes_each_area_once_per_even_n(monkeypatch):
     violations, skips = verify._cross_worker((3, 3, 120))
     assert violations == [] and skips > 0
     assert calls == {1: 60, 2: 60}
+
+
+def test_a_passing_cross_worker_decides_every_column_at_once(monkeypatch):
+    """On a passing part, every strict inequality of _cross_lattice is
+    decided by bounds.all_strictly_less's column test: no point falls back
+    to bounds.strictly_less."""
+    calls = []
+    real = bounds.strictly_less
+    monkeypatch.setattr(bounds, "strictly_less", lambda a, b: calls.append((a, b)) or real(a, b))
+    violations, skips = verify._cross_worker((0, 30, 2000))
+    assert violations == [] and skips > 0
+    assert calls == []
+
+
+@st.composite
+def jarnik_columns(draw):
+    """(totals, length): totals with zeros anywhere, or growing with n as
+    count_sweep's do, and lengths on both sides of 1."""
+    totals = draw(st.lists(st.sampled_from((0, 0, 1, 5, 10**20)), max_size=24))
+    if draw(st.booleans()):
+        totals.sort()
+    bound = st.one_of(st.sampled_from((1.0, 0.0, math.nextafter(1.0, 0.0))), st.floats(0, 3))
+    length = draw(st.lists(bound, min_size=len(totals), max_size=len(totals)))
+    if draw(st.booleans()):
+        length = [max(b, 1.0) for b in length]
+    return totals, length
+
+
+@given(jarnik_columns())
+@settings(max_examples=500, deadline=None)
+def test_jarnik_points_are_those_that_meet_its_hypothesis(columns):
+    """_jarnik_points keeps exactly the points with a nonempty region and a
+    length bound >= 1, and counts the others, as the point-by-point
+    comprehension does."""
+    totals, length = columns
+    ns = range(2, 2 * len(totals) + 2, 2)
+    dev = [0.5 * i for i in range(len(totals))]
+    met = [total != 0 and not bound < 1 for total, bound in zip(totals, length)]
+    skips, kept = verify._jarnik_points(ns, totals, dev, length)
+    assert skips == len(met) - sum(met)
+    assert [list(c) for c in kept] == [list(compress(c, met)) for c in (ns, dev, length)]
 
 
 def test_lattice_corruption_in_the_second_block_names_its_m_and_n(monkeypatch):
