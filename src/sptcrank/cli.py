@@ -7,9 +7,11 @@ as 0); verify and finite-window take --timing to include measured values.
 There is no randomness anywhere in the tool.
 
 Exit codes: 0 all checks pass; 1 at least one verification failure;
-2 usage/configuration error; 3 resource guard triggered (verify, coeff,
-lattice and bounds take --override-resource-guard); 4 internal error (an
-unexpected exception, reported as one "error: internal: ..." line).
+2 usage/configuration error, found in the argv before any work starts;
+3 resource guard triggered (verify, coeff, lattice and bounds take
+--override-resource-guard); 4 internal error (an unexpected exception, a
+ValueError raised while a check runs included, reported as one
+"error: internal: ..." line).
 """
 
 from __future__ import annotations
@@ -29,8 +31,23 @@ CSV_COLUMNS = ("check", "m", "n", "value", "expected")
 _COEFF_FAMILIES = ("mc1", "mc5", "x", "y", "z")
 
 
+class _UsageError(Exception):
+    """A bad argv, found before any work starts: exit 2.  Every other
+    exception, a ValueError raised while a check runs included, is a fault
+    of the program: exit 4."""
+
+
+def _argv_checked(make, *args, **kwargs):
+    """make(*args, **kwargs), a record that validates the argv's values, with
+    its ValueError reported as a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+
+
 def _check_out(path: str) -> None:
-    """Raise ValueError unless PATH can be opened for writing.
+    """Raise _UsageError unless PATH can be opened for writing.
 
     Opening for append neither truncates an existing file nor writes to
     it; a file that this check creates is removed again.
@@ -40,7 +57,7 @@ def _check_out(path: str) -> None:
         with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
-        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
+        raise _UsageError(f"cannot write --out {path}: {exc.strerror}") from None
     if not existed:
         os.remove(path)
 
@@ -156,22 +173,15 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sptcrank",
-        description="Exact verification of nonnegativity for the spt-crank "
-        "counting functions M_C1(m,n) and M_C5(m,n).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeff", help="print coefficients of a series family")
+def _coeff_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=_COEFF_FAMILIES, required=True)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--n-max", type=int, required=True)
     _add_guard_flag(p)
     _add_format_flags(p)
 
-    p = sub.add_parser("verify", help="run a named check or all checks")
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--check", default="all", help="check id or 'all'")
     d = verify.SweepConfig()
     p.add_argument("--m-max", type=int, default=d.m_max)
@@ -181,18 +191,18 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     _add_format_flags(p)
 
-    p = sub.add_parser(
-        "finite-window",
-        help=f"the fixed sweep over 0<=m<={verify.WINDOW_M[-1]}, 20m<n<f(m)",
-    )
+
+def _window_flags(p: argparse.ArgumentParser) -> None:
     # Its range is fixed and its guard weight is 0, so no range or guard flag
     # could change the run; the config echo shows SweepConfig's defaults.
     _add_run_flags(p)
+    d = verify.SweepConfig()
     p.set_defaults(m_max=d.m_max, n_max=d.n_max, bivariate_order=d.bivariate_order,
                    override_resource_guard=False)
     _add_format_flags(p)
 
-    p = sub.add_parser("lattice", help="region counts and geometry figures")
+
+def _lattice_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--region", choices=[k.value for k in lattice.RegionKind], required=True
     )
@@ -201,19 +211,20 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_guard_flag(p)
     _add_format_flags(p)
 
-    p = sub.add_parser("bounds", help="threshold profile table f(m) vs 20m")
+
+def _bounds_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m-max", type=int, required=True)
     _add_guard_flag(p)
     _add_format_flags(p)
 
-    return parser
-
 
 def _cmd_coeff(args) -> int:
     if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
+        raise _UsageError("--n-max must be >= 1")
     verify.guard(args.n_max + 1, args.override_resource_guard)
     # mc1/mc5 are symmetric in m and take |m|; x/y/z reject m < 0 (exit 2).
+    if args.m < 0 and args.family not in ("mc1", "mc5"):
+        raise _UsageError("m must be non-negative")
     s = getattr(qseries, f"{args.family}_series")(args.m, args.n_max)
     rows = [
         (args.family, args.m, n, str(s[n]), "") for n in range(1, args.n_max + 1)
@@ -233,7 +244,8 @@ def _cmd_coeff(args) -> int:
 
 
 def _run_and_emit(args, checks) -> int:
-    cfg = verify.SweepConfig(
+    cfg = _argv_checked(
+        verify.SweepConfig,
         m_max=args.m_max,
         n_max=args.n_max,
         checks=checks,
@@ -252,7 +264,7 @@ def _run_and_emit(args, checks) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    spec = lattice.RegionSpec(lattice.RegionKind(args.region), args.m, args.n)
+    spec = _argv_checked(lattice.RegionSpec, lattice.RegionKind(args.region), args.m, args.n)
     # lattice._columns walks at most min(m + isqrt(2(n+1)), n // 2) + 1 columns
     columns = min(args.m + math.isqrt(2 * (args.n + 1)), args.n // 2) + 1
     verify.guard(columns, args.override_resource_guard, "columns")
@@ -292,7 +304,7 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.m_max < 0:
-        raise ValueError("--m-max must be non-negative")
+        raise _UsageError("--m-max must be non-negative")
     verify.guard(args.m_max + 1, args.override_resource_guard, "rows")
     profiles = [bounds.threshold_profile(m) for m in range(args.m_max + 1)]
     _emit(
@@ -322,26 +334,57 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+# Each subcommand, in help order: its help text, what adds its flags to its
+# parser, and what runs it.
+_COMMANDS = {
+    "coeff": ("print coefficients of a series family", _coeff_flags, _cmd_coeff),
+    "verify": (
+        "run a named check or all checks", _verify_flags,
+        lambda a: _run_and_emit(a, verify.CHECK_IDS if a.check == "all" else (a.check,)),
+    ),
+    "finite-window": (
+        f"the fixed sweep over 0<=m<={verify.WINDOW_M[-1]}, 20m<n<f(m)", _window_flags,
+        lambda a: _run_and_emit(a, ("finite-window",)),
+    ),
+    "lattice": ("region counts and geometry figures", _lattice_flags, _cmd_lattice),
+    "bounds": ("threshold profile table f(m) vs 20m", _bounds_flags, _cmd_bounds),
+}
+
+
+def _parser(argv: list) -> argparse.ArgumentParser:
+    """The parser of argv: every subcommand's name and help, and the flags
+    only of the subcommand that argv names, or of all when it names none.
+
+    argparse takes argv's first positional as the subcommand.  The top-level
+    parser has no option that takes a value, so the first item of argv that
+    names a subcommand is that positional, unless an earlier positional
+    names none, which argparse refuses whatever flags were added.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sptcrank",
+        description="Exact verification of nonnegativity for the spt-crank "
+        "counting functions M_C1(m,n) and M_C5(m,n).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((a for a in argv if a in _COMMANDS), None)
+    for name, (text, add_flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if named in (None, name):
+            add_flags(p)
+    return parser
+
+
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handlers = {
-        "coeff": _cmd_coeff,
-        "verify": lambda a: _run_and_emit(
-            a, verify.CHECK_IDS if a.check == "all" else (a.check,)
-        ),
-        "finite-window": lambda a: _run_and_emit(a, ("finite-window",)),
-        "lattice": _cmd_lattice,
-        "bounds": _cmd_bounds,
-    }
     try:
         if args.out:
             _check_out(args.out)
-        return handlers[args.command](args)
-    except ValueError as exc:
+        return _COMMANDS[args.command][2](args)
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except verify.ResourceGuardError as exc:

@@ -446,17 +446,24 @@ def _drop_monomial(acc: list, a: int, s: int) -> None:
     acc[a] -= s
 
 
-def lambert_sweep(parts, m_lo: int, m_hi: int, order: int):
+def lambert_sweep(parts, m_lo: int, m_hi: int, order: int, on_drop=None):
     """Yield (m, lists) for each m_lo <= m <= m_hi, lists[i] being
     lambert_part(parts[i], m, order).
 
     m_lo is built directly, and each later m by one step of the identity in
     the module docstring, one monomial per term.  The next step updates the
-    lists in place.
+    lists in place; on_drop(acc, a, s), if given, is called after each
+    _drop_monomial(acc, a, s) of a step, so that a caller can carry sums of
+    a list across m.
     """
     live = _first_terms([LAMBERT_PARTS[name] for name in parts], m_lo, order)
     accs = [_lambert_list(terms, order) for terms in live]
-    return _sweep(live, accs, m_lo, m_hi, order, _drop_monomial)
+    leave = _drop_monomial
+    if on_drop is not None:
+        def leave(acc, a, s):
+            _drop_monomial(acc, a, s)
+            on_drop(acc, a, s)
+    return _sweep(live, accs, m_lo, m_hi, order, leave)
 
 
 def t_series(m: int, order: int) -> TruncatedSeries:

@@ -160,6 +160,67 @@ def negative_over_one_minus_q2(coeffs, lo: int = 0) -> bool:
     return False
 
 
+def _negative_sum(coeffs) -> int:
+    return sum(filter((0).__gt__, coeffs))
+
+
+class ParitySums:
+    """negative_over_one_minus_q2 on a window lo <= n <= hi of one list, read
+    after read, from sums carried between the reads: a read costs what its
+    window's ends moved, and the window only where the sums leave it open.
+
+    For each parity class r it carries two sums of the list last read:
+    - sums[r], the class's sum up to its first n >= lo, at index ends[r],
+      where the window's running sums start;
+    - lows[r], the sum of the negative terms after that index, up to the
+      class's last n <= hi, at index tops[r].
+    No running sum in the window is below sums[r] + lows[r]; only where that
+    is negative are the class's running sums read.  A read adds the terms
+    that its window's ends moved past and takes off those that left, and
+    drop(acc, a, s) follows each change acc[a] -= s made to the list between
+    two reads.  A read of another list, or of a window with an end below the
+    last read's, starts over.
+    """
+
+    __slots__ = ("coeffs", "window", "sums", "ends", "lows", "tops")
+
+    def __init__(self) -> None:
+        self.coeffs = None
+
+    def drop(self, acc: list, a: int, s: int) -> None:
+        """Follow acc[a] -= s, just made, if acc is the list last read."""
+        if acc is self.coeffs:
+            r = a & 1
+            if a <= self.ends[r]:
+                self.sums[r] -= s
+            elif a <= self.tops[r]:
+                self.lows[r] += min(acc[a], 0) - min(acc[a] + s, 0)
+
+    def negative(self, coeffs: list, lo: int, hi: int) -> bool:
+        """Whether some coefficient lo <= n <= hi of coeffs / (1 - q^2) is
+        negative: min(over_one_minus_qk(coeffs[: hi + 1], 2)[lo:]) < 0."""
+        if coeffs is not self.coeffs or lo < self.window[0] or hi < self.window[1]:
+            self.coeffs, self.sums, self.lows = coeffs, [0, 0], [0, 0]
+            self.ends, self.tops = [-2, -1], [-2, -1]  # nothing summed
+        self.window = lo, hi
+        sums, ends, lows, tops = self.sums, self.ends, self.lows, self.tops
+        negative = False
+        for r in (0, 1):
+            first, last = lo + (lo - r) % 2, hi - (hi - r) % 2  # the class's n in the window
+            if first > last:
+                continue
+            end, top = ends[r], tops[r]
+            sums[r] += sum(coeffs[end + 2 : first + 1 : 2])
+            entered = coeffs[max(first, top) + 2 : last + 1 : 2]
+            left = coeffs[end + 2 : min(first, top) + 1 : 2] if top > end else ()
+            lows[r] += _negative_sum(entered) - _negative_sum(left)
+            ends[r], tops[r] = first, last
+            if sums[r] + lows[r] < 0:
+                negative = negative or min(
+                    accumulate(coeffs[first + 2 : last + 1 : 2], initial=sums[r])) < 0
+        return negative
+
+
 def divide_by_one_minus_qk(s: TruncatedSeries, k: int) -> TruncatedSeries:
     """Multiply by the geometric series 1/(1 - q^k) via an O(N) prefix recurrence.
 

@@ -23,10 +23,14 @@ m and is decided by one comparison of two columns; only a failing column
 is read point by point, to word its violations.  x-small-n and
 finite-window decide on the swept numerators over 1 - q^2, since dividing
 a prefix by 1 - q^2 is invertible: T == X and T == T1+...+T' compare the
-numerators, and series.negative_over_one_minus_q2 decides R2 >= 0 and
-X >= 0.  Only a failing m is divided, to word its violations.  conjecture
-decides each M_C1/M_C5 series of its sweep with one has_negative, an AND
-over the packed series, and decodes only a failing series.
+numerators, series.negative_over_one_minus_q2 decides R2 >= 0 and X >= 0
+for n <= 20m, and a series.ParitySums carried across the run's m decides
+X >= 0 on 20m < n < f(m): the sweep hands it each monomial it drops, so
+each m reads only what its window moved past, and the window itself only
+where the carried sums cannot rule out a negative value.  Only a failing m
+is divided, to word its violations.  conjecture decides each M_C1/M_C5
+series of its sweep with one has_negative, an AND over the packed series,
+and decodes only a failing series.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from operator import le, sub
 from typing import Callable, NamedTuple
 
 from . import bivariate, bounds, divisors, lattice, qseries
-from .series import negative_over_one_minus_q2, over_one_minus_qk
+from .series import ParitySums, negative_over_one_minus_q2, over_one_minus_qk
 
 TOOL_NAME = "sptcrank"
 TOOL_VERSION = "0.1.0"
@@ -200,21 +204,31 @@ def _x_small_worker(args):
 
 def _finite_window_worker(args):
     """X >= 0 on 20m < n < f(m) for m_lo <= m <= m_hi, from one sweep of X
-    at the run's largest n; counts the values checked."""
+    at the run's largest n; counts the values checked.
+
+    One series.ParitySums carries, from m to m, each parity class's sum of
+    X's numerator up to its window's first n and the sum of the negative
+    terms in its window; the sweep's on_drop hands it each monomial that a
+    step drops from X.  Each m adds only the terms its window's ends moved
+    past: 20 below the window, and the few that f(m) grew by.  A window whose
+    two sums add to >= 0 has no negative running sum, so only the other
+    windows are read, in place; an m costs what its window moved, not f(m).
+    """
     m_lo, m_hi = args
     out = []
     his = [math.ceil(bounds.f_of_m(m)) - 1 for m in range(m_lo, m_hi + 1)]  # largest n < f(m)
     order = max(his)
     counted = 0
-    for (m, swept), hi in zip(qseries.lambert_sweep(("X",), m_lo, m_hi, order), his):
+    sums = ParitySums()
+    for (m, (x,)), hi in zip(qseries.lambert_sweep(("X",), m_lo, m_hi, order, sums.drop), his):
         lo = 20 * m + 1
         if hi < lo:
             continue
         counted += hi - lo + 1
-        if negative_over_one_minus_q2(swept[0][: hi + 1], lo):
-            x = over_one_minus_qk(swept[0][: hi + 1], 2)[lo:]
-            out += _negatives(m, range(lo, hi + 1), x, "X^(m)(n) >= 0 on 20m < n < f(m)")
-    out += _sweep_mismatches(m_hi, ("X",), swept, [qseries.lambert_part("X", m_hi, order)])
+        if sums.negative(x, lo, hi):
+            xs = over_one_minus_qk(x[: hi + 1], 2)[lo:]
+            out += _negatives(m, range(lo, hi + 1), xs, "X^(m)(n) >= 0 on 20m < n < f(m)")
+    out += _sweep_mismatches(m_hi, ("X",), [x], [qseries.lambert_part("X", m_hi, order)])
     return _capped(out), counted
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sptcrank
-from sptcrank import bounds, lattice, qseries, verify
+from sptcrank import bivariate, bounds, lattice, qseries, verify
 from sptcrank.cli import run_cli
 from test_qseries import packed
 
@@ -350,6 +350,13 @@ def _raise(exc):
     [
         (verify, "run_checks", RuntimeError("boom"), ("verify", "--check", "y-nonneg")),
         (bounds, "threshold_profile", ArithmeticError("near-tie"), ("bounds", "--m-max", "3")),
+        # a ValueError past the argv's own checks is a fault, not a usage error
+        (qseries, "x_series", ValueError("m must be non-negative"),
+         ("coeff", "--family", "x", "--n-max", "5")),
+        (lattice, "count_region", ValueError("odd_y must lie between 0 and total"),
+         ("lattice", "--region", "omega", "--m", "1", "--n", "10")),
+        (bivariate, "spt_crank_bivariate", ValueError("z^-20 is nonzero below q^20"),
+         ("verify", "--check", "cross", "--m-max", "2", "--n-max", "20")),
     ],
 )
 def test_unexpected_error_exits_four(run, monkeypatch, module, name, exc, argv):
@@ -363,6 +370,18 @@ def test_unexpected_error_exits_four(run, monkeypatch, module, name, exc, argv):
     # the innermost frame: the `raise exc` line of fail, one after its `def`
     raised_at = f"{fail.__code__.co_filename}:{fail.__code__.co_firstlineno + 1}"
     assert err.removeprefix(f"error: internal: {exc!r} at ") == raised_at + "\n"
+
+
+@pytest.mark.parametrize("check", verify.CHECK_IDS)
+def test_a_value_error_in_a_worker_exits_four(run, monkeypatch, check):
+    """Only the argv's own checks exit 2: a worker that raises ValueError
+    while its check runs is an internal error."""
+    fail = _raise(ValueError("z^-20 is nonzero below q^20"))
+    monkeypatch.setitem(verify._CHECKS, check, verify._CHECKS[check]._replace(worker=fail))
+    argv = ["verify", "--check", check, "--m-max", "2", "--n-max", "20"]
+    code, out, err = run(*(["finite-window"] if check == "finite-window" else argv))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal: ValueError('z^-20 is nonzero below q^20') at ")
 
 
 def test_corrupted_series_is_verification_failure(run, monkeypatch):

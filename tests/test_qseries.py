@@ -608,6 +608,29 @@ def test_lambert_sweep_steps_by_the_terms_at_the_previous_m(monkeypatch, name, m
         assert lengths[1] > lengths[-1], "no term leaves mid-run"
 
 
+def test_lambert_sweep_hands_on_drop_each_dropped_monomial(monkeypatch):
+    """on_drop(acc, a, s) is called once after each _drop_monomial(acc, a, s),
+    with the list already changed, and the sweep's lists are unchanged by it."""
+    calls = []
+    real = qseries._drop_monomial
+
+    def drop(acc, a, s):
+        calls.append(("drop", a, s, acc[a]))
+        real(acc, a, s)
+
+    def on_drop(acc, a, s):
+        calls.append(("on_drop", a, s, acc[a] + s))
+
+    monkeypatch.setattr(qseries, "_drop_monomial", drop)
+    plain = [[list(c) for c in lists] for _, lists in qseries.lambert_sweep(("X", "T"), 0, 30, 400)]
+    assert len(calls) > 100
+    calls.clear()
+    for m, lists in qseries.lambert_sweep(("X", "T"), 0, 30, 400, on_drop):
+        assert lists == plain[m], m
+    assert calls[::2] == [("drop", *c[1:]) for c in calls[1::2]]
+    assert {c[0] for c in calls[1::2]} == {"on_drop"}
+
+
 def test_lambert_sweep_x_on_the_finite_window_scale():
     for m, (acc,) in qseries.lambert_sweep(("X",), 0, 120, 2400):
         assert _over_q2(acc) == x_series(m, 2400).coeffs, m

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sptcrank import series
 from sptcrank.series import (
+    ParitySums,
     TruncatedSeries,
     divide_by_one_minus_qk,
     geometric_term,
@@ -197,6 +199,60 @@ def test_negative_over_one_minus_q2_reads_each_parity_class():
     assert not negative_over_one_minus_q2([-1, 0, 1], 1)  # -1 at q^0 only
     assert negative_over_one_minus_q2([-1, 0, 0], 1)  # -1 at q^2
     assert not negative_over_one_minus_q2([], 0)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_carried_parity_sums_give_the_fresh_window_verdict(data):
+    """ParitySums, read after read of one list, gives the verdict of
+    negative_over_one_minus_q2(x[: hi + 1], lo) and of the quotient itself.
+    Between reads, monomials are dropped below, inside and above the window,
+    and one change to a copy of the list is handed to drop, which must ignore
+    it.  The windows' ends mostly move up, as the finite window's do; a
+    window that moves down, or one read of a copy, starts the sums over."""
+    n = data.draw(st.integers(1, 40), "length")
+    x = data.draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n), "x")
+    sums = ParitySums()
+    lo = hi = 0
+    for _ in range(data.draw(st.integers(1, 12), "reads")):
+        drops = st.tuples(st.integers(0, n - 1), st.integers(-4, 4))
+        for a, s in data.draw(st.lists(drops, max_size=6), "drops"):
+            x[a] -= s
+            sums.drop(x, a, s)
+        copy = list(x)
+        copy[0] -= 1
+        sums.drop(copy, 0, 1)
+        if data.draw(st.integers(0, 3), "0: window drawn afresh") > 0:
+            lo = min(lo + data.draw(st.integers(0, 3), "lo step"), n)
+            hi = min(hi + data.draw(st.integers(0, 6), "hi step"), n - 1)
+        else:
+            lo, hi = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+        read = copy if data.draw(st.booleans(), "read a copy") else x
+        want = negative_over_one_minus_q2(read[: hi + 1], lo)
+        assert want == (min(over_one_minus_qk(read[: hi + 1], 2)[lo:], default=0) < 0)
+        assert sums.negative(read, lo, hi) == want, (lo, hi)
+        if read is copy:
+            sums.negative(x, lo, hi)  # back on x, as a sweep would be
+        for r in (0, 1):  # the sums the docstring names, of the list last read
+            end, top = (max(i + 1, 0) for i in (sums.ends[r], sums.tops[r]))  # slice stops
+            assert sums.sums[r] == sum(x[r:end:2]), r
+            assert sums.lows[r] == sum(c for c in x[end + 1 : top : 2] if c < 0), r
+
+
+def test_carried_parity_sums_read_only_an_open_window(monkeypatch):
+    """A window whose carried sums add to >= 0 is decided without reading
+    its running sums; a negative class is still found once they do not."""
+    reads = []
+    monkeypatch.setattr(series, "accumulate", lambda c, initial: reads.append(initial) or [initial])
+    x = [5, 5] + [-1, 1] * 4
+    sums = ParitySums()
+    assert not sums.negative(x, 0, len(x) - 1)
+    assert (sums.sums, sums.lows, reads) == ([5, 5], [-4, 0], [])
+    x[0] -= 5
+    sums.drop(x, 0, 5)
+    assert sums.sums == [0, 5]
+    monkeypatch.undo()
+    assert sums.negative(x, 0, len(x) - 1)  # the even class reads -1 at q^2
 
 
 def test_sum_series():

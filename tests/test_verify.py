@@ -426,8 +426,8 @@ def test_corrupted_sweep_is_caught_by_the_direct_build(monkeypatch, check, part)
     check with one violation per run, naming the part."""
     real = qseries.lambert_sweep
 
-    def bad(parts, m_lo, m_hi, order):
-        for m, lists in real(parts, m_lo, m_hi, order):
+    def bad(parts, m_lo, m_hi, order, on_drop=None):
+        for m, lists in real(parts, m_lo, m_hi, order, on_drop):
             if m == m_hi:
                 lists[-1][-1] += 1
             yield m, lists

@@ -43,8 +43,8 @@ def _bumped_lambert(*bumps):
     the coefficient of q^n of the numerator over 1 - q^2."""
     real = qseries.lambert_sweep
 
-    def lambert_sweep(parts, m_lo, m_hi, order):
-        for m, lists in real(parts, m_lo, m_hi, order):
+    def lambert_sweep(parts, m_lo, m_hi, order, on_drop=None):
+        for m, lists in real(parts, m_lo, m_hi, order, on_drop):
             hits = [(parts.index(name), n, d) for name, m_bad, n, d in bumps
                     if m_bad == m and name in parts and n <= order]
             if hits:
