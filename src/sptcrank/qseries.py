@@ -342,7 +342,7 @@ def _first_terms(sources, m_lo: int, order: int) -> list:
     return [list(terms(m_lo, order)) for terms in sources]
 
 
-def _sweep(live, accs, m_lo: int, m_hi: int, order: int, leave):
+def _sweep(live, accs, m_lo: int, m_hi: int, order: int, leave, on_drop=None):
     """Yield (m, accs) for each m_lo <= m <= m_hi, accs[i] accumulating the
     terms live[i] at m.
 
@@ -350,13 +350,17 @@ def _sweep(live, accs, m_lo: int, m_hi: int, order: int, leave):
     Each later m is one step of the identity in the module docstring:
     leave(acc, a, s) takes each term s * q^a / (1 - q^b) at m - 1 down to
     the same term at m, carried on as (a + b, b, s) while a + b is at most
-    the order.  The next step updates the accumulators in place.
+    the order; then on_drop(acc, terms), if given, gets the list of the
+    terms at m - 1 that acc has just left.  The next step updates the
+    accumulators in place.
     """
     for m in range(m_lo, m_hi + 1):
         if m > m_lo:
             for acc, terms in zip(accs, live):
                 for a, _, s in terms:
                     leave(acc, a, s)
+                if on_drop is not None:
+                    on_drop(acc, terms)
             live = [[(a + b, b, s) for a, b, s in terms if a + b <= order] for terms in live]
         yield m, accs
 
@@ -451,19 +455,15 @@ def lambert_sweep(parts, m_lo: int, m_hi: int, order: int, on_drop=None):
     lambert_part(parts[i], m, order).
 
     m_lo is built directly, and each later m by one step of the identity in
-    the module docstring, one monomial per term.  The next step updates the
-    lists in place; on_drop(acc, a, s), if given, is called after each
-    _drop_monomial(acc, a, s) of a step, so that a caller can carry sums of
-    a list across m.
+    the module docstring: _drop_monomial(acc, a, s) per term.  The next step
+    updates the lists in place; on_drop(acc, terms), if given, is called once
+    per list and step, after that list's drops, with the list of the terms
+    (a, b, s) at m - 1 whose monomials s * q^a it dropped (an exponent can
+    repeat), so that a caller can carry what it read of a list across m.
     """
     live = _first_terms([LAMBERT_PARTS[name] for name in parts], m_lo, order)
     accs = [_lambert_list(terms, order) for terms in live]
-    leave = _drop_monomial
-    if on_drop is not None:
-        def leave(acc, a, s):
-            _drop_monomial(acc, a, s)
-            on_drop(acc, a, s)
-    return _sweep(live, accs, m_lo, m_hi, order, leave)
+    return _sweep(live, accs, m_lo, m_hi, order, _drop_monomial, on_drop)
 
 
 def t_series(m: int, order: int) -> TruncatedSeries:

@@ -145,17 +145,18 @@ def over_one_minus_qk(coeffs, k: int) -> tuple:
     return tuple(out)
 
 
-def negative_over_one_minus_q2(coeffs, lo: int = 0) -> bool:
-    """Whether some coefficient n >= lo of the list or tuple coeffs / (1 - q^2)
-    is negative, that is min(over_one_minus_qk(coeffs, 2)[lo:]) < 0, decided
-    on the running sums of each parity class coeffs[r::2], without building
-    the quotient.  Each class's sum up to its first n >= lo is one sum, and
-    the running sums start there."""
-    for r in (0, 1):
-        first = lo + (lo - r) % 2 if lo > r else r  # the class's first n >= lo
-        if first < len(coeffs) and min(
-            accumulate(coeffs[first + 2::2], initial=sum(coeffs[r:first + 1:2]))
-        ) < 0:
+def negative_running_sum(coeffs: list, negatives) -> bool:
+    """Whether coeffs / (1 - q^2) has a negative coefficient, that is some
+    running sum of a parity class of coeffs is negative, given the indices
+    of coeffs' negative terms: a running sum falls only at a negative term,
+    so each class's sums are read up to those terms, chained from one to
+    the next."""
+    sums, starts = [0, 0], [0, 1]
+    for n in sorted(negatives):
+        r = n & 1
+        sums[r] += sum(coeffs[starts[r]:n + 1:2])
+        starts[r] = n + 2
+        if sums[r] < 0:
             return True
     return False
 
@@ -165,9 +166,10 @@ def _negative_sum(coeffs) -> int:
 
 
 class ParitySums:
-    """negative_over_one_minus_q2 on a window lo <= n <= hi of one list, read
-    after read, from sums carried between the reads: a read costs what its
-    window's ends moved, and the window only where the sums leave it open.
+    """Whether a list over 1 - q^2 has a negative coefficient on a window
+    lo <= n <= hi, read after read of one list, from sums carried between
+    the reads: a read costs what its window's ends moved, and the window
+    only where the sums leave it open.
 
     For each parity class r it carries two sums of the list last read:
     - sums[r], the class's sum up to its first n >= lo, at index ends[r],
@@ -177,9 +179,9 @@ class ParitySums:
     No running sum in the window is below sums[r] + lows[r]; only where that
     is negative are the class's running sums read.  A read adds the terms
     that its window's ends moved past and takes off those that left, and
-    drop(acc, a, s) follows each change acc[a] -= s made to the list between
-    two reads.  A read of another list, or of a window with an end below the
-    last read's, starts over.
+    drop(acc, terms) follows the changes acc[a] -= s, one per term (a, b, s),
+    made to the list between two reads.  A read of another list, or of a
+    window with an end below the last read's, starts over.
     """
 
     __slots__ = ("coeffs", "window", "sums", "ends", "lows", "tops")
@@ -187,14 +189,20 @@ class ParitySums:
     def __init__(self) -> None:
         self.coeffs = None
 
-    def drop(self, acc: list, a: int, s: int) -> None:
-        """Follow acc[a] -= s, just made, if acc is the list last read."""
+    def drop(self, acc: list, terms) -> None:
+        """Follow acc[a] -= s for each term (a, b, s), all just made, if acc
+        is the list last read.  An exponent can repeat, so the s of each index
+        in the window are summed first: acc[a] + that sum is its old value."""
         if acc is self.coeffs:
-            r = a & 1
-            if a <= self.ends[r]:
-                self.sums[r] -= s
-            elif a <= self.tops[r]:
-                self.lows[r] += min(acc[a], 0) - min(acc[a] + s, 0)
+            sums, ends, tops, moved = self.sums, self.ends, self.tops, {}
+            for a, _, s in terms:
+                r = a & 1
+                if a <= ends[r]:
+                    sums[r] -= s
+                elif a <= tops[r]:
+                    moved[a] = moved.get(a, 0) + s
+            for a, s in moved.items():
+                self.lows[a & 1] += min(acc[a], 0) - min(acc[a] + s, 0)
 
     def negative(self, coeffs: list, lo: int, hi: int) -> bool:
         """Whether some coefficient lo <= n <= hi of coeffs / (1 - q^2) is

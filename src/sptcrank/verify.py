@@ -22,15 +22,18 @@ of its run, so it cannot pass unseen.  A check reads columns over n at one
 m and is decided by one comparison of two columns; only a failing column
 is read point by point, to word its violations.  x-small-n and
 finite-window decide on the swept numerators over 1 - q^2, since dividing
-a prefix by 1 - q^2 is invertible: T == X and T == T1+...+T' compare the
-numerators, series.negative_over_one_minus_q2 decides R2 >= 0 and X >= 0
-for n <= 20m, and a series.ParitySums carried across the run's m decides
-X >= 0 on 20m < n < f(m): the sweep hands it each monomial it drops, so
-each m reads only what its window moved past, and the window itself only
-where the carried sums cannot rule out a negative value.  Only a failing m
-is divided, to word its violations.  conjecture decides each M_C1/M_C5
-series of its sweep with one has_negative, an AND over the packed series,
-and decodes only a failing series.
+a prefix by 1 - q^2 is invertible, and carry their verdicts across the
+run's m: the sweep's on_drop hands over each list's batch of dropped terms
+once per step, so each m reads only what its batches and its window's ends
+moved.  x-small-n carries the n <= 20m where T, X and T1+...+T' differ and
+where T's and R1's numerators are negative; a running sum falls only at a
+negative term, so X >= 0 is read at T's few negative terms and R2 >= 0 at
+what r2_numerator writes and at R1's.  A series.ParitySums decides X >= 0
+on 20m < n < f(m), reading the window only where its carried sums cannot
+rule out a negative value.  Only a failing m is divided, to word its
+violations.  conjecture decides each M_C1/M_C5 series of its sweep with
+one has_negative, an AND over the packed series, and decodes only a
+failing series.
 """
 
 from __future__ import annotations
@@ -39,12 +42,12 @@ import math
 import os
 import time
 from bisect import bisect_left
-from itertools import accumulate, compress
-from operator import le, sub
+from itertools import accumulate, chain, compress
+from operator import is_, le, sub
 from typing import Callable, NamedTuple
 
 from . import bivariate, bounds, divisors, lattice, qseries
-from .series import ParitySums, negative_over_one_minus_q2, over_one_minus_qk
+from .series import ParitySums, negative_running_sum, over_one_minus_qk
 
 TOOL_NAME = "sptcrank"
 TOOL_VERSION = "0.1.0"
@@ -179,19 +182,44 @@ _X_SMALL_PARTS = ("T", "X", "T-components", "R1")
 
 def _x_small_worker(args):
     """T == X, T == T1+T3+T5+T7+T9+T', R2 >= 0 and X >= 0 for
-    m_lo <= m <= m_hi and n <= 20m, from one sweep at order 20*m_hi."""
+    m_lo <= m <= m_hi and n <= 20m, from one sweep at order 20*m_hi.
+
+    Carried from m to m: the n <= 20m where T, X and the T-components
+    differ, and those where T's and R1's numerators are negative (at most 9
+    and none at m <= 120).  An m reads again only the exponents below the
+    last window that its on_drop batches name, and the 20 n its window
+    gained; lists other than those last read, or batches of other lists,
+    start over on the whole window.  R2 >= 0 reads what r2_numerator wrote.
+    """
     m_lo, m_hi = args
     out = []
     order = 20 * m_hi
-    for m, swept in qseries.lambert_sweep(_X_SMALL_PARTS, m_lo, m_hi, order):
-        k = 20 * m + 1
-        t, x, comp, r1 = (acc[:k] for acc in swept)
-        rem = qseries.r2_numerator(r1, m)
-        # a numerator with no negative coefficient has no negative running sum
-        r2_ok = min(rem) >= 0 or not negative_over_one_minus_q2(rem)
-        if t == x == comp and r2_ok and not negative_over_one_minus_q2(t):
+    read, batches = (), []  # the lists last read, and the (list, terms) dropped since
+    sweep = qseries.lambert_sweep(_X_SMALL_PARTS, m_lo, m_hi, order,
+                                  lambda acc, terms: batches.append((acc, terms)))
+    k = 0
+    for m, swept in sweep:
+        t, x, comp, r1 = swept
+        lo, k = k, 20 * m + 1
+        # carried only on the lists last read, each with one batch since
+        if len(batches) == len(read) == len(swept) and all(
+                map(is_, chain(swept, (acc for acc, _ in batches)), read * 2)):
+            ns = {a for _, terms in batches for a, _, _ in terms if a < lo}.union(range(lo, k))
+        else:
+            unequal = t_neg = r1_neg = ()
+            ns = range(k)
+        read, batches[:] = tuple(swept), ()
+        unequal = {n for n in chain(unequal, ns) if not t[n] == x[n] == comp[n]}
+        t_neg = {n for n in chain(t_neg, ns) if t[n] < 0}
+        r1_neg = {n for n in chain(r1_neg, ns) if r1[n] < 0}
+        rem = qseries.r2_numerator(r1[:k], m)
+        # rem can be negative only where r2_numerator wrote or at R1's negatives
+        written = chain.from_iterable(rem[slice(*p)] for p in qseries._r2_progressions(m))
+        r2_ok = (min(written, default=0) >= 0 and all(rem[n] >= 0 for n in r1_neg)
+                 or not negative_running_sum(rem, [n for n, c in enumerate(rem) if c < 0]))
+        if not unequal and r2_ok and not negative_running_sum(t, t_neg):
             continue
-        t, x, comp, rem = (over_one_minus_qk(c, 2) for c in (t, x, comp, rem))
+        t, x, comp, rem = (over_one_minus_qk(c[:k], 2) for c in (t, x, comp, rem))
         ns = range(k)
         out += _unequal(m, ns, t, x, "T coefficient == X coefficient")
         out += _unequal(m, ns, comp, t, "T1+T3+T5+T7+T9+T' == T coefficient")
@@ -208,11 +236,12 @@ def _finite_window_worker(args):
 
     One series.ParitySums carries, from m to m, each parity class's sum of
     X's numerator up to its window's first n and the sum of the negative
-    terms in its window; the sweep's on_drop hands it each monomial that a
-    step drops from X.  Each m adds only the terms its window's ends moved
-    past: 20 below the window, and the few that f(m) grew by.  A window whose
-    two sums add to >= 0 has no negative running sum, so only the other
-    windows are read, in place; an m costs what its window moved, not f(m).
+    terms in its window; the sweep's on_drop hands it the batch of terms
+    that each step drops from X.  Each m adds only the terms its window's
+    ends moved past: 20 below the window, and the few that f(m) grew by.  A
+    window whose two sums add to >= 0 has no negative running sum, so only
+    the other windows are read, in place; an m costs what its window moved,
+    not f(m).
     """
     m_lo, m_hi = args
     out = []

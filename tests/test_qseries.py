@@ -2,7 +2,7 @@
 
 import random
 from itertools import accumulate
-from operator import add, sub
+from operator import add, is_, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -609,26 +609,38 @@ def test_lambert_sweep_steps_by_the_terms_at_the_previous_m(monkeypatch, name, m
 
 
 def test_lambert_sweep_hands_on_drop_each_dropped_monomial(monkeypatch):
-    """on_drop(acc, a, s) is called once after each _drop_monomial(acc, a, s),
-    with the list already changed, and the sweep's lists are unchanged by it."""
-    calls = []
+    """on_drop(acc, terms) is called once per list and step, after that
+    list's _drop_monomial(acc, a, s) calls, with the list already changed and
+    the terms LAMBERT_PARTS[name](m - 1, order) whose monomials were dropped;
+    the sweep's lists are unchanged by it."""
+    parts, order = ("X", "T"), 400
+    calls, handed = [], []
     real = qseries._drop_monomial
 
     def drop(acc, a, s):
-        calls.append(("drop", a, s, acc[a]))
+        calls.append(("drop", a, s))
         real(acc, a, s)
 
-    def on_drop(acc, a, s):
-        calls.append(("on_drop", a, s, acc[a] + s))
+    def on_drop(acc, terms):
+        calls.append(("on_drop", list(acc), terms))
+        handed.append(acc)
 
     monkeypatch.setattr(qseries, "_drop_monomial", drop)
-    plain = [[list(c) for c in lists] for _, lists in qseries.lambert_sweep(("X", "T"), 0, 30, 400)]
+    plain = [[list(c) for c in lists] for _, lists in qseries.lambert_sweep(parts, 0, 30, order)]
     assert len(calls) > 100
     calls.clear()
-    for m, lists in qseries.lambert_sweep(("X", "T"), 0, 30, 400, on_drop):
+    for m, lists in qseries.lambert_sweep(parts, 0, 30, order, on_drop):
         assert lists == plain[m], m
-    assert calls[::2] == [("drop", *c[1:]) for c in calls[1::2]]
-    assert {c[0] for c in calls[1::2]} == {"on_drop"}
+        want = []
+        for name in parts if m else ():
+            terms = list(qseries.LAMBERT_PARTS[name](m - 1, order))
+            want += [("drop", a, s) for a, _, s in terms]
+            want.append(("on_drop", qseries.lambert_part(name, m, order), terms))
+        assert calls == want, m
+        assert len(handed) == len(lists) if m else not handed
+        assert all(map(is_, handed, lists)), m  # the yielded lists themselves
+        calls.clear()
+        handed.clear()
 
 
 def test_lambert_sweep_x_on_the_finite_window_scale():

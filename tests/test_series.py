@@ -1,5 +1,7 @@
 """Truncated-series ring: axioms, inversion, geometric helpers."""
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,7 @@ from sptcrank.series import (
     TruncatedSeries,
     divide_by_one_minus_qk,
     geometric_term,
-    negative_over_one_minus_q2,
+    negative_running_sum,
     over_one_minus_qk,
     sum_series,
 )
@@ -182,6 +184,22 @@ def test_fast_division_is_bit_identical_to_mul(a, k):
     assert fast.coeffs == slow.coeffs
 
 
+def negative_over_one_minus_q2(coeffs, lo: int = 0) -> bool:
+    """Whether some coefficient n >= lo of the list or tuple coeffs / (1 - q^2)
+    is negative, that is min(over_one_minus_qk(coeffs, 2)[lo:]) < 0, decided
+    on the running sums of each parity class coeffs[r::2], without building
+    the quotient.  Each class's sum up to its first n >= lo is one sum, and
+    the running sums start there.  The reference for ParitySums and for
+    x-small-n's carried verdicts."""
+    for r in (0, 1):
+        first = lo + (lo - r) % 2 if lo > r else r  # the class's first n >= lo
+        if first < len(coeffs) and min(
+            accumulate(coeffs[first + 2::2], initial=sum(coeffs[r:first + 1:2]))
+        ) < 0:
+            return True
+    return False
+
+
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=60))
 @settings(max_examples=300, deadline=None)
 def test_negative_over_one_minus_q2_reads_the_quotient(coeffs):
@@ -201,27 +219,43 @@ def test_negative_over_one_minus_q2_reads_each_parity_class():
     assert not negative_over_one_minus_q2([], 0)
 
 
+@given(st.lists(st.integers(-4, 4), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_sums_up_to_the_negative_terms_decide_the_running_sums(coeffs):
+    """negative_running_sum, given the indices of the negative terms, is
+    negative_over_one_minus_q2 of the whole list."""
+    negatives = {n for n, c in enumerate(coeffs) if c < 0}
+    assert negative_running_sum(coeffs, negatives) == negative_over_one_minus_q2(coeffs)
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_carried_parity_sums_give_the_fresh_window_verdict(data):
     """ParitySums, read after read of one list, gives the verdict of
     negative_over_one_minus_q2(x[: hi + 1], lo) and of the quotient itself.
-    Between reads, monomials are dropped below, inside and above the window,
-    and one change to a copy of the list is handed to drop, which must ignore
-    it.  The windows' ends mostly move up, as the finite window's do; a
-    window that moves down, or one read of a copy, starts the sums over."""
+    Between reads, batches of monomials are dropped below, inside and above
+    the window, as a sweep's steps drop them: all of a batch's changes are
+    made, then the batch is handed to drop.  An exponent can repeat within a
+    batch, and one change to a copy of the list is handed to drop, which
+    must ignore it.  The windows' ends mostly move up, as the finite window's
+    do; a window that moves down, or one read of a copy, starts the sums
+    over."""
     n = data.draw(st.integers(1, 40), "length")
     x = data.draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n), "x")
     sums = ParitySums()
     lo = hi = 0
     for _ in range(data.draw(st.integers(1, 12), "reads")):
-        drops = st.tuples(st.integers(0, n - 1), st.integers(-4, 4))
-        for a, s in data.draw(st.lists(drops, max_size=6), "drops"):
-            x[a] -= s
-            sums.drop(x, a, s)
+        drops = st.tuples(st.integers(0, n - 1), st.integers(1, 9), st.integers(-4, 4))
+        for batch in data.draw(st.lists(st.lists(drops, max_size=6), max_size=3), "batches"):
+            if batch and data.draw(st.booleans(), "repeat an exponent"):
+                (a, b, _), s = batch[0], data.draw(st.integers(-4, 4), "repeated s")
+                batch.append((a, b, s))
+            for a, _, s in batch:
+                x[a] -= s
+            sums.drop(x, batch)
         copy = list(x)
         copy[0] -= 1
-        sums.drop(copy, 0, 1)
+        sums.drop(copy, [(0, 2, 1)])
         if data.draw(st.integers(0, 3), "0: window drawn afresh") > 0:
             lo = min(lo + data.draw(st.integers(0, 3), "lo step"), n)
             hi = min(hi + data.draw(st.integers(0, 6), "hi step"), n - 1)
@@ -241,15 +275,21 @@ def test_carried_parity_sums_give_the_fresh_window_verdict(data):
 
 def test_carried_parity_sums_read_only_an_open_window(monkeypatch):
     """A window whose carried sums add to >= 0 is decided without reading
-    its running sums; a negative class is still found once they do not."""
+    its running sums; a negative class is still found once they do not.  A
+    batch that drops q^4 twice lifts it from -1 to 1, which takes its -1 off
+    the negative terms; one that drops q^0 twice lowers the sum below the
+    window by both."""
     reads = []
     monkeypatch.setattr(series, "accumulate", lambda c, initial: reads.append(initial) or [initial])
     x = [5, 5] + [-1, 1] * 4
     sums = ParitySums()
     assert not sums.negative(x, 0, len(x) - 1)
     assert (sums.sums, sums.lows, reads) == ([5, 5], [-4, 0], [])
+    x[4] += 2
+    sums.drop(x, [(4, 2, -1), (4, 2, -1)])
+    assert sums.lows == [-3, 0]
     x[0] -= 5
-    sums.drop(x, 0, 5)
+    sums.drop(x, [(0, 2, 2), (0, 2, 3)])
     assert sums.sums == [0, 5]
     monkeypatch.undo()
     assert sums.negative(x, 0, len(x) - 1)  # the even class reads -1 at q^2
