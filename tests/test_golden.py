@@ -53,3 +53,13 @@ def test_output_matches_golden(capsys, name, fmt):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+def test_cross_at_acceptance_scale_matches_golden(capsys):
+    """Cross at m <= 120, n <= 2400: Omega is empty at every n < 4m + 10 and
+    Omega' at smaller n, 18,604 points in all, so the checks at
+    empty regions run at scale."""
+    code = run_cli(["verify", "--check", "cross", "--m-max", "120", "--n-max", "2400",
+                    "--bivariate-order", "0", "--json"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify-cross-m120.json").read_text(encoding="utf-8")
