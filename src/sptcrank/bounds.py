@@ -104,6 +104,33 @@ def theorem2_lower_bound(m: int, n: int) -> float:
     return theorem2_m_free(n, math.sqrt(n + 1)) - m - 2
 
 
+def derivation_margins(m1_sqrt, m2_sqrt, omega_length, omega_prime_length, theorem2_sqrt) -> tuple:
+    """Exact lower bounds, as Fractions of the constants as given, on the
+    margins d1 = m1_sqrt - omega_length/2 - sqrt(2)/4, d2 = m2_sqrt -
+    omega_prime_length/2 - sqrt(3)/2 and d_bc = (theorem2_sqrt - m1_sqrt -
+    m2_sqrt)/2 by which the M1, M2 and theorem 2 bounds follow from the
+    Jarnik and parity lemmas; each is > 0 exactly when its margin is:
+
+    - M1 <= N/2 + sqrt(2(n+1))/4 + 1 and N < A + 3.6 sqrt(n+1) give
+      M1 < A/2 + 2.2 sqrt(n+1) + 1 when d1 > 0;
+    - M2 >= N/2 - sqrt(3(n+1))/2 - m/2 - 1 and N > A - 5.5 sqrt(n+1) - m
+      give M2 > A/2 - 3.7 sqrt(n+1) - m - 1 when d2 > 0;
+    - M2 - M1 then exceeds theorem 2's bound when d_bc > 0.
+
+    With a = m1_sqrt - omega_length/2 > 0, d1 = (a^2 - 1/8)/(a + sqrt(2)/4),
+    which (a^2 - 1/8)/(2a) bounds below with its sign, as a^2 = 1/8 has no
+    rational root; a <= 0 gives a - 1 < d1 < 0.  The same holds for d2 with
+    3/4.
+    """
+    from fractions import Fraction  # here: only cross and the tests read it
+
+    m1, m2 = Fraction(m1_sqrt), Fraction(m2_sqrt)
+    a, b = m1 - Fraction(omega_length) / 2, m2 - Fraction(omega_prime_length) / 2
+    return (*((x * x - q) / (2 * x) if x > 0 else x - 1
+              for x, q in ((a, Fraction(1, 8)), (b, Fraction(3, 4)))),
+            (Fraction(theorem2_sqrt) - m1 - m2) / 2)
+
+
 def m2_minus_m1_bound_check(m: int, n: int, m1_bound: float, m2_bound: float) -> bool:
     """Re-verify the combination step: the Omega'/Omega bound difference
     m2_bound - m1_bound (lattice.m2_lower_bound, lattice.m1_upper_bound) must

@@ -72,7 +72,7 @@ class GeometryFigures(NamedTuple):
 
 
 # sqrt(n+1) coefficients of the Jarnik length bounds of Omega and Omega' and
-# of the M1 and M2 bounds (tests/test_bounds.py checks how they are derived)
+# of the M1 and M2 bounds (bounds.derivation_margins decides how they are derived)
 OMEGA_LENGTH = 3.6
 OMEGA_PRIME_LENGTH = 5.5
 M1_SQRT = 2.2
@@ -170,17 +170,22 @@ def sqrt_columns(ns) -> tuple:
 
 
 def figure_columns(m: int, terms: tuple) -> tuple:
-    """((area, length, extent) of Omega, the same of Omega', m1_bound,
-    m2_bound): columns over the n of terms = sqrt_columns(ns) of
-    geometry_figures' numbers, and of m1_upper_bound and m2_lower_bound at
-    those areas, as plain floats."""
-    ns, _, length_o, extent_o, length_p, extent_p, m1_sqrt, m2_sqrt = terms
+    """((area, length, extent) of Omega, the same of Omega'): columns over
+    the n of terms = sqrt_columns(ns) of geometry_figures' numbers."""
+    ns, _, length_o, extent_o, length_p, extent_p, _, _ = terms
     area_o, area_p = _area_columns(m, ns)
     return (
         (area_o, length_o, extent_o),
         (area_p, [x + m for x in length_p], [x + m / 2 for x in extent_p]),
-        [a / 2 + s + 1 for a, s in zip(area_o, m1_sqrt)],
-        [a / 2 - s - m - 1 for a, s in zip(area_p, m2_sqrt)],
+    )
+
+
+def bound_columns(m: int, terms: tuple, area_o: list, area_p: list) -> tuple:
+    """(m1_bound, m2_bound): m1_upper_bound and m2_lower_bound over the n of
+    terms = sqrt_columns(ns), at the areas of figure_columns, as plain floats."""
+    return (
+        [a / 2 + s + 1 for a, s in zip(area_o, terms[6])],
+        [a / 2 - s - m - 1 for a, s in zip(area_p, terms[7])],
     )
 
 
@@ -192,7 +197,7 @@ def geometry_figures(spec: RegionSpec) -> GeometryFigures:
     m, n = spec.m, spec.n
     u8 = math.sqrt(4 * m * m + 8 * (n + 1)) + 2 * m
     u12 = math.sqrt(4 * m * m + 12 * (n + 1)) + 2 * m
-    omega, omega_prime, _, _ = figure_columns(m, sqrt_columns((n,)))
+    omega, omega_prime = figure_columns(m, sqrt_columns((n,)))
     if spec.kind is RegionKind.OMEGA:
         fig = omega
         corners = ((0.0, 2.0 * m),)

@@ -43,7 +43,7 @@ import os
 import time
 from bisect import bisect_left
 from itertools import accumulate, chain, compress
-from operator import is_, le, sub
+from operator import ge, is_, le, sub
 from typing import Callable, NamedTuple
 
 from . import bivariate, bounds, divisors, lattice, qseries
@@ -287,15 +287,14 @@ def _cross_worker(args):
     violations point by point only when the columns fail.  The census rows
     come from one divisors.census_rows for the run, the lattice counts
     from one count sweep per region and m, and the figures from one
-    lattice.figure_columns per m.  Its m-free terms, theorem 2's m-free
-    bound and Omega's parity limits are computed once for the run.  The
-    lattice path enumerates points and never reads the census.
+    lattice.figure_columns per m.  Its m-free columns and margins come from
+    one _cross_part for the run.  The lattice path enumerates points and
+    never reads the census.
     """
     m_lo, m_hi, n_max = args
     out = []
     ns = range(1, n_max + 1)
-    terms = lattice.sqrt_columns(ns[1::2])
-    part = terms, list(map(bounds.theorem2_m_free, *terms[:2])), [e + 1 for e in terms[3]]
+    part = _cross_part(n_max)
     jarnik_skips = 0
     sweep = qseries.lambert_sweep(("X", "Y", "Z"), m_lo, m_hi, n_max)
     for (m, (x, y, z)), (y_div, z_div) in zip(sweep, divisors.census_rows(m_lo, m_hi, n_max)):
@@ -331,42 +330,106 @@ def _not_less(ns, smaller: list, larger: list) -> list:
 
 
 def _jarnik_points(ns, totals: list, dev: list, length: list) -> tuple:
-    """(skips, (ns, dev, length) at the points where Jarnik's bound applies):
-    it needs a nonempty region and a length bound >= 1, and skips counts the
-    other points.  Every length is >= 1 at the paper's constants, and the
-    totals of count_sweep grow with n, so the empty regions are the first
-    totals.count(0) points: then the columns are sliced, else compressed."""
+    """(skips, (ns, dev, length) at the points where Jarnik's bound applies,
+    start): it needs a nonempty region and a length bound >= 1, skips counts
+    the other points, and every point from index start on is kept.  Every
+    length is >= 1 at the paper's constants, and the totals of count_sweep
+    grow with n, so the empty regions are the first start = totals.count(0)
+    points: then the columns are sliced, else compressed, with start =
+    len(ns)."""
     empty = totals.count(0)
     if min(length, default=1) >= 1 and not any(totals[:empty]):
-        return empty, [c[empty:] for c in (ns, dev, length)]
+        return empty, [c[empty:] for c in (ns, dev, length)], empty
     met = [total != 0 and not bound < 1 for total, bound in zip(totals, length)]
-    return len(met) - sum(met), [list(compress(c, met)) for c in (ns, dev, length)]
+    return len(met) - sum(met), [list(compress(c, met)) for c in (ns, dev, length)], len(ns)
+
+
+def _cross_part(n_max: int) -> tuple:
+    """The m-free columns and numbers of a cross part over the even n <= n_max:
+    (terms, t2_free, o_limits, d_floor, margin, scale), with terms =
+    lattice.sqrt_columns of the even n, t2_free = bounds.theorem2_m_free of
+    them, o_limits = Omega's parity limits, its x-extent bound + 1, and
+    d_floor = (LN2/2)(n+1) - d_bc*sqrt(n+1).  From bounds.derivation_margins
+    at the constants as they are at the call, margin = min(d1, d2,
+    d_bc)*sqrt(3); scale = (C+4)*sqrt(n_max+1) + n_max + 4, where C sums the
+    constants' magnitudes."""
+    terms = lattice.sqrt_columns(range(2, n_max + 1, 2))
+    constants = (lattice.M1_SQRT, lattice.M2_SQRT, lattice.OMEGA_LENGTH,
+                 lattice.OMEGA_PRIME_LENGTH, bounds.THEOREM2_SQRT)
+    margins = bounds.derivation_margins(*constants)
+    d_bc = float(margins[2])
+    return (
+        terms, list(map(bounds.theorem2_m_free, *terms[:2])), [e + 1 for e in terms[3]],
+        [bounds.LN2 / 2 * (n + 1) - d_bc * r for n, r in zip(*terms[:2])],
+        float(min(margins)) * math.sqrt(3),
+        (sum(map(abs, constants)) + 4) * math.sqrt(n_max + 1) + n_max + 4,
+    )
 
 
 def _cross_lattice(m: int, n_max: int, xs: tuple, part: tuple, out: list) -> int:
     """The lattice and analytic bound checks at one m and every even n, with
-    xs = X^(m) up to n_max and the part's m-free columns part = (terms,
-    t2_free, o_limits): terms = lattice.sqrt_columns of the even n, t2_free
-    = bounds.theorem2_m_free of them and o_limits = Omega's parity limits,
-    its x-extent bound + 1.  Appends to out, returns the Jarnik skips.
+    xs = X^(m) up to n_max and part = _cross_part(n_max).  Appends to out,
+    returns the Jarnik skips.
 
-    A check reads its columns point by point only when they fail.
+    Jarnik's bound, the parity lemma and lattice M2 - M1 == X are read as
+    columns, point by point only when they fail.  The M1, M2, theorem 2 and
+    bound-combination checks follow from them, so where all three pass, the
+    margin test below passes and D = A' - A >= d_floor at every n, those
+    four are decided without their columns: at the points where a region is
+    empty, which Jarnik's bound skips, by the single-point bounds in one
+    bounds.all_strictly_less, and past them by the proof below.  Otherwise
+    the four columns are built and read, and only they word violations.
+
+    Past the empty regions, each point passes strictly_less in the four
+    checks.  Let s = NEAR_TIE_SLACK >= 0, u = 2^-53, rho = sqrt(n+1) >=
+    sqrt(3), d = min(d1, d2, d_bc) of bounds.derivation_margins, amax the
+    largest |area| and V = amax + scale + 2m.  A NaN area fails the D test,
+    so amax is the largest, and an infinite one fails the margin test.  Each
+    value below, exact or computed (areas, counts, X, lengths, extents,
+    limits, bounds and the four gaps), is at most V in magnitude: each of
+    its terms is below a term of V (the counts and X by the two lemmas), and
+    the +4s leave room for the roundings, V's own too.  So a rounding, or a
+    conversion from int, moves a value by at most e = u*V (underflow by
+    2^-1074 < e), and c*fl(rho) is within 2e of c*rho.
+    - Omega: Jarnik passed, so |N - A| < L + 2e <= OMEGA_LENGTH*rho + 4e
+      (dev < L, as s >= 0); parity passed, so |N/2 - M1| <= sqrt(2)rho/4 +
+      1 + 4e.  So M1 < A/2 + (OMEGA_LENGTH/2 + sqrt(2)/4)rho + 1 + 6e and
+      m1_bound >= A/2 + M1_SQRT*rho + 1 - 5e: the gap m1_bound - M1 is
+      > d1*rho - 11e.
+    - Omega': in the same way, L <= OMEGA_PRIME_LENGTH*rho + m + 4e and the
+      limit is <= sqrt(3)rho/2 + m/2 + 1 + 5e, so M2 > A'/2 -
+      (OMEGA_PRIME_LENGTH/2 + sqrt(3)/2)rho - m - 1 - 9e, and m2_bound <=
+      A'/2 - M2_SQRT*rho - m - 1 + 7e: M2 - m2_bound > d2*rho - 16e.
+    - t2 <= (LN2/4)(n+1) - THEOREM2_SQRT*rho - m - 2 + 10e, and D >= d_floor
+      gives A' - A >= d_floor - e >= (LN2/2)(n+1) - d_bc*rho - 8e, as
+      rounding is monotone.  As THEOREM2_SQRT - M1_SQRT - M2_SQRT = 2d_bc,
+      m2_bound - m1_bound - t2 >= (3/2)d_bc*rho - 26e: the bound
+      combination's gap is at least that - e, and, as M2 - M1 == X, theorem
+      2's X - t2 > (d1 + d2 + 3/2 d_bc)rho - 53e.
+    Each gap g is so > d*sqrt(3) - 53e.  strictly_less rounds g and its
+    operands, within 4e, and weighs s by a magnitude <= V, so it passes when
+    g - 4e > s*V*(1 + 3u).  The margin test, margin > (s + 2^-46)*2V as
+    rounded, gives d*sqrt(3) > (s + 2^-46)*2V*(1 - 5u), which is more than
+    s*V*(1 + 3u) + 57e.
     """
-    terms, t2_free, o_limits = part
+    terms, t2_free, o_limits, d_floor, margin, scale = part
     ns = terms[0]
     even = slice(2, n_max + 1, 2)
     x = list(xs[even])
     counts = [[c[even] for c in lattice.count_sweep(kind, m, n_max)] for kind in lattice.RegionKind]
     (_, o_odds), (_, p_odds) = counts
-    *figures, m1_bound, m2_bound = lattice.figure_columns(m, terms)
+    figures = lattice.figure_columns(m, terms)
+    start = len(out)
     out += _unequal(m, ns, list(map(sub, p_odds, o_odds)), x, "lattice M2-M1 == series X")
-    jarnik_skips = 0
+    jarnik_skips = empty = 0
     parity_limits = o_limits, [e + 1 for e in figures[1][2]]  # Omega''s x-extent bound + 1
     for kind, (totals, odds), (area, length, _), limits in zip(
         lattice.RegionKind, counts, figures, parity_limits
     ):
-        skips, columns = _jarnik_points(ns, totals, list(map(abs, map(sub, totals, area))), length)
+        skips, columns, checked = _jarnik_points(
+            ns, totals, list(map(abs, map(sub, totals, area))), length)
         jarnik_skips += skips
+        empty = max(empty, checked)
         for n, d, bound in _not_less(*columns):
             o = bounds.classify_strict(d, bound)
             out.append((m, n, f"|N-A|={d!r}", f"Jarnik |N-A| < {bound!r} [{o.value}]"))
@@ -375,6 +438,15 @@ def _cross_lattice(m: int, n_max: int, xs: tuple, part: tuple, out: list) -> int
         if not all(map(le, gaps, limits)):
             out += [(m, n, kind.value, "parity bound |N/2-M| <= sup+1")
                     for n, g, lim in zip(ns, gaps, limits) if not g <= lim]
+    (area_o, *_), (area_p, *_) = figures
+    slack = bounds.NEAR_TIE_SLACK
+    if (ns and len(out) == start and 0 <= slack
+            and margin > (slack + 2**-46) * 2 * (
+                max(max(area_o), -min(area_o), max(area_p), -min(area_p)) + scale + 2 * m)
+            and all(map(ge, map(sub, area_p, area_o), d_floor))
+            and (not empty or _bounds_hold(m, ns[:empty], o_odds, p_odds, x, t2_free, area_o, area_p))):
+        return jarnik_skips
+    m1_bound, m2_bound = lattice.bound_columns(m, terms, area_o, area_p)
     t2 = [t - m - 2 for t in t2_free]  # bounds.theorem2_lower_bound(m, n)
     out += [(m, n, str(a), "M1 < upper bound") for n, a, _ in _not_less(ns, o_odds, m1_bound)]
     out += [(m, n, str(b), "M2 > lower bound") for n, _, b in _not_less(ns, m2_bound, p_odds)]
@@ -382,6 +454,18 @@ def _cross_lattice(m: int, n_max: int, xs: tuple, part: tuple, out: list) -> int
     for n, *_ in _not_less(ns, t2, list(map(sub, m2_bound, m1_bound))):
         out.append((m, n, "bound-combination", "M2bound-M1bound >= theorem bound"))
     return jarnik_skips
+
+
+def _bounds_hold(m: int, ns, o_odds, p_odds, x, t2_free, area_o, area_p) -> bool:
+    """M1, M2, theorem 2 and the bound combination at the n of ns, the first
+    len(ns) points of the columns, from the single-point bounds, decided by
+    one bounds.all_strictly_less."""
+    k = len(ns)
+    m1 = [lattice.m1_upper_bound(m, n, a) for n, a in zip(ns, area_o)]
+    m2 = [lattice.m2_lower_bound(m, n, a) for n, a in zip(ns, area_p)]
+    t2 = [t - m - 2 for t in t2_free[:k]]
+    return bounds.all_strictly_less(o_odds[:k] + m2 + t2 + t2,
+                                    m1 + p_odds[:k] + x[:k] + list(map(sub, m2, m1)))
 
 
 def _window_coverage(cfg: SweepConfig) -> list:

@@ -1,7 +1,6 @@
 """Threshold f(m), strict-inequality classification, even-n lower bound."""
 
 import math
-from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -221,22 +220,13 @@ def test_all_strictly_less_sees_a_nan_that_min_skips():
 
 
 def derivation_holds() -> bool:
-    """The constants of the M1, M2 and theorem 2 bounds follow from the
-    Jarnik and parity lemmas, in exact rationals over the floats as used:
-
-    - M1 <= N/2 + sqrt(2(n+1))/4 + 1 and N < A + 3.6 sqrt(n+1) give
-      M1 < A/2 + 2.2 sqrt(n+1) + 1 when 2.2 - 3.6/2 >= sqrt(2)/4;
-    - M2 >= N/2 - sqrt(3(n+1))/2 - m/2 - 1 and N > A - 5.5 sqrt(n+1) - m
-      give M2 > A/2 - 3.7 sqrt(n+1) - m - 1 when 3.7 - 5.5/2 >= sqrt(3)/2;
-    - M2 - M1 then exceeds theorem 2's bound when 2.2 + 3.7 < 6.
-    """
-    m1, m2 = Fraction(lattice.M1_SQRT), Fraction(lattice.M2_SQRT)
-    jo, jp = Fraction(lattice.OMEGA_LENGTH), Fraction(lattice.OMEGA_PRIME_LENGTH)
-    return (
-        m1 - jo / 2 >= 0 and (m1 - jo / 2) ** 2 >= Fraction(2, 16)
-        and m2 - jp / 2 >= 0 and (m2 - jp / 2) ** 2 >= Fraction(3, 4)
-        and m1 + m2 < Fraction(bounds.THEOREM2_SQRT)
+    """bounds.derivation_margins, at the constants as they are, finds every
+    margin of the derivation > 0."""
+    margins = bounds.derivation_margins(
+        lattice.M1_SQRT, lattice.M2_SQRT, lattice.OMEGA_LENGTH, lattice.OMEGA_PRIME_LENGTH,
+        bounds.THEOREM2_SQRT,
     )
+    return min(margins) > 0
 
 
 def test_bound_constants_follow_from_the_lemmas():

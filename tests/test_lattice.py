@@ -13,6 +13,7 @@ from sptcrank.lattice import (
     LatticeCount,
     RegionKind,
     RegionSpec,
+    bound_columns,
     count_region,
     count_sweep,
     figure_columns,
@@ -270,11 +271,12 @@ def test_figure_sweep_matches_geometry_figures(kind, m):
 
 @pytest.mark.parametrize("m", [0, 1, 7, 30, 120])
 def test_hoisted_bounds_match_the_single_point_functions(m):
-    """The figure columns' M1 and M2 bounds, and theorem 2's bound from its
-    m-free term, equal the single-point functions' floats at every even
-    n <= 2000."""
+    """The bound columns' M1 and M2 bounds at the figure columns' areas, and
+    theorem 2's bound from its m-free term, equal the single-point
+    functions' floats at every even n <= 2000."""
     terms = even_terms(2000)
-    (area_o, _, _), (area_p, _, _), m1_bound, m2_bound = figure_columns(m, terms)
+    (area_o, _, _), (area_p, _, _) = figure_columns(m, terms)
+    m1_bound, m2_bound = bound_columns(m, terms, area_o, area_p)
     for n, root, a_o, m1, a_p, m2 in zip(*terms[:2], area_o, m1_bound, area_p, m2_bound):
         assert (a_o, a_p) == tuple(area(kind, m, n) for kind in REGIONS), n
         assert m1 == m1_upper_bound(m, n, a_o), n
@@ -365,7 +367,7 @@ def test_figures_hold_where_differences_would_cancel():
     terms = sqrt_columns(WIDE_NS)
     assert len(WIDE_MS) * len(WIDE_NS) == 4060
     for m in WIDE_MS:
-        (area_o, _, _), (area_p, _, _), _, _ = figure_columns(m, terms)
+        (area_o, _, _), (area_p, _, _) = figure_columns(m, terms)
         for n, a_o, a_p in zip(WIDE_NS, area_o, area_p):
             t8, t12 = mp.sqrt(4 * m * m + 8 * (n + 1)), mp.sqrt(4 * m * m + 12 * (n + 1))
             exact_o = (n + 1) * mp.log(3 * (t8 - 2 * m) / (2 * (t12 - 2 * m))) / 2 - (

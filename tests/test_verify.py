@@ -355,14 +355,15 @@ def jarnik_columns(draw):
 def test_jarnik_points_are_those_that_meet_its_hypothesis(columns):
     """_jarnik_points keeps exactly the points with a nonempty region and a
     length bound >= 1, and counts the others, as the point-by-point
-    comprehension does."""
+    comprehension does; every point from the start it returns on is kept."""
     totals, length = columns
     ns = range(2, 2 * len(totals) + 2, 2)
     dev = [0.5 * i for i in range(len(totals))]
     met = [total != 0 and not bound < 1 for total, bound in zip(totals, length)]
-    skips, kept = verify._jarnik_points(ns, totals, dev, length)
+    skips, kept, start = verify._jarnik_points(ns, totals, dev, length)
     assert skips == len(met) - sum(met)
     assert [list(c) for c in kept] == [list(compress(c, met)) for c in (ns, dev, length)]
+    assert all(met[start:]) and start in (totals.count(0), len(ns))
 
 
 def test_lattice_corruption_in_the_second_block_names_its_m_and_n(monkeypatch):
