@@ -33,7 +33,13 @@ on 20m < n < f(m), reading the window only where its carried sums cannot
 rule out a negative value.  Only a failing m is divided, to word its
 violations.  conjecture decides each M_C1/M_C5 series of its sweep with
 one has_negative, an AND over the packed series, and decodes only a
-failing series.
+failing series.  cross checks Jarnik's bound, the parity lemma and lattice
+M2 - M1 == X as columns at every m.  The M1, M2, theorem 2 and
+bound-combination checks follow from those, by the margins of
+bounds.derivation_margins and A' - A >= (LN2/2)(n+1) - d_bc*sqrt(n+1): at
+an m where all of these hold and the margins beat the near-tie slack with
+room for rounding, the four are decided without their columns (see
+_cross_lattice), and elsewhere read as columns.
 """
 
 from __future__ import annotations
@@ -419,17 +425,17 @@ def _cross_lattice(m: int, n_max: int, xs: tuple, part: tuple, out: list) -> int
     counts = [[c[even] for c in lattice.count_sweep(kind, m, n_max)] for kind in lattice.RegionKind]
     (_, o_odds), (_, p_odds) = counts
     figures = lattice.figure_columns(m, terms)
-    start = len(out)
+    before = len(out)
     out += _unequal(m, ns, list(map(sub, p_odds, o_odds)), x, "lattice M2-M1 == series X")
-    jarnik_skips = empty = 0
+    jarnik_skips = prefix = 0  # the points before prefix are those Jarnik skips in a region
     parity_limits = o_limits, [e + 1 for e in figures[1][2]]  # Omega''s x-extent bound + 1
     for kind, (totals, odds), (area, length, _), limits in zip(
         lattice.RegionKind, counts, figures, parity_limits
     ):
-        skips, columns, checked = _jarnik_points(
+        skips, columns, kept_from = _jarnik_points(
             ns, totals, list(map(abs, map(sub, totals, area))), length)
         jarnik_skips += skips
-        empty = max(empty, checked)
+        prefix = max(prefix, kept_from)
         for n, d, bound in _not_less(*columns):
             o = bounds.classify_strict(d, bound)
             out.append((m, n, f"|N-A|={d!r}", f"Jarnik |N-A| < {bound!r} [{o.value}]"))
@@ -440,11 +446,12 @@ def _cross_lattice(m: int, n_max: int, xs: tuple, part: tuple, out: list) -> int
                     for n, g, lim in zip(ns, gaps, limits) if not g <= lim]
     (area_o, *_), (area_p, *_) = figures
     slack = bounds.NEAR_TIE_SLACK
-    if (ns and len(out) == start and 0 <= slack
+    if (ns and len(out) == before and 0 <= slack
             and margin > (slack + 2**-46) * 2 * (
                 max(max(area_o), -min(area_o), max(area_p), -min(area_p)) + scale + 2 * m)
             and all(map(ge, map(sub, area_p, area_o), d_floor))
-            and (not empty or _bounds_hold(m, ns[:empty], o_odds, p_odds, x, t2_free, area_o, area_p))):
+            and (not prefix
+                 or _bounds_hold(m, ns[:prefix], o_odds, p_odds, x, t2_free, area_o, area_p))):
         return jarnik_skips
     m1_bound, m2_bound = lattice.bound_columns(m, terms, area_o, area_p)
     t2 = [t - m - 2 for t in t2_free]  # bounds.theorem2_lower_bound(m, n)

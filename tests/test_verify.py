@@ -327,13 +327,20 @@ def test_cross_worker_computes_each_area_once_per_even_n(monkeypatch):
 def test_a_passing_cross_worker_decides_every_column_at_once(monkeypatch):
     """On a passing part, every strict inequality of _cross_lattice is
     decided by bounds.all_strictly_less's column test: no point falls back
-    to bounds.strictly_less."""
-    calls = []
+    to bounds.strictly_less.  The M1, M2, theorem 2 and bound-combination
+    columns are never built: the column test runs on the two Jarnik
+    columns at each m, and once on the points where a region is empty,
+    which at every m <= 30 include n = 2 (Omega is empty while n < 4m + 10)."""
+    calls, columns, built = [], [], []
     real = bounds.strictly_less
     monkeypatch.setattr(bounds, "strictly_less", lambda a, b: calls.append((a, b)) or real(a, b))
+    real_all = bounds.all_strictly_less
+    monkeypatch.setattr(bounds, "all_strictly_less", lambda a, b: columns.append(len(a)) or real_all(a, b))
+    monkeypatch.setattr(lattice, "bound_columns", lambda *args: built.append(args))
     violations, skips = verify._cross_worker((0, 30, 2000))
     assert violations == [] and skips > 0
-    assert calls == []
+    assert calls == [] and built == []
+    assert len(columns) == 31 * 2 + 31
 
 
 @st.composite
