@@ -29,6 +29,7 @@ REGIONS = tuple(lattice.RegionKind)
 
 
 def reference_jarnik_points(ns, totals: list, dev: list, length: list) -> tuple:
+    """verify._jarnik_points as the column code read it, without the start."""
     empty = totals.count(0)
     if min(length, default=1) >= 1 and not any(totals[:empty]):
         return empty, [c[empty:] for c in (ns, dev, length)]
@@ -162,6 +163,17 @@ def test_an_empty_regions_points_are_decided_point_by_point():
     assert out == [(3, 2, "0", "M1 < upper bound")]
 
 
+def test_the_bound_combination_needs_the_areas_difference():
+    """Omega's areas raised and Omega''s lowered by 0.99 of their Jarnik
+    lengths pass both lemmas, but A' - A falls below its floor, and the
+    bound combination fails, from its column."""
+    counts, areas = real_inputs(3, 300)
+    at_the_edges(3, counts, areas, 0, -0.99, 0.0)
+    at_the_edges(3, counts, areas, 1, -0.99, 0.0)
+    out = assert_same(3, 300, counts, areas)
+    assert {v[3] for v in out} == {"M2bound-M1bound >= theorem bound"}
+
+
 def test_a_parity_failure_is_no_premise_for_m1():
     """Every point of a nonempty Omega odd breaks the parity lemma but not
     Jarnik's bound, and M2 - M1 == X still holds: past n ~ 2000, where
@@ -237,6 +249,28 @@ def test_cross_lattice_decides_as_the_column_code(inputs):
     m, n_max, counts, areas, xs, patches, slack = inputs
     with patched({**patches, "NEAR_TIE_SLACK": slack}):
         ref, new = both(m, n_max, counts, areas, xs)
+    assert new == ref
+
+
+@given(st.integers(0, 200), st.integers(2, 120), st.integers(0, 2**50), st.floats(0.9, 1),
+       st.floats(0.9, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(0.5, 1))
+@settings(max_examples=200, deadline=None)
+def test_huge_counts_at_the_margin_tests_threshold_agree(m, n_max, shift, jo, jp, po, pp, frac):
+    """Both regions at the lemmas' edges, their counts, odd counts and areas
+    past the empty regions raised by up to 2^50 (so rounding is coarse), and
+    the slack just below where the margin test stops passing."""
+    counts, areas = real_inputs(m, n_max)
+    at_the_edges(m, counts, areas, 0, jo, po)
+    at_the_edges(m, counts, areas, 1, jp, pp)
+    shift -= shift % 2
+    for i, n in enumerate(range(2, n_max + 1, 2)):
+        if counts[0][0][n] and counts[1][0][n]:
+            for (totals, odds), area in zip(counts, areas):
+                totals[n], odds[n], area[i] = totals[n] + shift, odds[n] + shift // 2, area[i] + shift
+    part = verify._cross_part(n_max)
+    v = max(map(abs, areas[0] + areas[1])) + part[5] + 2 * m
+    with patched({"NEAR_TIE_SLACK": max(0.0, (part[4] / (2 * v) - 2**-46) * frac)}):
+        ref, new = both(m, n_max, counts, areas, lattice_x(counts))
     assert new == ref
 
 
