@@ -6,6 +6,8 @@ verifier printed when they were added; a change meant to alter report
 bytes replaces them and says so.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,8 @@ import pytest
 from sptcrank.cli import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# sha256 of the JSON report of each argv, for reports too long to keep whole
+DIGESTS = Path(__file__).resolve().parent / "coeff_digests.json"
 
 INVOCATIONS = {
     "verify-all": ["verify", "--check", "all", "--m-max", "3", "--n-max", "40",
@@ -63,3 +67,13 @@ def test_cross_at_acceptance_scale_matches_golden(capsys):
                     "--bivariate-order", "0", "--json"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / "verify-cross-m120.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))))
+def test_large_order_coefficients_match_their_digests(capsys, argv):
+    """M_C1 at m = 7 up to q^2000 and M_C5 at m = 3 up to q^2001: fields
+    wider than 64 bits, and both parities of the order."""
+    code = run_cli(argv.split())
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert code == 0
+    assert digest == json.loads(DIGESTS.read_text(encoding="utf-8"))[argv]
