@@ -13,10 +13,11 @@ for k > N, so N steps give the truncation at order N exactly.  Each step
 adds c_k to the z^0 row, then multiplies by 1/(1 - z q^k) in one ascending
 pass over the z-rows and by 1/(1 - z^-1 q^k) in one descending pass, one
 shift-add per row: each z-row (z^d comes with at least q^|d|, so |d| <= N)
-is one int of signed W-bit fields over q^0..q^N, packed as in qseries.
-That is a ring homomorphism Z[q]/(q^(N+1)) -> Z/2^(W(N+1)), q -> 2^W, so
-only the final coefficients must fit: W is the least multiple of 8 with
-2^(W-1) above the majorant (see _majorant).  The rows are decoded to one
+is one int of signed W-bit fields over q^0..q^N, q^0 lowest, in the
+field format that qseries._unpack reads.  That is a ring homomorphism
+Z[q]/(q^(N+1)) -> Z/2^(W(N+1)), q -> 2^W, so only the final coefficients
+must fit: W is the least multiple of 8 with 2^(W-1) above the majorant
+(see _majorant).  The rows are decoded to one
 tuple per power of z, so a fixed-m slice is one row.  The slices are the
 cross-oracle for the univariate M_C1/M_C5 generating functions; the build
 reads only the product form, never the Lambert sums that M_C1/M_C5 are

@@ -34,9 +34,12 @@ lambert_sweep steps the plain sums: one monomial per term, with no
 division.  mc_sweep steps their products with P2: one shifted copy of P2
 per term.  It starts from the first sums of X^(m) and Y^(m) and the
 shared Z^(m), which both families add.  Its series are PackedSeries, two
-ints of fixed-width fields each, so a step costs one shift and one
-subtraction of whole ints per term, and one AND tells whether a series
-has a negative coefficient.
+ints of fixed-width fields each, highest power first, so q^a times P2 is
+a right shift that drops every field past q^N: a step costs one shift and
+one subtraction of whole ints per term and nonzero part of P2 (P2's
+positive and negative parts are kept apart, as a right shift is exact
+only on nonnegative fields), and one AND tells whether a series has a
+negative coefficient.
 """
 
 from __future__ import annotations
@@ -179,15 +182,31 @@ def _p2_kernel(order: int) -> tuple:
 
 # -- packed series: P2 times Lambert sums in fixed-width integer fields -------
 #
-# A series c_0..c_N is held as two ints, one per parity of the power of q:
-# c_(2i+p) is the signed field i, width bits wide, of the int for parity p,
-# which is sum_i c_(2i+p) << (width*i) reduced modulo 2^(width*fields).
-# The reduction respects +, - and left shifts, so the sums and steps of the
-# sweep are whole-int additions, shifts and one AND; decoding is exact
-# while every |c| < 2^(width-1), and the width is chosen to make it so.
+# A series c_0..c_N is held as two ints, one per parity of the power of q,
+# each highest power first: the int for parity p has F_p fields, width bits
+# wide, and c_(2i+p) is its signed field F_p - 1 - i, so c_0 (or c_1) is
+# the top field and the last coefficient of the parity is field 0.  The int
+# is sum_i c_(2i+p) << (width*(F_p - 1 - i)) reduced modulo 2^(width*F_p);
+# the reduction respects + and -, and decoding is exact while every
+# |c| < 2^(width-1), the width being chosen to make it so.
+#
+# Times q^a, a series moves a//2 fields down, so a shifted copy is a right
+# shift, and the fields that would pass q^N fall off the bottom: no field
+# past q^N is ever built.  A right shift by k fields is floor division by
+# 2^(width*k), and it keeps the fields above the cut exactly only when the
+# fields below it add to less than one unit of the lowest kept field, that
+# is, when they are all nonnegative; a negative field below the cut would
+# borrow one from the field above it.  So P2 is held as two such ints, its
+# positive part and its negative part (0 for the real kernel), and each is
+# doubled into its part of P2/(1 - q^(2c)) and shifted on its own: every
+# field of either, a partial sum of |P2|, lies in 0..2^(width-1) - 1.
+#
 # P2 vanishes at odd powers, so each s * q^a * P2/(1 - q^b) with even b
 # lies in one parity's int, and with odd b it is split as
-# (1 + q^b) * P2/(1 - q^(2b)), one copy per parity.
+# (1 + q^b) * P2/(1 - q^(2b)), one copy per parity.  The parts are packed
+# as even ints; the copy for an odd a goes into the odd int, which has
+# F_0 - F_1 fewer fields (1 at even N, 0 at odd N), so it is shifted that
+# many fields further down.
 
 
 def _parity_fields(order: int) -> tuple:
@@ -234,8 +253,9 @@ def _unpack(v: int, width: int, fields: int) -> list:
 
 class PackedSeries(NamedTuple):
     """The coefficients c_0..c_order of a series as two ints of signed
-    width-bit fields: `even` holds c_0, c_2, ..., `odd` holds c_1, c_3, ...
-    (see the comment above _parity_fields)."""
+    width-bit fields, highest power first: `even` holds c_0, c_2, ... with
+    c_0 in its top field, `odd` holds c_1, c_3, ... with c_1 in its top
+    field (see the comment above _parity_fields)."""
 
     order: int
     width: int
@@ -256,8 +276,8 @@ class PackedSeries(NamedTuple):
     def coeffs(self) -> tuple:
         e, o = _parity_fields(self.order)
         out = [0] * (self.order + 1)
-        out[::2] = _unpack(self.even, self.width, e)
-        out[1::2] = _unpack(self.odd, self.width, o)
+        out[::2] = _unpack(self.even, self.width, e)[::-1]
+        out[1::2] = _unpack(self.odd, self.width, o)[::-1]
         return tuple(out)
 
 
@@ -275,16 +295,36 @@ def _field_width(terms: int, order: int) -> int:
     return (bound.bit_length() + 8) // 8 * 8
 
 
+def _p2_parts(order: int, width: int) -> list:
+    """(sign, part) for P2's positive part and its negative part, each
+    packed highest power first as an even int of nonnegative fields, so
+    that P2 is the sum of sign * part; a part that is 0 is left out."""
+    p2 = _p2_kernel(order)[::2][::-1]  # _pack puts the first lowest, so q^0 goes on top
+    parts = [(1, [max(c, 0) for c in p2]), (-1, [max(-c, 0) for c in p2])]
+    return [(sign, _pack(fields, width)) for sign, fields in parts if any(fields)]
+
+
+def _copy_shift(order: int, width: int):
+    """a -> the bits by which a part packed as an even int is shifted down
+    to be q^a times itself in the int of a's parity: a//2 fields, plus, for
+    odd a, the F_0 - F_1 fields that the odd int lacks."""
+    e, o = _parity_fields(order)
+    offsets = (0, width * (e - o))
+    return lambda a: width * (a >> 1) + offsets[a & 1]
+
+
 def _times_p2(live, order: int, width: int) -> list:
     """For each term list, P2 times the sum of s * q^a / (1 - q^b) over its
-    terms, truncated at `order`, as [even, odd] packed ints.
+    terms, truncated at `order`, as [even, odd] packed ints, not yet
+    reduced to their fields.
 
-    Each copy s * q^a * P2/(1 - q^(2c)) is P2/(1 - q^(2c)) shifted up a//2
-    fields in the int of a's parity.  P2/(1 - q^(2c)) is built once for all
-    copies that share c, by doubling: P2 (1 + q^(2c)) (1 + q^(4c)) ...
+    Each copy s * q^a * P2/(1 - q^(2c)) is each part of P2/(1 - q^(2c))
+    shifted down a//2 fields (see _copy_shift) and added, with its sign, to
+    the int of a's parity.  Each part of P2/(1 - q^(2c)) is built once for
+    all copies that share c, by doubling: g (1 + q^(2c)) (1 + q^(4c)) ...
     """
-    masks = _masks(width, order)
-    p2 = _pack(_p2_kernel(order)[::2], width)
+    shift = _copy_shift(order, width)
+    p2 = _p2_parts(order, width)
     accs = [[0, 0] for _ in live]
     copies = {}  # c -> (acc, a, s) of each copy of P2/(1 - q^(2c))
     for acc, terms in zip(accs, live):
@@ -294,14 +334,18 @@ def _times_p2(live, order: int, width: int) -> list:
             else:
                 copies.setdefault(b // 2, []).append((acc, a, s))
     for c, hits in copies.items():
-        g, shift = p2, c
-        while 2 * shift <= order:
-            g = (g + (g << width * shift)) & masks[0]
-            shift *= 2
+        parts = []
+        for sign, g in p2:
+            k = c
+            while 2 * k <= order:
+                g += g >> width * k
+                k *= 2
+            parts.append((sign, g))
         for acc, a, s in hits:
             if a <= order:
-                acc[a & 1] = (add if s > 0 else sub)(acc[a & 1], g << width * (a >> 1))
-    return [[v & mask for v, mask in zip(acc, masks)] for acc in accs]
+                for sign, g in parts:
+                    acc[a & 1] = (add if s * sign > 0 else sub)(acc[a & 1], g >> shift(a))
+    return accs
 
 
 def _families(x_lead, y_lead, z, width: int, order: int) -> tuple:
@@ -371,21 +415,21 @@ def mc_sweep(m_lo: int, m_hi: int, order: int):
 
     The same series as mc_packed at the same width: m_lo is built directly,
     and each later m by one step of the identity in the module docstring,
-    one shifted P2 per term.  The width fits the terms at m_lo, the most
-    that any m of the run has.
+    one copy of each part of P2 per term, shifted down to q^a, where the
+    fields past q^order fall off.  The width fits the terms at m_lo, the
+    most that any m of the run has.
     """
     live = _first_terms((_x_lead_terms, _y_lead_terms, _z_terms), m_lo, order)
     width = _field_width(sum(map(len, live)), order)
-    masks = _masks(width, order)
-    p2 = _pack(_p2_kernel(order)[::2], width)
+    shift = _copy_shift(order, width)
+    p2 = _p2_parts(order, width)
 
     def leave(acc, a, s):  # subtract P2 * s * q^a, which lies in a's parity
-        acc[a & 1] = (sub if s > 0 else add)(acc[a & 1], p2 << width * (a >> 1))
+        for sign, g in p2:
+            acc[a & 1] = (sub if s * sign > 0 else add)(acc[a & 1], g >> shift(a))
 
     accs = _times_p2(live, order, width)
     for m, accs in _sweep(live, accs, m_lo, m_hi, order, leave):
-        for acc in accs:  # reduce the step's sums to their fields
-            acc[:] = [v & mask for v, mask in zip(acc, masks)]
         yield (m, *_families(*accs, width, order))
 
 

@@ -3,6 +3,7 @@
 import random
 from itertools import accumulate
 from operator import add, is_, sub
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,11 +229,11 @@ def test_mc_sweep_rejects_negative_m():
 
 
 def packed(coeffs, width=None):
-    """coeffs as a qseries.PackedSeries, by default at the least width
-    (a multiple of 8) that holds them."""
+    """coeffs as a qseries.PackedSeries, each parity's int highest power
+    first, by default at the least width (a multiple of 8) that holds them."""
     if width is None:
         width = (max(map(abs, coeffs)).bit_length() + 8) // 8 * 8
-    even, odd = (qseries._pack(coeffs[p::2], width) for p in (0, 1))
+    even, odd = (qseries._pack(coeffs[p::2][::-1], width) for p in (0, 1))
     return qseries.PackedSeries(len(coeffs) - 1, width, even, odd)
 
 
@@ -326,6 +327,82 @@ def test_field_width_holds_every_sum(m, order):
     assert max(abs(c) for coeffs in sums for c in coeffs) < 2 ** (width - 1)
     (_, c1, c5), = qseries.mc_sweep(m, m, order)
     assert c1.width == c5.width == width
+
+
+@st.composite
+def signed_kernels(draw):
+    """(order, kernel): P2's coefficients up to q^order with negative values
+    put at the first, the last and random even powers, or all of them
+    negated, so that P2's negative part is not 0 and at times its positive
+    part is; odd powers stay 0, as in P2."""
+    order = draw(st.sampled_from((0, 1, 2, 61, 300, 1001)))
+    coeffs = list(qseries._p2_kernel(order))
+    evens = range(0, order + 1, 2)
+    if draw(st.booleans()):
+        coeffs = [-c for c in coeffs]
+    value = st.one_of(st.sampled_from((1, 2, 10**12)), st.integers(1, 2**70))
+    picks = draw(st.sets(st.sampled_from((0, evens[-1])))) | draw(st.sets(st.sampled_from(evens), max_size=3))
+    for i in picks:
+        coeffs[i] = -draw(value)
+    return order, tuple(coeffs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signed_kernels(), st.integers(0, 40), st.integers(0, 3))
+def test_signed_kernels_go_through_the_shifts(case, m_lo, run):
+    """With negative P2 coefficients, P2's negative part is shifted beside
+    its positive part: the sweep and the direct build both equal the
+    reference at every m, as coefficients and as whole ints, and
+    has_negative sees each negative coefficient."""
+    order, kernel = case
+    with mock.patch.object(qseries, "_p2_kernel", lambda n: kernel[: n + 1]):
+        for m, c1, c5 in qseries.mc_sweep(m_lo, m_lo + run, order):
+            assert qseries.mc_packed(m, order, c1.width) == (c1, c5), (m, order)
+            direct = qseries.mc_packed(m, order)
+            for sources, *series in ((qseries._c1_terms, c1, direct[0]), (qseries._c5_terms, c5, direct[1])):
+                want = tuple(times_p2_reference(sources(m, order), order))
+                for s in series:
+                    assert s.coeffs == want, (m, order)
+                    assert s.has_negative() == (min(want) < 0), (m, order)
+
+
+def record_copies(monkeypatch) -> list:
+    """Patch the add and sub of qseries, with which _times_p2 and mc_sweep
+    add each shifted copy of P2 into a parity int, to log the copy's bit
+    length."""
+    bits = []
+    for name, op in (("add", add), ("sub", sub)):
+        def logged(acc, copy, op=op):
+            bits.append(copy.bit_length())
+            return op(acc, copy)
+        monkeypatch.setattr(qseries, name, logged)
+    return bits
+
+
+@pytest.mark.parametrize("kernel", ("P2", "signed"))
+@pytest.mark.parametrize("parity", (0, 1, None))
+@pytest.mark.parametrize("order", (60, 61, 1000, 1001))
+def test_p2_copies_stop_at_the_order(monkeypatch, kernel, parity, order):
+    """Each shifted copy of P2 that mc_sweep or its direct build adds into
+    a parity int has at most width * fields bits of that int: copies are
+    shifted down and the fields past q^order fall off, so none is built.
+    With the terms of one parity only (and even moduli, so that they stay
+    there), the bound is that parity's own: the odd int has one field less
+    than the even int at even order and as many at odd order."""
+    if kernel == "signed":
+        real = qseries._p2_kernel
+        monkeypatch.setattr(qseries, "_p2_kernel", lambda n: (-1,) + real(n)[1:])
+    if parity is not None:
+        real_terms = qseries._first_terms
+        monkeypatch.setattr(qseries, "_first_terms", lambda *args: [
+            [(a, b, s) for a, b, s in terms if a % 2 == parity and b % 2 == 0]
+            for terms in real_terms(*args)])
+    fields = qseries._parity_fields(order)
+    bound = max(fields) if parity is None else fields[parity]
+    bits = record_copies(monkeypatch)
+    for _, c1, _ in qseries.mc_sweep(0, 12, order):
+        pass
+    assert bits and max(bits) <= c1.width * bound
 
 
 # -- per-term reference for the T-components and R2 -------------------------
