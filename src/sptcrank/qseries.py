@@ -187,7 +187,8 @@ def _p2_kernel(order: int) -> tuple:
 # wide, and c_(2i+p) is its signed field F_p - 1 - i, so c_0 (or c_1) is
 # the top field and the last coefficient of the parity is field 0.  The int
 # is sum_i c_(2i+p) << (width*(F_p - 1 - i)) reduced modulo 2^(width*F_p);
-# the reduction respects + and -, and decoding is exact while every
+# the reduction respects + and -, so the builds add and subtract whole ints
+# and only _families reduces them.  Decoding is exact while every
 # |c| < 2^(width-1), the width being chosen to make it so.
 #
 # Times q^a, a series moves a//2 fields down, so a shifted copy is a right
@@ -304,13 +305,21 @@ def _p2_parts(order: int, width: int) -> list:
     return [(sign, _pack(fields, width)) for sign, fields in parts if any(fields)]
 
 
-def _copy_shift(order: int, width: int):
-    """a -> the bits by which a part packed as an even int is shifted down
-    to be q^a times itself in the int of a's parity: a//2 fields, plus, for
-    odd a, the F_0 - F_1 fields that the odd int lacks."""
+def _copier(order: int, width: int, parts: list):
+    """(acc, a, s) -> add s * q^a times the sum of sign * part over the
+    (sign, part) pairs, parts packed as even ints, into acc's int of a's
+    parity.  Each part is shifted down a//2 fields, and for odd a by the
+    F_0 - F_1 fields that the odd int lacks as well."""
     e, o = _parity_fields(order)
     offsets = (0, width * (e - o))
-    return lambda a: width * (a >> 1) + offsets[a & 1]
+
+    def add_copy(acc, a, s):
+        p = a & 1
+        k = width * (a >> 1) + offsets[p]
+        for sign, g in parts:
+            acc[p] = (add if s * sign > 0 else sub)(acc[p], g >> k)
+
+    return add_copy
 
 
 def _times_p2(live, order: int, width: int) -> list:
@@ -319,11 +328,10 @@ def _times_p2(live, order: int, width: int) -> list:
     reduced to their fields.
 
     Each copy s * q^a * P2/(1 - q^(2c)) is each part of P2/(1 - q^(2c))
-    shifted down a//2 fields (see _copy_shift) and added, with its sign, to
+    shifted down a//2 fields (see _copier) and added, with its sign, to
     the int of a's parity.  Each part of P2/(1 - q^(2c)) is built once for
     all copies that share c, by doubling: g (1 + q^(2c)) (1 + q^(4c)) ...
     """
-    shift = _copy_shift(order, width)
     p2 = _p2_parts(order, width)
     accs = [[0, 0] for _ in live]
     copies = {}  # c -> (acc, a, s) of each copy of P2/(1 - q^(2c))
@@ -341,10 +349,10 @@ def _times_p2(live, order: int, width: int) -> list:
                 g += g >> width * k
                 k *= 2
             parts.append((sign, g))
+        add_copy = _copier(order, width, parts)
         for acc, a, s in hits:
             if a <= order:
-                for sign, g in parts:
-                    acc[a & 1] = (add if s * sign > 0 else sub)(acc[a & 1], g >> shift(a))
+                add_copy(acc, a, s)
     return accs
 
 
@@ -421,12 +429,10 @@ def mc_sweep(m_lo: int, m_hi: int, order: int):
     """
     live = _first_terms((_x_lead_terms, _y_lead_terms, _z_terms), m_lo, order)
     width = _field_width(sum(map(len, live)), order)
-    shift = _copy_shift(order, width)
-    p2 = _p2_parts(order, width)
+    add_copy = _copier(order, width, _p2_parts(order, width))
 
     def leave(acc, a, s):  # subtract P2 * s * q^a, which lies in a's parity
-        for sign, g in p2:
-            acc[a & 1] = (sub if s * sign > 0 else add)(acc[a & 1], g >> shift(a))
+        add_copy(acc, a, -s)
 
     accs = _times_p2(live, order, width)
     for m, accs in _sweep(live, accs, m_lo, m_hi, order, leave):
