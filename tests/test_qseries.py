@@ -341,7 +341,8 @@ def signed_kernels(draw):
     if draw(st.booleans()):
         coeffs = [-c for c in coeffs]
     value = st.one_of(st.sampled_from((1, 2, 10**12)), st.integers(1, 2**70))
-    picks = draw(st.sets(st.sampled_from((0, evens[-1])))) | draw(st.sets(st.sampled_from(evens), max_size=3))
+    ends = draw(st.sets(st.sampled_from((0, evens[-1]))))
+    picks = ends | draw(st.sets(st.sampled_from(evens), min_size=1, max_size=3))
     for i in picks:
         coeffs[i] = -draw(value)
     return order, tuple(coeffs)
@@ -367,42 +368,52 @@ def test_signed_kernels_go_through_the_shifts(case, m_lo, run):
 
 
 def record_copies(monkeypatch) -> list:
-    """Patch the add and sub of qseries, with which _times_p2 and mc_sweep
-    add each shifted copy of P2 into a parity int, to log the copy's bit
-    length."""
-    bits = []
+    """Log (parity, bit length) of each shifted copy of P2 that _times_p2
+    and mc_sweep add into a parity int: the parity from the q^a that
+    qseries._copier's closure is handed, the copy from the add or sub of
+    qseries that it calls."""
+    log, parity = [], []
+    real_copier = qseries._copier
+
+    def copier(*args):
+        add_copy = real_copier(*args)
+
+        def logged_copy(acc, a, s):
+            parity.append(a & 1)
+            add_copy(acc, a, s)
+            parity.pop()
+
+        return logged_copy
+
+    monkeypatch.setattr(qseries, "_copier", copier)
     for name, op in (("add", add), ("sub", sub)):
         def logged(acc, copy, op=op):
-            bits.append(copy.bit_length())
+            assert parity, "a copy added outside _copier"
+            log.append((parity[-1], copy.bit_length()))
             return op(acc, copy)
         monkeypatch.setattr(qseries, name, logged)
-    return bits
+    return log
 
 
 @pytest.mark.parametrize("kernel", ("P2", "signed"))
-@pytest.mark.parametrize("parity", (0, 1, None))
 @pytest.mark.parametrize("order", (60, 61, 1000, 1001))
-def test_p2_copies_stop_at_the_order(monkeypatch, kernel, parity, order):
-    """Each shifted copy of P2 that mc_sweep or its direct build adds into
-    a parity int has at most width * fields bits of that int: copies are
+def test_p2_copies_stop_at_the_order(monkeypatch, kernel, order):
+    """Each shifted copy of P2 that mc_sweep or mc_packed adds into a
+    parity int has at most width * fields bits of that int: copies are
     shifted down and the fields past q^order fall off, so none is built.
-    With the terms of one parity only (and even moduli, so that they stay
-    there), the bound is that parity's own: the odd int has one field less
-    than the even int at even order and as many at odd order."""
+    The odd int has one field less than the even int at even order, and
+    Z's q/(1 - q) at m = 0 puts a copy of P2's top field in its top field,
+    so a copy one field too high is seen there; at odd order the two ints
+    have as many fields."""
     if kernel == "signed":
         real = qseries._p2_kernel
         monkeypatch.setattr(qseries, "_p2_kernel", lambda n: (-1,) + real(n)[1:])
-    if parity is not None:
-        real_terms = qseries._first_terms
-        monkeypatch.setattr(qseries, "_first_terms", lambda *args: [
-            [(a, b, s) for a, b, s in terms if a % 2 == parity and b % 2 == 0]
-            for terms in real_terms(*args)])
-    fields = qseries._parity_fields(order)
-    bound = max(fields) if parity is None else fields[parity]
-    bits = record_copies(monkeypatch)
-    for _, c1, _ in qseries.mc_sweep(0, 12, order):
-        pass
-    assert bits and max(bits) <= c1.width * bound
+    log = record_copies(monkeypatch)
+    width = [c1.width for _, c1, _ in qseries.mc_sweep(0, 12, order)][0]
+    qseries.mc_packed(12, order, width)
+    for parity, fields in enumerate(qseries._parity_fields(order)):
+        bits = [b for p, b in log if p == parity]
+        assert bits and max(bits) <= width * fields, parity
 
 
 # -- per-term reference for the T-components and R2 -------------------------
