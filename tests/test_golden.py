@@ -16,7 +16,7 @@ from sptcrank.cli import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # sha256 of the JSON report of each argv, for reports too long to keep whole
-DIGESTS = Path(__file__).resolve().parent / "coeff_digests.json"
+DIGESTS = json.loads((GOLDEN.parent / "coeff_digests.json").read_text(encoding="utf-8"))
 
 INVOCATIONS = {
     "verify-all": ["verify", "--check", "all", "--m-max", "3", "--n-max", "40",
@@ -69,11 +69,11 @@ def test_cross_at_acceptance_scale_matches_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "verify-cross-m120.json").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("argv", sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))))
+@pytest.mark.parametrize("argv", sorted(DIGESTS))
 def test_large_order_coefficients_match_their_digests(capsys, argv):
     """M_C1 at m = 7 up to q^2000 and M_C5 at m = 3 up to q^2001: fields
     wider than 64 bits, and both parities of the order."""
     code = run_cli(argv.split())
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert code == 0
-    assert digest == json.loads(DIGESTS.read_text(encoding="utf-8"))[argv]
+    assert digest == DIGESTS[argv]

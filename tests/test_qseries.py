@@ -360,9 +360,10 @@ def test_signed_kernels_go_through_the_shifts(case, m_lo, run):
         for m, c1, c5 in qseries.mc_sweep(m_lo, m_lo + run, order):
             assert qseries.mc_packed(m, order, c1.width) == (c1, c5), (m, order)
             direct = qseries.mc_packed(m, order)
-            for sources, *series in ((qseries._c1_terms, c1, direct[0]), (qseries._c5_terms, c5, direct[1])):
-                want = tuple(times_p2_reference(sources(m, order), order))
-                for s in series:
+            sources = (qseries._c1_terms, qseries._c5_terms)
+            for terms, swept, built in zip(sources, (c1, c5), direct):
+                want = tuple(times_p2_reference(terms(m, order), order))
+                for s in (swept, built):
                     assert s.coeffs == want, (m, order)
                     assert s.has_negative() == (min(want) < 0), (m, order)
 
